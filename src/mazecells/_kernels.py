@@ -1,47 +1,23 @@
-"""Numeric kernels with optional JIT compilation.
+"""Numeric kernels: walk loop, lattice decode, brute-force scan, autocorrelogram.
 
-The hot loops of the package (nearest-lattice-node search, wall-bounded
-random walks, exhaustive lattice scans, spatial autocorrelograms) run
-through numba-compiled kernels by default.  Setting the environment
-variable ``MAZECELLS_NO_NUMBA=1`` selects pure numpy/python fallbacks
-instead; both backends are accessible side by side through
-:func:`get_kernels` so they can be benchmarked and cross-checked.
+Each computation has exactly one implementation.  The scalar helpers
+(:func:`wrap_angle`, :func:`walk_step`, :func:`nearest_node`) serve the
+per-tick controller and the scalar API; the batch kernels write into
+caller-provided output arrays and are vectorized with numpy wherever the
+computation is not inherently sequential.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
 
-ENV_NO_NUMBA = "MAZECELLS_NO_NUMBA"
-
 TWO_PI = 2.0 * math.pi
 
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    prange = range
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(ENV_NO_NUMBA, "").strip().lower() in {"1", "true", "yes", "on"}
+# Read by the benchmark manifest; there is no compiled backend.
+HAVE_NUMBA = False
 
 
 def wrap_angle(a: float) -> float:
@@ -59,8 +35,8 @@ def walk_step(x, y, h, step, turn_sigma, radius, z_turn, z_retry):
     falls back to a noise-free toward-center move, which provably lands
     inside for step < radius.
 
-    The angle wrap is inlined (rather than calling wrap_angle) so the
-    function stays self-contained for JIT compilation.
+    The angle wrap is inlined (rather than calling wrap_angle) to keep the
+    per-tick walk loop free of extra calls.
     """
     h = h + turn_sigma * z_turn
     h = h - TWO_PI * math.floor((h + math.pi) / TWO_PI)
@@ -115,35 +91,9 @@ def nearest_node(px, py, b1x, b1y, b2x, b2y, offx, offy):
     return bx, by, math.sqrt(best), bm, bn
 
 
-# jitted aliases for use inside compiled loops (identity when numba is off)
-if HAVE_NUMBA:
-    _wrap_k = njit(cache=True)(wrap_angle)
-    _walk_step_k = njit(cache=True)(walk_step)
-    _nearest_k = njit(cache=True)(nearest_node)
-else:
-    _wrap_k = wrap_angle
-    _walk_step_k = walk_step
-    _nearest_k = nearest_node
-
-
-def _walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
-    # out has shape (ticks, 3); row 0 is the start pose, row t the pose at
-    # tick t.  z_turn / z_retry have length ticks - 1.
-    out[0, 0] = x0
-    out[0, 1] = y0
-    out[0, 2] = h0
-    x = x0
-    y = y0
-    h = h0
-    for t in range(z_turn.shape[0]):
-        x, y, h = _walk_step_k(x, y, h, step, turn_sigma, radius, z_turn[t], z_retry[t])
-        out[t + 1, 0] = x
-        out[t + 1, 1] = y
-        out[t + 1, 2] = h
-
-
-def _walk_loop_plain(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
-    # Same sequential loop, guaranteed to stay off the JIT path.
+def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
+    """Sequential walk: row 0 of ``out`` (ticks, 3) is the start pose, row t
+    the pose at tick t; ``z_turn`` / ``z_retry`` have length ticks - 1."""
     out[0, 0] = x0
     out[0, 1] = y0
     out[0, 2] = h0
@@ -157,112 +107,11 @@ def _walk_loop_plain(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out)
         out[t + 1, 2] = h
 
 
-def _nearest_batch_loop(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni):
-    for i in range(px.shape[0]):
-        bx, by, bd, bm, bn = _nearest_k(px[i], py[i], b1x, b1y, b2x, b2y, offx, offy)
-        cx[i] = bx
-        cy[i] = by
-        d[i] = bd
-        mi[i] = bm
-        ni[i] = bn
-
-
-def _rates_batch_loop(px, py, b1x, b1y, b2x, b2y, offx, offy, spacing, kappa, zeta, out):
-    for i in range(px.shape[0]):
-        _, _, bd, _, _ = _nearest_k(px[i], py[i], b1x, b1y, b2x, b2y, offx, offy)
-        out[i] = 0.5 - math.atan(kappa * (bd / spacing - zeta)) / math.pi
-
-
-def _brute_loop(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi, ni):
-    # Exhaustive scan over |m|, |n| <= max_index in lexicographic order;
-    # strict < keeps the lexicographically smallest index on ties.  This is
-    # deliberately independent of the windowed search in nearest_node.
-    for i in prange(px.shape[0]):
-        best = np.inf
-        bm = 0
-        bn = 0
-        bx = 0.0
-        by = 0.0
-        for m in range(-max_index, max_index + 1):
-            fm = float(m)
-            for n in range(-max_index, max_index + 1):
-                fn = float(n)
-                nx = fm * b1x + fn * b2x + offx
-                ny = fm * b1y + fn * b2y + offy
-                dx = px[i] - nx
-                dy = py[i] - ny
-                d2 = dx * dx + dy * dy
-                if d2 < best:
-                    best = d2
-                    bm = m
-                    bn = n
-                    bx = nx
-                    by = ny
-        cx[i] = bx
-        cy[i] = by
-        d[i] = math.sqrt(best)
-        mi[i] = bm
-        ni[i] = bn
-
-
-def _autocorr_loop(vals, visited, min_overlap, out):
-    # Pearson correlation of the map with itself at every integer-bin lag,
-    # over mutually visited bins.  Only the dy > 0 (plus dy == 0, dx >= 0)
-    # half is computed; the mirrored lag gets the identical value so the
-    # symmetry under lag negation is exact by construction.
-    h, w = vals.shape
-    nv = 0
-    for i in range(h):
-        for j in range(w):
-            if visited[i, j]:
-                nv += 1
-    for dy in range(0, h):
-        for dx in range(-(w - 1), w):
-            if dy == 0 and dx < 0:
-                continue
-            y0 = dy
-            x0 = dx if dx > 0 else 0
-            x1 = w if dx > 0 else w + dx
-            n = 0
-            sa = 0.0
-            sb = 0.0
-            saa = 0.0
-            sbb = 0.0
-            sab = 0.0
-            for i in range(y0, h):
-                for j in range(x0, x1):
-                    if visited[i, j] and visited[i - dy, j - dx]:
-                        a = vals[i, j]
-                        b = vals[i - dy, j - dx]
-                        n += 1
-                        sa += a
-                        sb += b
-                        saa += a * a
-                        sbb += b * b
-                        sab += a * b
-            if dy == 0 and dx == 0:
-                r = 1.0 if nv >= min_overlap else np.nan
-            elif n < min_overlap:
-                r = np.nan
-            else:
-                va = n * saa - sa * sa
-                vb = n * sbb - sb * sb
-                if va <= 0.0 or vb <= 0.0:
-                    r = np.nan
-                else:
-                    r = (n * sab - sa * sb) / math.sqrt(va * vb)
-            out[h - 1 + dy, w - 1 + dx] = r
-            out[h - 1 - dy, w - 1 - dx] = r
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks (vectorized where the uncompiled loop would crawl)
-# ---------------------------------------------------------------------------
-
 _WINDOW = [(dm, dn) for dm in range(-2, 4) for dn in range(-2, 4)]
 
 
-def _nearest_batch_numpy(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni):
+def nearest_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni):
+    """:func:`nearest_node` over arrays, bitwise identical per point."""
     det = b1x * b2y - b1y * b2x
     qx = px - offx
     qy = py - offy
@@ -292,17 +141,23 @@ def _nearest_batch_numpy(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, 
     ni[:] = bn
 
 
-def _rates_batch_numpy(px, py, b1x, b1y, b2x, b2y, offx, offy, spacing, kappa, zeta, out):
+def rates_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, spacing, kappa, zeta, out):
+    """Normalized arctangent firing rate at each point's nearest-node distance."""
     cx = np.empty_like(px)
     cy = np.empty_like(px)
     d = np.empty_like(px)
     mi = np.empty(px.shape, dtype=np.int64)
     ni = np.empty(px.shape, dtype=np.int64)
-    _nearest_batch_numpy(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni)
+    nearest_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni)
     out[:] = 0.5 - np.arctan(kappa * (d / spacing - zeta)) / np.pi
 
 
-def _brute_numpy(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi, ni):
+def brute_force(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi, ni):
+    """Exhaustive scan over |m|, |n| <= max_index in lexicographic order.
+
+    The first minimum keeps the lexicographically smallest index on ties.
+    Deliberately independent of the windowed search in nearest_node.
+    """
     idx = np.arange(-max_index, max_index + 1, dtype=np.float64)
     mm, nn = np.meshgrid(idx, idx, indexing="ij")  # m-major => lexicographic ravel
     m = mm.ravel()
@@ -324,7 +179,13 @@ def _brute_numpy(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, m
         ni[rows] = n[k].astype(np.int64)
 
 
-def _autocorr_numpy(vals, visited, min_overlap, out):
+def autocorr(vals, visited, min_overlap, out):
+    """Pearson correlation of the map with itself at every integer-bin lag.
+
+    Only mutually visited bins count.  Only the dy > 0 (plus dy == 0,
+    dx >= 0) half is computed; the mirrored lag gets the identical value so
+    the symmetry under lag negation is exact by construction.
+    """
     h, w = vals.shape
     nv = int(visited.sum())
     safe = np.where(visited, vals, 0.0)
@@ -361,48 +222,14 @@ def _autocorr_numpy(vals, visited, min_overlap, out):
             out[h - 1 - dy, w - 1 - dx] = r
 
 
-# ---------------------------------------------------------------------------
-# backend assembly
-# ---------------------------------------------------------------------------
-
-_CACHE: dict[str, SimpleNamespace] = {}
-
-
-def _build_numba() -> SimpleNamespace:
-    return SimpleNamespace(
-        backend="numba",
-        walk_loop=njit(cache=True)(_walk_loop),
-        nearest_batch=njit(cache=True)(_nearest_batch_loop),
-        rates_batch=njit(cache=True)(_rates_batch_loop),
-        brute_force=njit(cache=True, parallel=True)(_brute_loop),
-        autocorr=njit(cache=True)(_autocorr_loop),
-    )
-
-
-def _build_numpy() -> SimpleNamespace:
+# Read by the benchmark manifest, which records the kernel backend.
+def get_kernels() -> SimpleNamespace:
+    """The single kernel set, tagged ``backend="numpy"``."""
     return SimpleNamespace(
         backend="numpy",
-        walk_loop=_walk_loop_plain,
-        nearest_batch=_nearest_batch_numpy,
-        rates_batch=_rates_batch_numpy,
-        brute_force=_brute_numpy,
-        autocorr=_autocorr_numpy,
+        walk_loop=walk_loop,
+        nearest_batch=nearest_batch,
+        rates_batch=rates_batch,
+        brute_force=brute_force,
+        autocorr=autocorr,
     )
-
-
-def get_kernels(backend: str | None = None) -> SimpleNamespace:
-    """Return the kernel namespace for ``backend`` ('numba' or 'numpy').
-
-    With ``backend=None`` the default is numba unless it is unavailable or
-    disabled through MAZECELLS_NO_NUMBA.
-    """
-    if backend is None:
-        backend = "numpy" if (numba_disabled_by_env() or not HAVE_NUMBA) else "numba"
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        warnings.warn("numba unavailable, falling back to numpy kernels")
-        backend = "numpy"
-    if backend not in _CACHE:
-        _CACHE[backend] = _build_numba() if backend == "numba" else _build_numpy()
-    return _CACHE[backend]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import get_kernels
+from ._kernels import autocorr
 from .spatialcells import ConfigurationError
 
 MIN_OVERLAP_BINS = 20
@@ -63,8 +63,8 @@ def rate_map(positions, values, bin_size: float, bounds=None) -> RateMap:
     """
     positions = np.asarray(positions, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if bin_size <= 0.0:
-        raise ConfigurationError(f"bin_size must be positive, got {bin_size}")
+    if not (bin_size > 0.0 and math.isfinite(bin_size)):
+        raise ConfigurationError(f"bin_size must be positive and finite, got {bin_size}")
     if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
         raise ConfigurationError("positions must be a non-empty (N, 2) array")
     if values.shape != (positions.shape[0],):
@@ -100,8 +100,7 @@ def spatial_autocorrelogram(rm: RateMap, min_overlap: int = MIN_OVERLAP_BINS) ->
     vals = np.where(visited, rm.values, 0.0)
     ny, nx = vals.shape
     out = np.empty((2 * ny - 1, 2 * nx - 1), dtype=np.float64)
-    k = get_kernels()
-    k.autocorr(
+    autocorr(
         np.ascontiguousarray(vals),
         np.ascontiguousarray(visited),
         int(min_overlap),

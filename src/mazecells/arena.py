@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import TWO_PI, get_kernels, walk_step, wrap_angle
+from ._kernels import TWO_PI, walk_loop, walk_step, wrap_angle
 from .spatialcells import ConfigurationError, Position2, _as_xy
 
 GRAVITY = 9.81
@@ -123,10 +123,11 @@ class WalkParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.speed <= 0.0 or self.dt <= 0.0:
-            raise ConfigurationError("speed and dt must be positive")
-        if self.turn_sigma < 0.0:
-            raise ConfigurationError("turn_sigma must be >= 0")
+        for name, v in (("speed", self.speed), ("dt", self.dt)):
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ConfigurationError(f"{name} must be positive and finite, got {v}")
+        if not (self.turn_sigma >= 0.0 and math.isfinite(self.turn_sigma)):
+            raise ConfigurationError(f"turn_sigma must be finite and >= 0, got {self.turn_sigma}")
         if int(self.seed) != self.seed:
             raise ConfigurationError("seed must be an integer")
 
@@ -346,8 +347,7 @@ def walk_trajectory(
     rng = np.random.default_rng(int(seed))
     z = rng.standard_normal((max(ticks - 1, 0), 2))
     out = np.empty((ticks, 3), dtype=np.float64)
-    k = get_kernels()
-    k.walk_loop(
+    walk_loop(
         start.x, start.y, start.heading, step, walk.turn_sigma, arena.radius,
         np.ascontiguousarray(z[:, 0]), np.ascontiguousarray(z[:, 1]), out,
     )

@@ -321,6 +321,16 @@ def parse_config(text: str) -> RunConfig:
     tick_count = get("run", "tick_count", 10000)
     if tick_count <= 0:
         raise ConfigurationError(f"tick_count must be positive, got {tick_count}")
+    bin_size = get("analysis", "bin_size", 0.05)
+    if not (bin_size > 0.0 and math.isfinite(bin_size)):
+        raise ConfigurationError(f"[analysis] bin_size must be positive and finite, got {bin_size}")
+    inner = get("analysis", "annulus_inner_scale", 0.5)
+    outer = get("analysis", "annulus_outer_scale", 1.5)
+    if not (0.0 < inner < outer and math.isfinite(outer)):
+        raise ConfigurationError(
+            "[analysis] needs finite 0 < annulus_inner_scale < annulus_outer_scale, "
+            f"got {inner} and {outer}"
+        )
 
     return RunConfig(
         seed=get("run", "seed", None),
@@ -337,9 +347,9 @@ def parse_config(text: str) -> RunConfig:
         start_heading=get("walk", "start_heading", 0.0),
         initial_w_color=get("circuit", "initial_w_color", None),
         train_summary=get("circuit", "train_summary", None),
-        bin_size=get("analysis", "bin_size", 0.05),
-        annulus_inner_scale=get("analysis", "annulus_inner_scale", 0.5),
-        annulus_outer_scale=get("analysis", "annulus_outer_scale", 1.5),
+        bin_size=bin_size,
+        annulus_inner_scale=inner,
+        annulus_outer_scale=outer,
         sweep=tuple(sweep),
     )
 

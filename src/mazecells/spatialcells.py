@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import get_kernels, nearest_node, wrap_angle
+from ._kernels import brute_force, nearest_node, rates_batch, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -200,7 +200,6 @@ def nearest_center_bruteforce(
     px, py = _as_xy(pos)
     b = lattice_basis(g)
     off = phase_offset(g)
-    k = get_kernels()
     ax = np.array([px], dtype=np.float64)
     ay = np.array([py], dtype=np.float64)
     cx = np.empty(1)
@@ -208,7 +207,7 @@ def nearest_center_bruteforce(
     d = np.empty(1)
     mi = np.empty(1, dtype=np.int64)
     ni = np.empty(1, dtype=np.int64)
-    k.brute_force(
+    brute_force(
         ax, ay, b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y, max_index,
         cx, cy, d, mi, ni,
     )
@@ -259,11 +258,10 @@ def rates_at(positions: np.ndarray, g: GridCellParams, fp: FiringParams) -> np.n
         raise ConfigurationError("positions must have shape (N, 2)")
     b = lattice_basis(g)
     off = phase_offset(g)
-    k = get_kernels()
     px = np.ascontiguousarray(positions[:, 0])
     py = np.ascontiguousarray(positions[:, 1])
     out = np.empty(px.shape[0], dtype=np.float64)
-    k.rates_batch(
+    rates_batch(
         px, py, b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y,
         g.spacing, fp.kappa, fp.zeta, out,
     )

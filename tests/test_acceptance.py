@@ -46,7 +46,7 @@ from mazecells import (
     vibration_magnitude,
     walk_trajectory,
 )
-from mazecells._kernels import get_kernels
+from mazecells._kernels import brute_force, nearest_batch
 from mazecells.cli import main
 
 BOUNDS = (-1.3, 1.3, -1.3, 1.3)
@@ -101,7 +101,6 @@ def test_criterion_1_hexagonal_rate_map():
 
 def test_criterion_2_nearest_center_matches_brute_force():
     t0 = time.perf_counter()
-    k = get_kernels()
     rng = np.random.default_rng(42)
     n = 10_000
     all_exact = True
@@ -121,8 +120,8 @@ def test_criterion_2_nearest_center_matches_brute_force():
         bcx, bcy, bd = np.empty(n), np.empty(n), np.empty(n)
         bmi, bni = np.empty(n, np.int64), np.empty(n, np.int64)
         args = (px, py, b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y)
-        k.nearest_batch(*args, cx, cy, d, mi, ni)
-        k.brute_force(*args, 50, bcx, bcy, bd, bmi, bni)
+        nearest_batch(*args, cx, cy, d, mi, ni)
+        brute_force(*args, 50, bcx, bcy, bd, bmi, bni)
         all_exact &= bool(
             (mi == bmi).all()
             and (ni == bni).all()

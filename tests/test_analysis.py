@@ -68,6 +68,10 @@ def test_rate_map_rejects_bad_inputs():
         rate_map(np.zeros((3, 2)), np.zeros(2), 0.1)
     with pytest.raises(ConfigurationError):
         rate_map(np.zeros((3, 2)), np.zeros(3), 0.0)
+    with pytest.raises(ConfigurationError):
+        rate_map(np.zeros((3, 2)), np.zeros(3), math.nan)
+    with pytest.raises(ConfigurationError):
+        coverage(np.zeros((3, 2)), math.inf, 1.3)
 
 
 # ---------------------------------------------------------------------------

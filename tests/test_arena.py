@@ -244,7 +244,7 @@ def test_step_must_be_smaller_than_radius():
 
 def test_random_walk_step_matches_trajectory_stream():
     """The public single-step op consumes the same two normals per tick as
-    the compiled loop, so stepping manually reproduces the trajectory."""
+    the walk loop, so stepping manually reproduces the trajectory."""
     arena = Arena(radius=1.3)
     walk = WalkParams()
     tr = walk_trajectory(arena, walk, 200, seed=33)

@@ -145,6 +145,31 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["ratemap", "--config", missing, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        "[walk]\nspeed = nan\n",
+        "[walk]\ndt = nan\n",
+        "[walk]\nturn_sigma = inf\n",
+        "[analysis]\nbin_size = nan\n",
+    ],
+    ids=["speed-nan", "dt-nan", "turn_sigma-inf", "bin_size-nan"],
+)
+def test_non_finite_walk_or_bin_size_exits_2(tmp_path, capsys, section):
+    cfg = write_cfg(tmp_path, FAST_RUN + section)
+    assert main(["ratemap", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_inverted_annulus_exits_2_before_any_output(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_RUN + "[analysis]\nannulus_inner_scale = 2.0\n")
+    out = tmp_path / "o"
+    assert main(["ratemap", "--config", cfg, "--out", str(out)]) == 2
+    assert "annulus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_path_collision_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RUN)
     blocker = tmp_path / "blocked"

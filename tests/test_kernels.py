@@ -1,29 +1,31 @@
-"""Cross-checks between the numba kernels and their numpy fallbacks.
+"""Batch kernels against their scalar oracles.
 
-Both backends must agree: bitwise for the sequential walk (identical
-floating-point operation order) and to tight tolerances elsewhere.
+The sequential walk and the nearest-node decode must match the scalar
+functions bitwise (identical floating-point operation order); the firing
+rate matches the scalar formula to roundoff.
 """
 
 import math
 
 import numpy as np
-import pytest
 
 from mazecells._kernels import (
-    HAVE_NUMBA,
     TWO_PI,
-    get_kernels,
+    nearest_batch,
     nearest_node,
+    rates_batch,
+    walk_loop,
     walk_step,
     wrap_angle,
 )
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
-
-@pytest.fixture(scope="module")
-def kernels():
-    return get_kernels("numba"), get_kernels("numpy")
+from mazecells.spatialcells import (
+    FiringParams,
+    GridCellParams,
+    lattice_basis,
+    normalized_rate,
+    phase_offset,
+    raw_firing,
+)
 
 
 def test_wrap_angle_range_and_periodicity():
@@ -33,65 +35,28 @@ def test_wrap_angle_range_and_periodicity():
         assert abs(wrap_angle(float(a) + TWO_PI) - w) < 1e-9
 
 
-def test_walk_loops_agree_to_ulp_scale(kernels):
-    # numba's sin/cos/atan2 may differ from CPython's libm by an ulp, so
-    # cross-backend agreement is near-exact rather than bitwise; bitwise
-    # determinism within one backend is asserted separately below.
-    knb, knp = kernels
-    rng = np.random.default_rng(42)
-    z = rng.standard_normal((5000, 2))
-    a = np.empty((5001, 3))
-    b = np.empty((5001, 3))
-    knb.walk_loop(0.1, -0.3, 0.7, 0.02, 0.2, 1.3, z[:, 0].copy(), z[:, 1].copy(), a)
-    knp.walk_loop(0.1, -0.3, 0.7, 0.02, 0.2, 1.3, z[:, 0].copy(), z[:, 1].copy(), b)
-    assert np.array_equal(a[0], b[0])
-    assert np.abs(a - b).max() < 1e-12
+def test_walk_loop_bitwise_deterministic():
+    rng = np.random.default_rng(6)
+    z = rng.standard_normal((1000, 2))
+    a = np.empty((1001, 3))
+    b = np.empty((1001, 3))
+    walk_loop(0.0, 0.0, 0.0, 0.02, 0.2, 1.3, z[:, 0].copy(), z[:, 1].copy(), a)
+    walk_loop(0.0, 0.0, 0.0, 0.02, 0.2, 1.3, z[:, 0].copy(), z[:, 1].copy(), b)
+    assert np.array_equal(a, b)
 
 
-def test_walk_loop_bitwise_deterministic_per_backend(kernels):
-    for k in kernels:
-        rng = np.random.default_rng(6)
-        z = rng.standard_normal((1000, 2))
-        a = np.empty((1001, 3))
-        b = np.empty((1001, 3))
-        k.walk_loop(0.0, 0.0, 0.0, 0.02, 0.2, 1.3, z[:, 0].copy(), z[:, 1].copy(), a)
-        k.walk_loop(0.0, 0.0, 0.0, 0.02, 0.2, 1.3, z[:, 0].copy(), z[:, 1].copy(), b)
-        assert np.array_equal(a, b)
-
-
-def test_walk_loop_matches_scalar_walk_step(kernels):
-    knb, _ = kernels
+def test_walk_loop_matches_scalar_walk_step():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((200, 2))
     out = np.empty((201, 3))
-    knb.walk_loop(0.0, 0.0, 0.0, 0.02, 0.2, 1.3, z[:, 0].copy(), z[:, 1].copy(), out)
+    walk_loop(0.0, 0.0, 0.0, 0.02, 0.2, 1.3, z[:, 0].copy(), z[:, 1].copy(), out)
     x, y, h = 0.0, 0.0, 0.0
     for t in range(200):
         x, y, h = walk_step(x, y, h, 0.02, 0.2, 1.3, z[t, 0], z[t, 1])
         assert out[t + 1, 0] == x and out[t + 1, 1] == y and out[t + 1, 2] == h
 
 
-def test_nearest_batch_backends_agree(kernels):
-    knb, knp = kernels
-    rng = np.random.default_rng(3)
-    px = rng.uniform(-3, 3, 2000)
-    py = rng.uniform(-3, 3, 2000)
-    args = (0.9, 0.1, 0.35, 0.82, 0.2, -0.4)  # skewed but valid hex-ish basis
-    res = []
-    for k in (knb, knp):
-        cx = np.empty(2000)
-        cy = np.empty(2000)
-        d = np.empty(2000)
-        mi = np.empty(2000, dtype=np.int64)
-        ni = np.empty(2000, dtype=np.int64)
-        k.nearest_batch(px, py, *args, cx, cy, d, mi, ni)
-        res.append((cx, cy, d, mi, ni))
-    for a, b in zip(res[0], res[1]):
-        assert np.array_equal(a, b)
-
-
-def test_nearest_batch_matches_scalar(kernels):
-    knb, _ = kernels
+def test_nearest_batch_matches_scalar():
     rng = np.random.default_rng(11)
     px = rng.uniform(-2, 2, 300)
     py = rng.uniform(-2, 2, 300)
@@ -101,59 +66,23 @@ def test_nearest_batch_matches_scalar(kernels):
     d = np.empty(300)
     mi = np.empty(300, dtype=np.int64)
     ni = np.empty(300, dtype=np.int64)
-    knb.nearest_batch(px, py, *b, cx, cy, d, mi, ni)
+    nearest_batch(px, py, *b, cx, cy, d, mi, ni)
     for i in range(300):
         sx, sy, sd, sm, sn = nearest_node(px[i], py[i], *b)
         assert (cx[i], cy[i], d[i], mi[i], ni[i]) == (sx, sy, sd, sm, sn)
 
 
-def test_rates_batch_backends_close(kernels):
-    knb, knp = kernels
+def test_rates_batch_matches_scalar_firing_formula():
     rng = np.random.default_rng(5)
     px = rng.uniform(-2, 2, 1500)
     py = rng.uniform(-2, 2, 1500)
-    b = (0.7, 0.0, 0.35, 0.35 * math.sqrt(3.0), 0.0, 0.1)
-    o1 = np.empty(1500)
-    o2 = np.empty(1500)
-    knb.rates_batch(px, py, *b, 0.7, 5.0, 0.3, o1)
-    knp.rates_batch(px, py, *b, 0.7, 5.0, 0.3, o2)
-    assert np.allclose(o1, o2, rtol=0.0, atol=1e-13)
-
-
-def test_brute_force_backends_exact(kernels):
-    knb, knp = kernels
-    rng = np.random.default_rng(9)
-    px = rng.uniform(-2, 2, 80)
-    py = rng.uniform(-2, 2, 80)
-    b = (0.6, 0.2, 0.1, 0.55, 1.3, 0.4)
-    res = []
-    for k in (knb, knp):
-        cx = np.empty(80)
-        cy = np.empty(80)
-        d = np.empty(80)
-        mi = np.empty(80, dtype=np.int64)
-        ni = np.empty(80, dtype=np.int64)
-        k.brute_force(px, py, *b, 12, cx, cy, d, mi, ni)
-        res.append((cx, cy, mi, ni))
-    for a, c in zip(res[0], res[1]):
-        assert np.array_equal(a, c)
-
-
-def test_autocorr_backends_close(kernels):
-    knb, knp = kernels
-    rng = np.random.default_rng(21)
-    vals = rng.normal(size=(18, 15))
-    visited = rng.uniform(size=(18, 15)) > 0.2
-    vals[~visited] = np.nan
-    o1 = np.full((35, 29), np.nan)
-    o2 = np.full((35, 29), np.nan)
-    knb.autocorr(np.where(visited, vals, 0.0), visited, 20, o1)
-    knp.autocorr(np.where(visited, vals, 0.0), visited, 20, o2)
-    both = np.isfinite(o1) & np.isfinite(o2)
-    assert np.array_equal(np.isfinite(o1), np.isfinite(o2))
-    assert np.allclose(o1[both], o2[both], atol=1e-10)
-
-
-def test_get_kernels_rejects_unknown_backend():
-    with pytest.raises(ValueError):
-        get_kernels("fortran")
+    g = GridCellParams(0.7, 0.4, 1.1, 2.9)
+    fp = FiringParams(5.0, 0.3)
+    bm = lattice_basis(g)
+    off = phase_offset(g)
+    b = (bm[0, 0], bm[1, 0], bm[0, 1], bm[1, 1], off.x, off.y)
+    out = np.empty(1500)
+    rates_batch(px, py, *b, g.spacing, fp.kappa, fp.zeta, out)
+    for i in range(1500):
+        d = nearest_node(px[i], py[i], *b)[2]
+        assert abs(out[i] - normalized_rate(raw_firing(d, g, fp))) <= 1e-12
