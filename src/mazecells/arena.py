@@ -31,6 +31,8 @@ class Pose:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ConfigurationError("pose position must be finite")
+        if not math.isfinite(self.heading):
+            raise ConfigurationError(f"pose heading must be finite, got {self.heading}")
         object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
 
     @property
@@ -48,10 +50,12 @@ class ZoneDisc:
     amplitude: float = 8.0
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ConfigurationError(f"zone radius must be positive, got {self.radius}")
-        if self.amplitude < 0.0:
-            raise ConfigurationError("zone amplitude must be >= 0")
+        if not (math.isfinite(self.center_x) and math.isfinite(self.center_y)):
+            raise ConfigurationError("zone center must be finite")
+        if not (self.radius > 0.0 and math.isfinite(self.radius)):
+            raise ConfigurationError(f"zone radius must be positive and finite, got {self.radius}")
+        if not (self.amplitude >= 0.0 and math.isfinite(self.amplitude)):
+            raise ConfigurationError(f"zone amplitude must be finite and >= 0, got {self.amplitude}")
 
     def contains(self, x: float, y: float) -> bool:
         dx = x - self.center_x
@@ -68,6 +72,8 @@ class WallArc:
     color: str = "red"
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_angle) and math.isfinite(self.end_angle)):
+            raise ConfigurationError("wall arc angles must be finite")
         object.__setattr__(self, "start_angle", wrap_angle(float(self.start_angle)))
         object.__setattr__(self, "end_angle", wrap_angle(float(self.end_angle)))
         if self.extent <= 0.0:
@@ -142,8 +148,8 @@ class CameraParams:
     def __post_init__(self):
         if not (0.0 < self.fov < TWO_PI):
             raise ConfigurationError(f"fov must lie in (0, 2*pi), got {self.fov}")
-        if self.max_range <= 0.0:
-            raise ConfigurationError("max_range must be positive")
+        if not (self.max_range > 0.0 and math.isfinite(self.max_range)):
+            raise ConfigurationError(f"max_range must be positive and finite, got {self.max_range}")
 
 
 @dataclass(frozen=True)

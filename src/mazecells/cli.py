@@ -134,7 +134,13 @@ def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = No
             raise ConfigurationError(
                 f"train_summary {rc.train_summary} has no final_w_color entry"
             )
-        initial_w = float(summary["final_w_color"])
+        raw_w = summary["final_w_color"]
+        try:
+            initial_w = float(raw_w)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"train_summary {rc.train_summary} has a non-numeric final_w_color: {raw_w!r}"
+            ) from exc
     t0 = time.perf_counter()
     ecfg = episode_config(rc, mode, seed=seed, initial_w=initial_w)
     log = run_episode(ecfg)

@@ -219,6 +219,8 @@ def parse_config(text: str) -> RunConfig:
                     ) from exc
                 if not values:
                     raise ConfigurationError(f"empty value list for sweep parameter '{key}'")
+                if not all(math.isfinite(v) for v in values):
+                    raise ConfigurationError(f"non-finite value for sweep parameter '{key}': {raw!r}")
                 sweep.append((key, values))
         else:
             split = _split_numbered(section)
@@ -331,6 +333,20 @@ def parse_config(text: str) -> RunConfig:
             "[analysis] needs finite 0 < annulus_inner_scale < annulus_outer_scale, "
             f"got {inner} and {outer}"
         )
+    # Checked here as well as in EpisodeConfig so that ratemap and sweep
+    # runs, which never build one, reject them too.
+    noise_sigma = get("sensors", "noise_sigma", 0.3)
+    jitter_sigma = get("controller", "jitter_sigma", 0.3)
+    start_heading = get("walk", "start_heading", 0.0)
+    initial_w_color = get("circuit", "initial_w_color", None)
+    for name, v in (
+        ("[sensors] noise_sigma", noise_sigma),
+        ("[controller] jitter_sigma", jitter_sigma),
+        ("[walk] start_heading", start_heading),
+        ("[circuit] initial_w_color", initial_w_color),
+    ):
+        if v is not None and not math.isfinite(v):
+            raise ConfigurationError(f"{name} must be finite, got {v}")
 
     return RunConfig(
         seed=get("run", "seed", None),
@@ -342,10 +358,10 @@ def parse_config(text: str) -> RunConfig:
         circuit=circuit,
         grid_cells=grid_cells,
         place=place,
-        noise_sigma=get("sensors", "noise_sigma", 0.3),
-        jitter_sigma=get("controller", "jitter_sigma", 0.3),
-        start_heading=get("walk", "start_heading", 0.0),
-        initial_w_color=get("circuit", "initial_w_color", None),
+        noise_sigma=noise_sigma,
+        jitter_sigma=jitter_sigma,
+        start_heading=start_heading,
+        initial_w_color=initial_w_color,
         train_summary=get("circuit", "train_summary", None),
         bin_size=bin_size,
         annulus_inner_scale=inner,

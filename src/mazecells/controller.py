@@ -26,7 +26,7 @@ from .arena import (
     color_sample,
     vibration_magnitude,
 )
-from .learning import CircuitParams, SynapseState, TickIO, motion_output, oja_update
+from .learning import CircuitParams, motion_output, oja_update
 from .spatialcells import (
     ConfigurationError,
     FiringParams,
@@ -63,8 +63,13 @@ class EpisodeConfig:
             raise ConfigurationError(f"tick_count must be positive, got {self.tick_count}")
         if int(self.seed) != self.seed:
             raise ConfigurationError("seed must be an integer")
-        if self.noise_sigma < 0.0 or self.jitter_sigma < 0.0:
-            raise ConfigurationError("noise scales must be >= 0")
+        if not math.isfinite(self.initial_w_color):
+            raise ConfigurationError(f"initial_w_color must be finite, got {self.initial_w_color}")
+        for name, v in (("noise_sigma", self.noise_sigma), ("jitter_sigma", self.jitter_sigma)):
+            if not (v >= 0.0 and math.isfinite(v)):
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {v}")
+        if not math.isfinite(self.start_heading):
+            raise ConfigurationError(f"start_heading must be finite, got {self.start_heading}")
         if self.walk.speed * self.walk.dt >= self.arena.radius:
             raise ConfigurationError("speed * dt must be smaller than the arena radius")
 
@@ -174,9 +179,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             ax, ay, az = 0.0, 0.0, GRAVITY
         vib = vibration_magnitude((ax, ay, az))
         xc = color_sample(Pose(x, y, h), arena, cam)
-        syn = SynapseState(w)
-        yt = motion_output(vib, xc, syn, circuit)
-        io = TickIO(vib, xc, yt)
+        # The escape below reads the weight from before this tick's update.
+        w_prev = w
+        yt = motion_output(vib, xc, w_prev, circuit)
 
         if arena.zone_index_at(x, y) >= 0:
             bumper += 1
@@ -194,13 +199,13 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         y_out[t] = yt
 
         if cfg.learning_enabled:
-            w = oja_update(syn, xc, yt, circuit.eta).w_color
+            w = oja_update(w_prev, xc, yt, circuit.eta)
         w_trace[t] = w
 
         if t < T - 1:
             if yt == 1 and y_prev == 0:
                 vib_active = vib >= circuit.vibration_threshold
-                color_active = io.x_color * syn.w_color >= circuit.color_activation_threshold
+                color_active = xc * w_prev >= circuit.color_activation_threshold
                 tb = _trigger_bearing(x, y, h, arena, vib_active, color_active)
                 h = wrap_angle(tb + math.pi + cfg.jitter_sigma * gauss[t, 5])
                 escaping = True

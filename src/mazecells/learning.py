@@ -2,8 +2,11 @@
 
 The motion circuit fires on either a strong vibration (hard-wired reflex)
 or a sufficiently weighted color input (learned pathway).  The color
-weight follows Oja's rule, delta_w = eta * (y * x - y^2 * w), which for
-binary y relaxes the weight toward the current input.
+weight is one plain float that follows Oja's rule,
+delta_w = eta * (y * x - y^2 * w), which for binary y relaxes the weight
+toward the current input.  Both functions work on floats; the episode
+config validates the starting weight once, so the per-tick loop builds
+no state object.
 """
 
 from __future__ import annotations
@@ -23,52 +26,24 @@ class CircuitParams:
     eta: float = 0.05
 
     def __post_init__(self):
-        if self.vibration_threshold < 0.0:
-            raise ConfigurationError("vibration_threshold must be >= 0")
-        if self.color_activation_threshold <= 0.0:
-            raise ConfigurationError("color_activation_threshold must be positive")
+        if not (self.vibration_threshold >= 0.0 and math.isfinite(self.vibration_threshold)):
+            raise ConfigurationError("vibration_threshold must be finite and >= 0")
+        if not (self.color_activation_threshold > 0.0 and math.isfinite(self.color_activation_threshold)):
+            raise ConfigurationError("color_activation_threshold must be positive and finite")
         if not (0.0 < self.eta < 1.0):
             raise ConfigurationError(f"eta must lie in (0, 1), got {self.eta}")
 
 
-@dataclass(frozen=True)
-class SynapseState:
-    """Weight of the color-to-motion synapse."""
-
-    w_color: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.w_color):
-            raise ConfigurationError("w_color must be finite")
-
-
-@dataclass(frozen=True)
-class TickIO:
-    """Per-tick circuit values: inputs and the resulting motion output."""
-
-    vibration: float
-    x_color: float
-    y: int
-
-    def __post_init__(self):
-        if self.vibration < 0.0:
-            raise ConfigurationError("vibration must be >= 0")
-        if not (0.0 <= self.x_color <= 1.0):
-            raise ConfigurationError("x_color must lie in [0, 1]")
-        if self.y not in (0, 1):
-            raise ConfigurationError("y must be binary")
-
-
-def motion_output(vibration: float, x_color: float, syn: SynapseState, cp: CircuitParams) -> int:
+def motion_output(vibration: float, x_color: float, w_color: float, cp: CircuitParams) -> int:
     """Binary motion command: 1 iff vibration or weighted color crosses threshold."""
     if vibration >= cp.vibration_threshold:
         return 1
-    if syn.w_color * x_color >= cp.color_activation_threshold:
+    if w_color * x_color >= cp.color_activation_threshold:
         return 1
     return 0
 
 
-def oja_update(syn: SynapseState, x_color: float, y: int, eta: float) -> SynapseState:
+def oja_update(w_color: float, x_color: float, y: int, eta: float) -> float:
     """One Oja step: w' = w + eta * (y * x - y^2 * w).
 
     With binary y this is a convex pull of w toward x whenever the output
@@ -76,5 +51,4 @@ def oja_update(syn: SynapseState, x_color: float, y: int, eta: float) -> Synapse
     """
     if y not in (0, 1):
         raise ConfigurationError("y must be binary")
-    w = syn.w_color
-    return SynapseState(w + eta * (y * x_color - (y * y) * w))
+    return w_color + eta * (y * x_color - (y * y) * w_color)

@@ -137,8 +137,8 @@ class LandmarkParams:
     sigma_theta: float = 0.5
 
     def __post_init__(self):
-        if self.sigma_d <= 0.0 or self.sigma_theta <= 0.0:
-            raise ConfigurationError("tuning widths must be positive")
+        if not all(v > 0.0 and math.isfinite(v) for v in (self.sigma_d, self.sigma_theta)):
+            raise ConfigurationError("tuning widths must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +352,8 @@ def anchored_ensemble(
     """
     spacings = [float(s) for s in spacings]
     ax, ay = _as_xy(anchor)
+    if not (math.isfinite(ax) and math.isfinite(ay)):
+        raise ConfigurationError(f"anchor must be finite, got ({ax}, {ay})")
     n = len(spacings)
     if orientations is None:
         orientations = [(i * math.pi / 3.0) / n for i in range(n)]

@@ -18,7 +18,6 @@ from mazecells import (
     FrameTransform,
     GridCellParams,
     Pose,
-    SynapseState,
     WalkParams,
     ZoneDisc,
     change_frame,
@@ -189,24 +188,24 @@ def test_criterion_4_oja_convergence_and_bounds():
     w = 0.0
     reached = None
     for it in range(1, 301):
-        w = oja_update(SynapseState(w), 1.0, 1, 0.05).w_color
+        w = oja_update(w, 1.0, 1, 0.05)
         if abs(w - 1.0) < 1e-6:
             reached = it
             break
 
     fixed_exact = all(
-        oja_update(SynapseState(x), x, 1, 0.05).w_color == x for x in (0.0, 0.25, 0.3, 1.0)
+        oja_update(x, x, 1, 0.05) == x for x in (0.0, 0.25, 0.3, 1.0)
     )
 
     rng = np.random.default_rng(3)
     bounded = True
     for _ in range(10_000):
         wn = oja_update(
-            SynapseState(rng.uniform(0.0, 1.0)),
+            rng.uniform(0.0, 1.0),
             rng.uniform(0.0, 1.0),
             int(rng.integers(0, 2)),
             rng.uniform(0.0, 1.0 - 1e-12),
-        ).w_color
+        )
         bounded &= 0.0 <= wn <= 1.0
 
     ok = reached is not None and fixed_exact and bounded

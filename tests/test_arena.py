@@ -277,3 +277,16 @@ def test_zone_validation():
         ZoneDisc(0.0, 0.0, -0.1, 8.0)
     with pytest.raises(ConfigurationError):
         Arena(radius=1.0, zones=(ZoneDisc(2.0, 0.0, 0.1, 8.0),))
+
+
+def test_non_finite_geometry_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="heading"):
+            Pose(0.0, 0.0, bad)
+        with pytest.raises(ConfigurationError, match="wall arc"):
+            WallArc(bad, 0.5, "red")
+        with pytest.raises(ConfigurationError, match="max_range"):
+            CameraParams(max_range=bad)
+        for args in ((bad, 0.0, 0.1, 8.0), (0.0, 0.0, bad, 8.0), (0.0, 0.0, 0.1, bad)):
+            with pytest.raises(ConfigurationError, match="zone"):
+                ZoneDisc(*args)

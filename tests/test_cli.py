@@ -10,6 +10,7 @@ import pytest
 
 from mazecells.artifacts import read_matrix_csv, read_summary
 from mazecells.cli import main
+from mazecells.config import build_ini
 
 FAST_RUN = "[run]\ntick_count = 400\nseed = 5\n"
 
@@ -135,6 +136,14 @@ def test_broken_train_summary_exits_2(tmp_path, capsys):
     cfg2 = write_cfg(tmp_path, FAST_RUN + f"[circuit]\ntrain_summary = {stub}\n", name="b.ini")
     assert main(["episode", "--mode", "test", "--config", cfg2, "--out", str(tmp_path / "o2")]) == 2
     assert "final_w_color" in capsys.readouterr().err
+    # a weight entry that is not a finite number
+    for i, (raw, offender) in enumerate((("abc", "final_w_color"), ("nan", "initial_w_color"))):
+        stub.write_text(f"command = episode\nfinal_w_color = {raw}\n")
+        out = tmp_path / f"o{i + 3}"
+        assert main(["episode", "--mode", "test", "--config", cfg2, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and offender in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -145,21 +154,59 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["ratemap", "--config", missing, "--out", str(tmp_path / "o")]) == 2
 
 
+ZONE = {"center_x": 1.04, "center_y": 0.44, "radius": 0.2, "amplitude": 8.0}
+
+# (id, config sections, text the error must contain)
+NON_FINITE_CASES = [
+    ("speed-nan", {"walk": {"speed": "nan"}}, "speed"),
+    ("dt-nan", {"walk": {"dt": "nan"}}, "dt"),
+    ("turn_sigma-inf", {"walk": {"turn_sigma": "inf"}}, "turn_sigma"),
+    ("bin_size-nan", {"analysis": {"bin_size": "nan"}}, "bin_size"),
+    ("start_heading-nan", {"walk": {"start_heading": "nan"}}, "start_heading"),
+    ("start_heading-inf", {"walk": {"start_heading": "inf"}}, "start_heading"),
+    ("jitter_sigma-nan", {"controller": {"jitter_sigma": "nan"}}, "jitter_sigma"),
+    ("noise_sigma-nan", {"sensors": {"noise_sigma": "nan"}}, "noise_sigma"),
+    ("initial_w_color-nan", {"circuit": {"initial_w_color": "nan"}}, "initial_w_color"),
+    ("vibration_threshold-nan", {"circuit": {"vibration_threshold": "nan"}}, "vibration_threshold"),
+    (
+        "color_activation_threshold-nan",
+        {"circuit": {"color_activation_threshold": "nan"}},
+        "color_activation_threshold",
+    ),
+    ("max_range-nan", {"camera": {"max_range": "nan"}}, "max_range"),
+    ("zone_radius-nan", {"zone 1": dict(ZONE, radius="nan")}, "zone radius"),
+    ("zone_amplitude-nan", {"zone 1": dict(ZONE, amplitude="nan")}, "zone amplitude"),
+    ("zone_center-nan", {"zone 1": dict(ZONE, center_x="nan")}, "zone center"),
+    ("wall_angle-nan", {"wall 1": {"start_angle": "nan", "end_angle": 1.0}}, "wall arc"),
+    ("anchor_x-nan", {"place": {"anchor_x": "nan"}}, "anchor"),
+]
+COMMANDS = {
+    "ratemap": ["ratemap"],
+    "train": ["episode", "--mode", "train"],
+    "test": ["episode", "--mode", "test"],
+}
+
+
+# ratemap cases keep the bare case id; episode cases append the mode
 @pytest.mark.parametrize(
-    "section",
+    "command, sections, offender",
     [
-        "[walk]\nspeed = nan\n",
-        "[walk]\ndt = nan\n",
-        "[walk]\nturn_sigma = inf\n",
-        "[analysis]\nbin_size = nan\n",
+        pytest.param(argv, sections, offender, id=case if cmd == "ratemap" else f"{case}-{cmd}")
+        for case, sections, offender in NON_FINITE_CASES
+        for cmd, argv in COMMANDS.items()
     ],
-    ids=["speed-nan", "dt-nan", "turn_sigma-inf", "bin_size-nan"],
 )
-def test_non_finite_walk_or_bin_size_exits_2(tmp_path, capsys, section):
-    cfg = write_cfg(tmp_path, FAST_RUN + section)
-    assert main(["ratemap", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+def test_non_finite_walk_or_bin_size_exits_2(tmp_path, capsys, command, sections, offender):
+    base = {"run": {"tick_count": 400, "seed": 5}, "circuit": {"initial_w_color": 0.5}}
+    for name, keys in sections.items():
+        base[name] = dict(base.get(name, {}), **keys)
+    cfg = write_cfg(tmp_path, build_ini(base))
+    out = tmp_path / "o"
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert offender in err
+    assert not out.exists()
 
 
 def test_inverted_annulus_exits_2_before_any_output(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mazecells.arena import Arena, CameraParams, Pose, WalkParams, WallArc, ZoneDisc
+from mazecells.config import episode_config, parse_config
 from mazecells.controller import EpisodeConfig, avoidance_maneuver, run_episode
 from mazecells.learning import CircuitParams
 from mazecells.spatialcells import (
@@ -231,3 +232,18 @@ def test_config_validation(quiet_arena):
         make_config(quiet_arena, jitter_sigma=-1.0)
     with pytest.raises(ConfigurationError):
         make_config(Arena(radius=0.01))
+    for key in ("initial_w_color", "noise_sigma", "jitter_sigma", "start_heading"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match=key):
+                make_config(quiet_arena, **{key: bad})
+
+
+def test_default_train_episode_golden():
+    """Pins the closed loop on the default arena.  The escape turn must
+    read the color weight from before the tick's Oja update; reading the
+    updated weight changes the avoidance count."""
+    rc = parse_config("[run]\nseed = 1\ntick_count = 10000\n")
+    log = run_episode(episode_config(rc, "train"))
+    assert log.avoidance_events == 42
+    assert log.bumper_contacts == 15
+    assert log.w_color[-1] == pytest.approx(0.5732227877446676, rel=1e-12)
