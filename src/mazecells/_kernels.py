@@ -5,6 +5,11 @@ Each computation has exactly one implementation.  The scalar helpers
 per-tick controller and the scalar API; the batch kernels write into
 caller-provided output arrays and are vectorized with numpy wherever the
 computation is not inherently sequential.
+
+The autocorrelogram is the masked normalized cross-correlation of
+Padfield (IEEE TIP 2012), computed with ``numpy.fft``; an overlap counts as
+constant, and its lag as NaN, when its variance term is at most
+:data:`DEGENERATE_RTOL` times ``n * sum(a**2)`` of the whole centred map.
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ TWO_PI = 2.0 * math.pi
 
 # Read by the benchmark manifest; there is no compiled backend.
 HAVE_NUMBA = False
+
+# An autocorrelogram overlap whose variance term falls at or below this
+# fraction of n * sum(a**2 over the whole centred map) counts as constant
+# (NaN); it absorbs the FFT roundoff where the exact value is 0.
+DEGENERATE_RTOL = 1e-10
 
 
 def wrap_angle(a: float) -> float:
@@ -179,47 +189,69 @@ def brute_force(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi
         ni[rows] = n[k].astype(np.int64)
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 5-smooth integer (prime factors 2, 3, 5 only) >= n."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def autocorr(vals, visited, min_overlap, out):
     """Pearson correlation of the map with itself at every integer-bin lag.
 
-    Only mutually visited bins count.  Only the dy > 0 (plus dy == 0,
-    dx >= 0) half is computed; the mirrored lag gets the identical value so
-    the symmetry under lag negation is exact by construction.
+    ``out[h - 1 + dy, w - 1 + dx]`` correlates the bins p + (dy, dx) with
+    the bins p over the p where both are visited.  The six overlap sums of
+    each lag (count, two sums, two sums of squares, cross sum) come from
+    FFT cross-correlations of the zero-padded visited mask ``m``, the
+    centred map ``a`` (mean of the visited bins subtracted, 0 where
+    unvisited) and ``a**2``: the masked normalized cross-correlation of
+    Padfield, "Masked Object Registration in the Fourier Domain", IEEE TIP
+    2012.  Three forward and four inverse real FFTs replace the O(h^2 w^2)
+    direct sum; the sums of the unshifted side are the lag-negated sums of
+    the shifted side.  Centring keeps the roundoff of near-flat maps small
+    (Pearson itself does not change under a shift).
+
+    A lag with fewer than ``min_overlap`` shared bins is NaN, and so is a
+    degenerate one whose overlap is constant on either side.  Because the
+    FFT leaves roundoff of order 1e-16 where a direct sum gives exactly 0,
+    an overlap counts as constant when its variance term
+    ``n * sum(a**2) - sum(a)**2`` is at most ``DEGENERATE_RTOL * n *
+    sum(a**2 over the whole map)``.  The zero lag is 1 iff at least
+    ``min_overlap`` bins are visited.  Only the dy > 0 (plus dy == 0,
+    dx >= 0) half is taken from the sums; the mirrored lag gets the
+    identical value so the symmetry under lag negation is exact by
+    construction.
     """
     h, w = vals.shape
     nv = int(visited.sum())
-    safe = np.where(visited, vals, 0.0)
-    for dy in range(0, h):
-        for dx in range(-(w - 1), w):
-            if dy == 0 and dx < 0:
-                continue
-            y0, y1 = dy, h
-            x0 = dx if dx > 0 else 0
-            x1 = w if dx > 0 else w + dx
-            a = safe[y0:y1, x0:x1]
-            b = safe[y0 - dy : y1 - dy, x0 - dx : x1 - dx]
-            m = visited[y0:y1, x0:x1] & visited[y0 - dy : y1 - dy, x0 - dx : x1 - dx]
-            n = int(m.sum())
-            if dy == 0 and dx == 0:
-                r = 1.0 if nv >= min_overlap else np.nan
-            elif n < min_overlap:
-                r = np.nan
-            else:
-                am = np.where(m, a, 0.0)
-                bm = np.where(m, b, 0.0)
-                sa = am.sum()
-                sb = bm.sum()
-                saa = (am * am).sum()
-                sbb = (bm * bm).sum()
-                sab = (am * bm).sum()
-                va = n * saa - sa * sa
-                vb = n * sbb - sb * sb
-                if va <= 0.0 or vb <= 0.0:
-                    r = np.nan
-                else:
-                    r = (n * sab - sa * sb) / math.sqrt(va * vb)
-            out[h - 1 + dy, w - 1 + dx] = r
-            out[h - 1 - dy, w - 1 - dx] = r
+    m = visited.astype(np.float64)
+    mean = float(vals[visited].mean()) if nv else 0.0
+    a = np.where(visited, vals - mean, 0.0)
+    shape = (_fft_size(2 * h - 1), _fft_size(2 * w - 1))
+    fm, fa, fa2 = np.fft.rfft2(np.stack([m, a, a * a]), s=shape)
+    cm = np.conj(fm)
+    c = np.fft.irfft2(np.stack([fm * cm, fa * cm, fa2 * cm, fa * np.conj(fa)]), s=shape)
+    # lag d sits at index d mod shape; gather the lags -(h-1)..h-1, -(w-1)..w-1
+    rows = np.arange(-(h - 1), h) % shape[0]
+    cols = np.arange(-(w - 1), w) % shape[1]
+    n, sa, saa, sab = c[:, rows[:, None], cols[None, :]]
+    n = np.rint(n)
+    sb = sa[::-1, ::-1]
+    sbb = saa[::-1, ::-1]
+    va = n * saa - sa * sa
+    vb = n * sbb - sb * sb
+    floor = DEGENERATE_RTOL * n * float((a * a).sum())
+    ok = (n >= min_overlap) & (va > floor) & (vb > floor)
+    r = (n * sab - sa * sb) / np.sqrt(np.where(ok, va * vb, 1.0))
+    out[h - 1 :] = np.where(ok[h - 1 :], r[h - 1 :], np.nan)
+    out[h - 1, w - 1] = 1.0 if nv >= min_overlap else np.nan
+    out[: h - 1] = out[h:][::-1, ::-1]
+    out[h - 1, : w - 1] = out[h - 1, w:][::-1]
 
 
 # Read by the benchmark manifest, which records the kernel backend.

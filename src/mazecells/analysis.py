@@ -2,8 +2,15 @@
 
 Maps are square-binned with unvisited bins carried as NaN sentinels.  The
 autocorrelogram is the Pearson correlation of a map with itself at every
-integer-bin lag over mutually visited bins; gridness compares annulus
-correlations at 60-degree-family rotations against the 30/90/150 family.
+integer-bin lag over mutually visited bins, computed for all lags at once
+from FFT cross-correlations of the visited mask and the centred map (the
+masked normalized cross-correlation of Padfield, "Masked Object
+Registration in the Fourier Domain", IEEE TIP 2012; see
+``_kernels.autocorr``).  A lag whose overlap is constant up to FFT
+roundoff (variance term at most ``_kernels.DEGENERATE_RTOL`` times
+``n * sum(a**2)`` of the whole centred map) is NaN.  Gridness compares
+annulus correlations at 60-degree-family rotations against the 30/90/150
+family.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import TWO_PI, walk_loop, walk_step, wrap_angle
-from .spatialcells import ConfigurationError, Position2, _as_xy
+from .spatialcells import ConfigurationError, Position2, _as_xy, check_seed
 
 GRAVITY = 9.81
 
@@ -134,8 +134,7 @@ class WalkParams:
                 raise ConfigurationError(f"{name} must be positive and finite, got {v}")
         if not (self.turn_sigma >= 0.0 and math.isfinite(self.turn_sigma)):
             raise ConfigurationError(f"turn_sigma must be finite and >= 0, got {self.turn_sigma}")
-        if int(self.seed) != self.seed:
-            raise ConfigurationError("seed must be an integer")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -348,9 +347,7 @@ def walk_trajectory(
         start = Pose(0.0, 0.0, 0.0)
     if math.hypot(start.x, start.y) >= arena.radius:
         raise ConfigurationError("start pose must lie strictly inside the arena")
-    if seed is None:
-        seed = walk.seed
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(check_seed(walk.seed if seed is None else seed))
     z = rng.standard_normal((max(ticks - 1, 0), 2))
     out = np.empty((ticks, 3), dtype=np.float64)
     walk_loop(

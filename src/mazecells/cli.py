@@ -35,7 +35,7 @@ from .config import (
     sweep_points,
 )
 from .controller import run_episode
-from .spatialcells import ConfigurationError, place_activity_at, rates_at
+from .spatialcells import ConfigurationError, check_seed, place_activity_at, rates_at
 
 ENV_JOBS = "MAZECELLS_JOBS"
 
@@ -56,7 +56,7 @@ def _job_count(n_points: int) -> int:
 
 def _resolve_seed(rc: RunConfig, seed: int | None, default: int | None = 0) -> int:
     if seed is not None:
-        return int(seed)
+        return check_seed(seed, "--seed")
     if rc.seed is not None:
         return int(rc.seed)
     if default is None:

@@ -26,6 +26,7 @@ from .spatialcells import (
     GridCellParams,
     PlaceCellParams,
     anchored_ensemble,
+    check_seed,
 )
 
 SWEEPABLE = ("kappa", "zeta", "spacing", "orientation", "phase1", "phase2")
@@ -256,6 +257,9 @@ def parse_config(text: str) -> RunConfig:
             ]
             numbered[kind].sort(key=lambda p: p[0])
 
+    seed = get("run", "seed", None)
+    if seed is not None:
+        check_seed(seed, "[run] seed")
     arena = Arena(
         radius=get("arena", "radius", 1.3),
         zones=tuple(
@@ -280,7 +284,7 @@ def parse_config(text: str) -> RunConfig:
         speed=get("walk", "speed", 0.2),
         dt=get("walk", "dt", 0.1),
         turn_sigma=get("walk", "turn_sigma", 0.2),
-        seed=get("run", "seed", 0) or 0,
+        seed=seed or 0,
     )
     camera = CameraParams(
         fov=get("camera", "fov", math.pi / 2.0),
@@ -349,7 +353,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError(f"{name} must be finite, got {v}")
 
     return RunConfig(
-        seed=get("run", "seed", None),
+        seed=seed,
         tick_count=tick_count,
         arena=arena,
         walk=walk,

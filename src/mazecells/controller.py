@@ -32,6 +32,7 @@ from .spatialcells import (
     FiringParams,
     GridCellParams,
     PlaceCellParams,
+    check_seed,
     place_activity_at,
     rates_at,
 )
@@ -61,8 +62,7 @@ class EpisodeConfig:
         object.__setattr__(self, "grid_cells", tuple(self.grid_cells))
         if self.tick_count <= 0:
             raise ConfigurationError(f"tick_count must be positive, got {self.tick_count}")
-        if int(self.seed) != self.seed:
-            raise ConfigurationError("seed must be an integer")
+        check_seed(self.seed)
         if not math.isfinite(self.initial_w_color):
             raise ConfigurationError(f"initial_w_color must be finite, got {self.initial_w_color}")
         for name, v in (("noise_sigma", self.noise_sigma), ("jitter_sigma", self.jitter_sigma)):

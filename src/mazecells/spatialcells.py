@@ -24,6 +24,14 @@ class ConfigurationError(ValueError):
     """Raised for invalid parameter values or mismatched inputs."""
 
 
+def check_seed(seed, name: str = "seed") -> int:
+    """``seed`` as an int; a non-integer or negative seed (which
+    ``np.random.default_rng`` rejects) raises ConfigurationError."""
+    if int(seed) != seed or seed < 0:
+        raise ConfigurationError(f"{name} must be a non-negative integer, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class Position2:
     """A point in the arena plane, meters."""

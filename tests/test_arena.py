@@ -242,6 +242,14 @@ def test_step_must_be_smaller_than_radius():
         walk_trajectory(arena, WalkParams(speed=0.2, dt=0.1), 10, seed=0)
 
 
+def test_negative_seed_rejected():
+    arena = Arena(radius=1.3)
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        WalkParams(seed=-1)
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        walk_trajectory(arena, WalkParams(), 10, seed=-1)
+
+
 def test_random_walk_step_matches_trajectory_stream():
     """The public single-step op consumes the same two normals per tick as
     the walk loop, so stepping manually reproduces the trajectory."""

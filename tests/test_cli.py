@@ -217,6 +217,33 @@ def test_inverted_annulus_exits_2_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, run_seed, flag_seed",
+    [
+        ("ratemap", "5", "-1"),
+        ("ratemap", "-3", None),
+        ("episode", "5", "-1"),
+        ("episode", "-3", None),
+        ("sweep", "5", "-1"),
+        ("sweep", "-3", None),
+    ],
+)
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, command, run_seed, flag_seed):
+    text = f"[run]\ntick_count = 400\nseed = {run_seed}\n"
+    if command == "sweep":
+        text += "[sweep]\nkappa = 1, 5\n"
+    out = tmp_path / "o"
+    argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out)]
+    if command == "episode":
+        argv += ["--mode", "train"]
+    if flag_seed is not None:
+        argv += ["--seed", flag_seed]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_output_path_collision_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RUN)
     blocker = tmp_path / "blocked"

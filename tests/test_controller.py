@@ -228,6 +228,8 @@ def test_config_validation(quiet_arena):
         make_config(quiet_arena, tick_count=0)
     with pytest.raises(ConfigurationError):
         make_config(quiet_arena, seed=0.5)
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        make_config(quiet_arena, seed=-1)
     with pytest.raises(ConfigurationError):
         make_config(quiet_arena, jitter_sigma=-1.0)
     with pytest.raises(ConfigurationError):
