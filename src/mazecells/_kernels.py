@@ -6,6 +6,10 @@ per-tick controller and the scalar API; the batch kernels write into
 caller-provided output arrays and are vectorized with numpy wherever the
 computation is not inherently sequential.
 
+The lattice decode checks the 4 corners of the basis parallelogram that
+holds a point (Conway & Sloane, IEEE Trans. IT 1982); the exhaustive
+:func:`brute_force` scan is its independent oracle.
+
 The autocorrelogram is the masked normalized cross-correlation of
 Padfield (IEEE TIP 2012), computed with ``numpy.fft``; an overlap counts as
 constant, and its lag as NaN, when its variance term is at most
@@ -67,9 +71,19 @@ def walk_step(x, y, h, step, turn_sigma, radius, z_turn, z_retry):
 def nearest_node(px, py, b1x, b1y, b2x, b2y, offx, offy):
     """Nearest lattice node to (px, py); returns (cx, cy, d, m, n).
 
-    Solves real-valued lattice coordinates through the basis inverse and
-    scans a 6x6 integer window around them.  Ties on squared distance keep
-    the lexicographically smallest (m, n).
+    Solves real-valued lattice coordinates (tm, tn) through the basis
+    inverse and scans only the 4 corners (m0..m0+1) x (n0..n0+1) of the
+    basis parallelogram that holds the point, m0 = floor(tm), n0 =
+    floor(tn).  That is exact for the hexagonal (A2) lattice: the basis
+    vectors have equal length and meet at 60 degrees, so a diagonal splits
+    the parallelogram into two equilateral Delaunay triangles, and the
+    Voronoi cells of a triangle's corners cover it (Conway & Sloane, "Fast
+    quantizing and decoding algorithms for lattice quantizers and codes",
+    IEEE Trans. IT 1982).  A point that floor rounds into the neighbouring
+    parallelogram lies on their shared edge, whose two end nodes are corners
+    of both.  The corners are scanned in lexicographic order with a strict
+    ``<``, so ties on squared distance keep the lexicographically smallest
+    (m, n), as an exhaustive scan does.
     """
     det = b1x * b2y - b1y * b2x
     qx = px - offx
@@ -83,9 +97,9 @@ def nearest_node(px, py, b1x, b1y, b2x, b2y, offx, offy):
     bn = 0
     bx = 0.0
     by = 0.0
-    for m in range(m0 - 2, m0 + 4):
+    for m in (m0, m0 + 1):
         fm = float(m)
-        for n in range(n0 - 2, n0 + 4):
+        for n in (n0, n0 + 1):
             fn = float(n)
             cx = fm * b1x + fn * b2x + offx
             cy = fm * b1y + fn * b2y + offy
@@ -117,35 +131,34 @@ def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
         out[t + 1, 2] = h
 
 
-_WINDOW = [(dm, dn) for dm in range(-2, 4) for dn in range(-2, 4)]
-
-
 def nearest_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni):
-    """:func:`nearest_node` over arrays, bitwise identical per point."""
+    """:func:`nearest_node` over arrays, bitwise identical per point.
+
+    The 4 corners are scanned in the same lexicographic order with a
+    running minimum; only the winning index is kept, and (cx, cy, d) are
+    recomputed from it.
+    """
     det = b1x * b2y - b1y * b2x
     qx = px - offx
     qy = py - offy
-    m0 = np.floor((b2y * qx - b2x * qy) / det)
-    n0 = np.floor((-b1y * qx + b1x * qy) / det)
+    # + 0.0 maps a floor of -0.0 to 0.0, the float(m) of nearest_node's int m
+    m0 = np.floor((b2y * qx - b2x * qy) / det) + 0.0
+    n0 = np.floor((-b1y * qx + b1x * qy) / det) + 0.0
     best = np.full(px.shape, np.inf)
-    bm = np.zeros(px.shape, dtype=np.int64)
-    bn = np.zeros(px.shape, dtype=np.int64)
-    for dm, dn in _WINDOW:  # lexicographic candidate order mirrors nearest_node
-        fm = m0 + float(dm)
-        fn = n0 + float(dn)
-        nx = fm * b1x + fn * b2x + offx
-        ny = fm * b1y + fn * b2y + offy
-        dx = px - nx
-        dy = py - ny
-        d2 = dx * dx + dy * dy
-        take = d2 < best
-        best[take] = d2[take]
-        bm[take] = fm[take].astype(np.int64)
-        bn[take] = fn[take].astype(np.int64)
-    fm = bm.astype(np.float64)
-    fn = bn.astype(np.float64)
-    cx[:] = fm * b1x + fn * b2x + offx
-    cy[:] = fm * b1y + fn * b2y + offy
+    bm = np.zeros(px.shape)
+    bn = np.zeros(px.shape)
+    ns = (n0, n0 + 1.0)
+    for fm in (m0, m0 + 1.0):
+        for fn in ns:
+            dx = px - (fm * b1x + fn * b2x + offx)
+            dy = py - (fm * b1y + fn * b2y + offy)
+            d2 = dx * dx + dy * dy
+            take = d2 < best
+            np.copyto(best, d2, where=take)
+            np.copyto(bm, fm, where=take)
+            np.copyto(bn, fn, where=take)
+    cx[:] = bm * b1x + bn * b2x + offx
+    cy[:] = bm * b1y + bn * b2y + offy
     d[:] = np.sqrt(best)
     mi[:] = bm
     ni[:] = bn
@@ -166,7 +179,10 @@ def brute_force(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi
     """Exhaustive scan over |m|, |n| <= max_index in lexicographic order.
 
     The first minimum keeps the lexicographically smallest index on ties.
-    Deliberately independent of the windowed search in nearest_node.
+    Deliberately independent of the 4-corner decode in nearest_node: it
+    uses no basis inverse and no floor, only the distance to every node.
+    The (chunk, nodes) distance buffers are allocated once per call and
+    filled in place, in the same operand order as ``dx * dx + dy * dy``.
     """
     idx = np.arange(-max_index, max_index + 1, dtype=np.float64)
     mm, nn = np.meshgrid(idx, idx, indexing="ij")  # m-major => lexicographic ravel
@@ -174,12 +190,16 @@ def brute_force(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi
     n = nn.ravel()
     nx = m * b1x + n * b2x + offx
     ny = m * b1y + n * b2y + offy
-    chunk = max(1, int(2_000_000 // max(1, nx.size)))
+    chunk = max(1, min(px.shape[0], 2_000_000 // max(1, nx.size)))
+    dx_buf = np.empty((chunk, nx.size))
+    dy_buf = np.empty((chunk, nx.size))
     for lo in range(0, px.shape[0], chunk):
         hi = min(lo + chunk, px.shape[0])
-        dx = px[lo:hi, None] - nx[None, :]
-        dy = py[lo:hi, None] - ny[None, :]
-        d2 = dx * dx + dy * dy
+        dx = np.subtract(px[lo:hi, None], nx[None, :], out=dx_buf[: hi - lo])
+        dy = np.subtract(py[lo:hi, None], ny[None, :], out=dy_buf[: hi - lo])
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        d2 = np.add(dx, dy, out=dx)
         k = np.argmin(d2, axis=1)  # first minimum = lexicographic smallest
         rows = np.arange(lo, hi)
         cx[rows] = nx[k]

@@ -122,6 +122,7 @@ def cmd_ratemap(config_path: str, out_dir: str, seed: int | None = None) -> int:
 
 def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = None) -> int:
     rc = load_config(config_path)
+    seed = _resolve_seed(rc, seed, default=None)
     initial_w = None
     if mode == "test" and rc.initial_w_color is None and rc.train_summary is not None:
         try:

@@ -137,7 +137,7 @@ def test_criterion_2_nearest_center_matches_brute_force():
     ok = all_exact and elapsed < 30.0
     _report(
         2,
-        "windowed lattice search equals exhaustive search",
+        "4-corner lattice decode equals exhaustive search",
         ok,
         f"200,000 points x 20 random lattices exact, {elapsed:.1f}s < 30s",
     )

@@ -244,6 +244,27 @@ def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, command, run_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "run_section, flag_seed, message",
+    [
+        ("seed = 5\n", "-1", "--seed must be"),
+        ("", None, "needs a seed ([run] seed or --seed)"),
+    ],
+    ids=["negative-flag", "no-seed"],
+)
+def test_episode_seed_resolves_like_the_other_commands(
+    tmp_path, capsys, run_section, flag_seed, message
+):
+    cfg = write_cfg(tmp_path, "[run]\ntick_count = 400\n" + run_section)
+    out = tmp_path / "o"
+    argv = ["episode", "--mode", "train", "--config", cfg, "--out", str(out)]
+    if flag_seed is not None:
+        argv += ["--seed", flag_seed]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_path_collision_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RUN)
     blocker = tmp_path / "blocked"

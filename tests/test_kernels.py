@@ -2,20 +2,26 @@
 
 The sequential walk and the nearest-node decode must match the scalar
 functions bitwise (identical floating-point operation order); the firing
-rate matches the scalar formula to roundoff.  The FFT autocorrelogram is
+rate matches the scalar formula to roundoff.  The 4-corner decode is
+checked bitwise against the exhaustive ``brute_force`` scan at exact
+nodes, edge midpoints and triangle circumcentres (2- and 3-way ties) and
+at points a few ulps off them.  The FFT autocorrelogram is
 checked at every lag against a per-lag, two-pass, long-double masked
 Pearson oracle, including which lags are NaN.
 """
 
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazecells._kernels import (
     TWO_PI,
     autocorr,
+    brute_force,
     nearest_batch,
     nearest_node,
     rates_batch,
@@ -75,6 +81,113 @@ def test_nearest_batch_matches_scalar():
     for i in range(300):
         sx, sy, sd, sm, sn = nearest_node(px[i], py[i], *b)
         assert (cx[i], cy[i], d[i], mi[i], ni[i]) == (sx, sy, sd, sm, sn)
+
+
+def _lattice(spacing, t, f1, f2):
+    """A 60-degree basis at any orientation ``t`` and its offset f1*b1 + f2*b2,
+    as the 6-tuple the decode kernels take."""
+    b1x, b1y = spacing * math.cos(t), spacing * math.sin(t)
+    b2x, b2y = spacing * math.cos(t + math.pi / 3.0), spacing * math.sin(t + math.pi / 3.0)
+    return (b1x, b1y, b2x, b2y, f1 * b1x + f2 * b2x, f1 * b1y + f2 * b2y)
+
+
+def _decode_all(px, py, b, max_index):
+    """(cx, cy, d, m, n) from nearest_batch and from brute_force."""
+    n = px.size
+    got = [np.empty(n), np.empty(n), np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)]
+    want = [np.empty(n), np.empty(n), np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)]
+    nearest_batch(px, py, *b, *got)
+    brute_force(px, py, *b, max_index, *want)
+    return got, want
+
+
+def _assert_decode_exact(px, py, b, max_index):
+    got, want = _decode_all(px, py, b, max_index)
+    for g, w in zip(got, want):  # bitwise, sign of zero included
+        assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
+    for i in range(px.size):
+        assert nearest_node(px[i], py[i], *b) == tuple(a[i] for a in got)
+
+
+# lattice-coordinate fractions: node, the three edge midpoints, the two
+# triangle circumcentres of the basis parallelogram
+_TIE_FRACTIONS = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5), (1 / 3, 1 / 3), (2 / 3, 2 / 3))
+_SHIFTS = (1e-16, -1e-16, 1e-13)
+
+
+def _tie_points(b, spacing, rng, count):
+    """Nodes, edge midpoints and circumcentres of ``count`` random cells,
+    each also shifted by +-1e-16 and 1e-13 spacings along x, y and both,
+    and by one ulp either way in x."""
+    m = rng.integers(-12, 12, count).astype(np.float64)
+    n = rng.integers(-12, 12, count).astype(np.float64)
+    xs, ys = [], []
+    for fa, fb in _TIE_FRACTIONS:
+        x = (m + fa) * b[0] + (n + fb) * b[2] + b[4]
+        y = (m + fa) * b[1] + (n + fb) * b[3] + b[5]
+        xs += [x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]
+        ys += [y, y, y]
+        for eps in _SHIFTS:
+            e = eps * spacing
+            xs += [x + e, x, x + e]
+            ys += [y, y + e, y + e]
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def test_nearest_decode_exact_at_ties_on_random_lattices():
+    rng = np.random.default_rng(17)
+    for _ in range(16):
+        spacing = rng.uniform(0.2, 9.0)
+        b = _lattice(spacing, rng.uniform(0.0, TWO_PI), rng.uniform(), rng.uniform())
+        px, py = _tie_points(b, spacing, rng, 20)
+        _assert_decode_exact(px, py, b, 16)
+
+
+@pytest.mark.parametrize("t", [0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi])
+def test_nearest_decode_exact_ties_keep_lexicographic_smallest(t):
+    # with an edge along the x axis and a dyadic spacing and offset, the
+    # distances to the two ends of that edge are exactly equal, so the tie
+    # rule decides
+    rng = np.random.default_rng(23)
+    b = _lattice(2.0, t, 0.25, 0.5)
+    px, py = _tie_points(b, 2.0, rng, 20)
+    idx = np.arange(-16.0, 17.0)
+    m, n = (a.ravel() for a in np.meshgrid(idx, idx, indexing="ij"))
+    dx = px[:, None] - (m * b[0] + n * b[2] + b[4])
+    dy = py[:, None] - (m * b[1] + n * b[3] + b[5])
+    d2 = dx * dx + dy * dy
+    ties = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1)
+    assert (ties == 2).sum() > 50  # exact 2-way ties really occur
+    _assert_decode_exact(px, py, b, 16)
+
+
+def test_nearest_batch_matches_scalar_on_signed_zeros():
+    # a floor of -0.0 must not leak into cx, cy as a -0.0 the scalar
+    # decode (integer indices) never returns
+    for t in np.linspace(0.0, TWO_PI, 25):
+        for px, py, offx, offy in itertools.product((0.0, -0.0), repeat=4):
+            b = _lattice(1.0, t, 0.0, 0.0)[:4] + (offx, offy)
+            got = [np.empty(1), np.empty(1), np.empty(1), np.empty(1, np.int64), np.empty(1, np.int64)]
+            nearest_batch(np.array([px]), np.array([py]), *b, *got)
+            want = nearest_node(px, py, *b)
+            for g, w in zip(got, want):
+                assert g.tobytes() == np.array([w], dtype=g.dtype).tobytes()
+
+
+@given(
+    spacing=st.floats(0.2, 9.0),
+    t=st.floats(0.0, TWO_PI),
+    f1=st.floats(0.0, 1.0),
+    f2=st.floats(0.0, 1.0),
+    u=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)), min_size=1, max_size=30),
+)
+@settings(max_examples=60, deadline=None)
+def test_nearest_decode_property_matches_brute_force(spacing, t, f1, f2, u):
+    b = _lattice(spacing, t, f1, f2)
+    # points within 6 basis steps of the origin node, in lattice coordinates
+    px = np.array([a * b[0] + c * b[2] + b[4] for a, c in u])
+    py = np.array([a * b[1] + c * b[3] + b[5] for a, c in u])
+    _assert_decode_exact(px, py, b, 9)
 
 
 def test_rates_batch_matches_scalar_firing_formula():

@@ -116,7 +116,7 @@ def test_lattice_invariant_under_60_degree_rotation():
 
 
 # ---------------------------------------------------------------------------
-# nearest node: windowed search vs exhaustive oracle
+# nearest node: 4-corner decode vs exhaustive oracle
 # ---------------------------------------------------------------------------
 
 
