@@ -117,18 +117,23 @@ def nearest_node(px, py, b1x, b1y, b2x, b2y, offx, offy):
 
 def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
     """Sequential walk: row 0 of ``out`` (ticks, 3) is the start pose, row t
-    the pose at tick t; ``z_turn`` / ``z_retry`` have length ticks - 1."""
-    out[0, 0] = x0
-    out[0, 1] = y0
-    out[0, 2] = h0
-    x = x0
-    y = y0
-    h = h0
-    for t in range(z_turn.shape[0]):
-        x, y, h = walk_step(x, y, h, step, turn_sigma, radius, z_turn[t], z_retry[t])
-        out[t + 1, 0] = x
-        out[t + 1, 1] = y
-        out[t + 1, 2] = h
+    the pose at tick t; ``z_turn`` / ``z_retry`` have length ticks - 1 and
+    may be strided views.
+
+    The draws are read and the poses written through memoryviews, which
+    hand out and take plain Python floats and copy nothing.
+    """
+    xs = memoryview(out[:, 0])
+    ys = memoryview(out[:, 1])
+    hs = memoryview(out[:, 2])
+    x = xs[0] = x0
+    y = ys[0] = y0
+    h = hs[0] = h0
+    for t, (zt, zr) in enumerate(zip(memoryview(z_turn), memoryview(z_retry)), 1):
+        x, y, h = walk_step(x, y, h, step, turn_sigma, radius, zt, zr)
+        xs[t] = x
+        ys[t] = y
+        hs[t] = h
 
 
 def nearest_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni):

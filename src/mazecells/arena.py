@@ -10,12 +10,12 @@ exactly through angular-interval intersection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import TWO_PI, walk_loop, walk_step, wrap_angle
-from .spatialcells import ConfigurationError, Position2, _as_xy, check_seed
+from .spatialcells import ConfigurationError, Position2, _as_xy, check_seed, check_tick_count
 
 GRAVITY = 9.81
 
@@ -338,8 +338,7 @@ def walk_trajectory(
     Row 0 is the start pose (arena center, heading 0 by default); row t the
     pose at tick t.  Seed defaults to ``walk.seed``.
     """
-    if ticks <= 0:
-        raise ConfigurationError(f"ticks must be positive, got {ticks}")
+    check_tick_count(ticks, "ticks")
     step = walk.speed * walk.dt
     if step >= arena.radius:
         raise ConfigurationError("speed * dt must be smaller than the arena radius")
@@ -352,6 +351,6 @@ def walk_trajectory(
     out = np.empty((ticks, 3), dtype=np.float64)
     walk_loop(
         start.x, start.y, start.heading, step, walk.turn_sigma, arena.radius,
-        np.ascontiguousarray(z[:, 0]), np.ascontiguousarray(z[:, 1]), out,
+        z[:, 0], z[:, 1], out,
     )
     return out

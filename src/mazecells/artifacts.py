@@ -56,29 +56,26 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_trajectory_csv(path: str, log: EpisodeLog) -> None:
+    # Whole columns at a time, read through memoryviews as Python ints and
+    # floats; repr prints nan, inf and -0.0 of a float exactly as _fmt does.
+    cols = (
+        map(str, memoryview(log.ticks)),
+        map(repr, memoryview(log.xs)),
+        map(repr, memoryview(log.ys)),
+        map(repr, memoryview(log.headings)),
+        map(repr, memoryview(log.vibration)),
+        map(repr, memoryview(log.x_color)),
+        map(str, memoryview(log.y_out)),
+        map(repr, memoryview(log.w_color)),
+    )
     lines = [f"# {TRAJECTORY_FORMAT} {TRAJECTORY_COLUMNS}", TRAJECTORY_COLUMNS]
-    for t in range(len(log)):
-        lines.append(
-            ",".join(
-                (
-                    str(int(log.ticks[t])),
-                    _fmt(log.xs[t]),
-                    _fmt(log.ys[t]),
-                    _fmt(log.headings[t]),
-                    _fmt(log.vibration[t]),
-                    _fmt(log.x_color[t]),
-                    str(int(log.y_out[t])),
-                    _fmt(log.w_color[t]),
-                )
-            )
-        )
+    lines.extend(map(",".join, zip(*cols)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_matrix_csv(path: str, format_id: str, header_meta: str, values: np.ndarray) -> None:
     lines = [f"# {format_id} {header_meta}"]
-    for row in values:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(repr, memoryview(row))) for row in values)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -112,8 +109,7 @@ def write_pgm(path: str, values: np.ndarray) -> None:
         else:
             out[finite] = 1 + np.rint(254.0 * (v[finite] - lo) / span).astype(np.int64)
     lines = ["P2", f"{v.shape[1]} {v.shape[0]}", "255"]
-    for row in out:
-        lines.append(" ".join(str(int(x)) for x in row))
+    lines.extend(" ".join(map(str, memoryview(row))) for row in out)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

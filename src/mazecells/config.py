@@ -27,6 +27,7 @@ from .spatialcells import (
     PlaceCellParams,
     anchored_ensemble,
     check_seed,
+    check_tick_count,
 )
 
 SWEEPABLE = ("kappa", "zeta", "spacing", "orientation", "phase1", "phase2")
@@ -324,9 +325,7 @@ def parse_config(text: str) -> RunConfig:
     )
     place = PlaceCellParams(inputs=ensemble, threshold=frac * count)
 
-    tick_count = get("run", "tick_count", 10000)
-    if tick_count <= 0:
-        raise ConfigurationError(f"tick_count must be positive, got {tick_count}")
+    tick_count = check_tick_count(get("run", "tick_count", 10000))
     bin_size = get("analysis", "bin_size", 0.05)
     if not (bin_size > 0.0 and math.isfinite(bin_size)):
         raise ConfigurationError(f"[analysis] bin_size must be positive and finite, got {bin_size}")

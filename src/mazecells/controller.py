@@ -11,7 +11,7 @@ activity are pure functions of the pose and are logged alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .spatialcells import (
     GridCellParams,
     PlaceCellParams,
     check_seed,
+    check_tick_count,
     place_activity_at,
     rates_at,
 )
@@ -60,8 +61,7 @@ class EpisodeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid_cells", tuple(self.grid_cells))
-        if self.tick_count <= 0:
-            raise ConfigurationError(f"tick_count must be positive, got {self.tick_count}")
+        check_tick_count(self.tick_count)
         check_seed(self.seed)
         if not math.isfinite(self.initial_w_color):
             raise ConfigurationError(f"initial_w_color must be finite, got {self.initial_w_color}")
@@ -142,6 +142,10 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     (per tick: turn, wall-retry, three accelerometer axes, avoidance
     jitter as standard normals, then one uniform impulse direction), and
     every tick consumes by index whether or not a value is used.
+
+    The loop reads the draws and writes the log columns through
+    memoryviews of the numpy arrays: they hand out and take plain Python
+    floats, so no per-tick value is a numpy scalar, and they copy nothing.
     """
     T = cfg.tick_count
     rng = np.random.default_rng(int(cfg.seed))
@@ -162,6 +166,13 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     y_out = np.zeros(T, dtype=np.int8)
     w_trace = np.empty(T)
 
+    g_turn, g_retry, g_ax, g_ay, g_az, g_jitter = (memoryview(gauss[:, k]) for k in range(6))
+    u = memoryview(u_dir)
+    log_x, log_y, log_h = memoryview(xs), memoryview(ys), memoryview(headings)
+    log_ax, log_ay, log_az = (memoryview(accel[:, k]) for k in range(3))
+    log_vib, log_xc = memoryview(vibration), memoryview(x_color)
+    log_yt, log_w = memoryview(y_out), memoryview(w_trace)
+
     x, y, h = 0.0, 0.0, wrap_angle(cfg.start_heading)
     w = float(cfg.initial_w_color)
     y_prev = 0
@@ -173,7 +184,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         if cfg.vibration_enabled:
             ax, ay, az = _accel_at(
                 x, y, arena, cfg.noise_sigma,
-                gauss[t, 2], gauss[t, 3], gauss[t, 4], u_dir[t],
+                g_ax[t], g_ay[t], g_az[t], u[t],
             )
         else:
             ax, ay, az = 0.0, 0.0, GRAVITY
@@ -188,26 +199,26 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         if yt == 1 and y_prev == 0:
             events += 1
 
-        xs[t] = x
-        ys[t] = y
-        headings[t] = h
-        accel[t, 0] = ax
-        accel[t, 1] = ay
-        accel[t, 2] = az
-        vibration[t] = vib
-        x_color[t] = xc
-        y_out[t] = yt
+        log_x[t] = x
+        log_y[t] = y
+        log_h[t] = h
+        log_ax[t] = ax
+        log_ay[t] = ay
+        log_az[t] = az
+        log_vib[t] = vib
+        log_xc[t] = xc
+        log_yt[t] = yt
 
         if cfg.learning_enabled:
             w = oja_update(w_prev, xc, yt, circuit.eta)
-        w_trace[t] = w
+        log_w[t] = w
 
         if t < T - 1:
             if yt == 1 and y_prev == 0:
                 vib_active = vib >= circuit.vibration_threshold
                 color_active = xc * w_prev >= circuit.color_activation_threshold
                 tb = _trigger_bearing(x, y, h, arena, vib_active, color_active)
-                h = wrap_angle(tb + math.pi + cfg.jitter_sigma * gauss[t, 5])
+                h = wrap_angle(tb + math.pi + cfg.jitter_sigma * g_jitter[t])
                 escaping = True
             else:
                 # The step right after a turn-in-place holds the commanded
@@ -216,7 +227,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                 sigma = 0.0 if escaping else cfg.walk.turn_sigma
                 x, y, h = walk_step(
                     x, y, h, step, sigma, arena.radius,
-                    gauss[t, 0], gauss[t, 1],
+                    g_turn[t], g_retry[t],
                 )
                 escaping = False
         y_prev = yt

@@ -32,6 +32,28 @@ def check_seed(seed, name: str = "seed") -> int:
     return int(seed)
 
 
+# Peak memory of a run grows by about 512 B per tick at most.  An episode,
+# the largest, holds per tick 7 float64 random draws (56 B); 9 float64 log
+# columns, the int8 motion output and the int64 tick index (81 B); the
+# positions, grid rates and place flags (~60 B); and, while it writes
+# trajectory.csv, the row (~113 B of text, +57 B of str header and list
+# slot) and the joined file text (~113 B per copy).  Measured over 1.2M
+# ticks: 478 B per tick for `episode`, 206 B for `ratemap`.  The bound caps
+# a run near 2**26 ticks * 512 B = 32 GiB.
+MAX_TICK_COUNT = 2**26
+
+
+def check_tick_count(ticks, name: str = "tick_count") -> int:
+    """``ticks`` as an int in [1, MAX_TICK_COUNT]; anything else raises
+    ConfigurationError before any per-tick array is allocated."""
+    if not isinstance(ticks, (int, np.integer)) or not 0 < ticks <= MAX_TICK_COUNT:
+        raise ConfigurationError(
+            f"{name} must be an integer in [1, {MAX_TICK_COUNT}] "
+            f"(about 512 B of memory per tick), got {ticks}"
+        )
+    return int(ticks)
+
+
 @dataclass(frozen=True)
 class Position2:
     """A point in the arena plane, meters."""

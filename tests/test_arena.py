@@ -298,3 +298,15 @@ def test_non_finite_geometry_rejected():
         for args in ((bad, 0.0, 0.1, 8.0), (0.0, 0.0, bad, 8.0), (0.0, 0.0, 0.1, bad)):
             with pytest.raises(ConfigurationError, match="zone"):
                 ZoneDisc(*args)
+
+
+def test_huge_walk_rejected_before_any_draw(monkeypatch):
+    import mazecells.arena as arena_module
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"walk_trajectory reached np.{name} with a huge tick count")
+
+    monkeypatch.setattr(arena_module, "np", NoNumpy())
+    with pytest.raises(ConfigurationError, match="ticks must be an integer in"):
+        walk_trajectory(Arena(radius=1.3), WalkParams(), 10**12, seed=0)

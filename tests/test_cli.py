@@ -322,3 +322,26 @@ def test_episode_requires_mode_flag(tmp_path):
     cfg = write_cfg(tmp_path, FAST_RUN)
     with pytest.raises(SystemExit):
         main(["episode", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("command", ["ratemap", "episode", "sweep"])
+def test_huge_tick_count_exits_2_before_any_output(tmp_path, capsys, monkeypatch, command):
+    import mazecells.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a run started with a huge tick count")
+
+    # belt and braces: the run must never reach an allocation
+    monkeypatch.setattr(cli, "walk_trajectory", never)
+    monkeypatch.setattr(cli, "run_episode", never)
+    text = "[run]\ntick_count = 1000000000000\nseed = 5\n"
+    if command == "sweep":
+        text += "[sweep]\nkappa = 1, 5\n"
+    out = tmp_path / "o"
+    argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out)]
+    if command == "episode":
+        argv += ["--mode", "train"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tick_count" in err and "Traceback" not in err
+    assert not out.exists()

@@ -96,6 +96,8 @@ def test_malformed_text():
 def test_run_validation():
     with pytest.raises(ConfigurationError, match="tick_count"):
         parse_config("[run]\ntick_count = 0\n")
+    with pytest.raises(ConfigurationError, match="tick_count must be an integer in"):
+        parse_config("[run]\ntick_count = 1000000000000\n")
     with pytest.raises(ConfigurationError, match="count"):
         parse_config("[place]\ncount = 0\n")
     with pytest.raises(ConfigurationError, match="spacing"):

@@ -226,6 +226,8 @@ def test_transfer_round_trip(paired_cue_arena):
 def test_config_validation(quiet_arena):
     with pytest.raises(ConfigurationError):
         make_config(quiet_arena, tick_count=0)
+    with pytest.raises(ConfigurationError, match="tick_count"):
+        make_config(quiet_arena, tick_count=10**12)
     with pytest.raises(ConfigurationError):
         make_config(quiet_arena, seed=0.5)
     with pytest.raises(ConfigurationError, match="non-negative"):

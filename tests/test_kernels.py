@@ -59,12 +59,22 @@ def test_walk_loop_bitwise_deterministic():
 def test_walk_loop_matches_scalar_walk_step():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((200, 2))
-    out = np.empty((201, 3))
-    walk_loop(0.0, 0.0, 0.0, 0.02, 0.2, 1.3, z[:, 0].copy(), z[:, 1].copy(), out)
-    x, y, h = 0.0, 0.0, 0.0
-    for t in range(200):
-        x, y, h = walk_step(x, y, h, 0.02, 0.2, 1.3, z[t, 0], z[t, 1])
-        assert out[t + 1, 0] == x and out[t + 1, 1] == y and out[t + 1, 2] == h
+    wide = rng.standard_normal((400, 5))
+    layouts = {
+        "contiguous": (z[:, 0].copy(), z[:, 1].copy()),
+        "strided columns": (z[:, 0], z[:, 1]),
+        "strided rows and columns": (wide[::2, 3], wide[::-2, 1]),
+        "ticks == 1": (z[:0, 0], z[:0, 1]),
+    }
+    for name, (z_turn, z_retry) in layouts.items():
+        n = z_turn.shape[0]
+        out = np.full((n + 1, 3), np.nan)
+        walk_loop(0.1, -0.2, 0.3, 0.02, 0.2, 1.3, z_turn, z_retry, out)
+        assert out[0].tolist() == [0.1, -0.2, 0.3], name
+        x, y, h = 0.1, -0.2, 0.3
+        for t in range(n):
+            x, y, h = walk_step(x, y, h, 0.02, 0.2, 1.3, z_turn[t], z_retry[t])
+            assert out[t + 1, 0] == x and out[t + 1, 1] == y and out[t + 1, 2] == h, name
 
 
 def test_nearest_batch_matches_scalar():

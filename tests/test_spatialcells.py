@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazecells.spatialcells import (
+    MAX_TICK_COUNT,
     ConfigurationError,
     FiringParams,
     FrameTransform,
@@ -24,6 +25,7 @@ from mazecells.spatialcells import (
     anchored_ensemble,
     change_frame,
     change_frame_inverse,
+    check_tick_count,
     firing_rate,
     grid_frame_coords,
     landmark_response,
@@ -313,3 +315,16 @@ def test_landmark_bounded_by_count(dd, db, k):
 def test_landmark_empty_remembered_rejected():
     with pytest.raises(ConfigurationError):
         landmark_response([LandmarkObservation(1.0, 0.0)], [], LandmarkParams())
+
+
+@pytest.mark.parametrize("ticks", [0, -1, MAX_TICK_COUNT + 1, 10**12, 2.0, "10", None])
+def test_check_tick_count_rejects_by_name(ticks):
+    with pytest.raises(ConfigurationError, match=r"^ticks must be an integer in \[1, "):
+        check_tick_count(ticks, "ticks")
+
+
+def test_check_tick_count_accepts_up_to_the_bound():
+    assert check_tick_count(1) == 1
+    assert check_tick_count(np.int64(MAX_TICK_COUNT)) == MAX_TICK_COUNT
+    # the bound is the documented budget: 512 B per tick, 32 GiB in all
+    assert MAX_TICK_COUNT * 512 == 32 * 2**30
