@@ -1,10 +1,13 @@
-"""Numeric kernels: walk loop, lattice decode, brute-force scan, autocorrelogram.
+"""Numeric kernels: walk loop, lattice decode, firing rate, brute-force
+scan, autocorrelogram.
 
 Each computation has exactly one implementation.  The scalar helpers
-(:func:`wrap_angle`, :func:`walk_step`, :func:`nearest_node`) serve the
-per-tick controller and the scalar API; the batch kernels write into
-caller-provided output arrays and are vectorized with numpy wherever the
-computation is not inherently sequential.
+(:func:`wrap_angle`, :func:`walk_step`) serve the per-tick controller; the
+batch kernels write into caller-provided output arrays and are vectorized
+with numpy wherever the computation is not inherently sequential.  The
+scalar spatial-cell API (``nearest_center``, ``firing_rate``) runs the
+batch kernels on one-point arrays, and the firing formula is written once,
+in :func:`firing_raw` and :func:`firing_normalized`.
 
 The lattice decode checks the 4 corners of the basis parallelogram that
 holds a point (Conway & Sloane, IEEE Trans. IT 1982); the exhaustive
@@ -68,53 +71,6 @@ def walk_step(x, y, h, step, turn_sigma, radius, z_turn, z_retry):
     return cx, cy, h
 
 
-def nearest_node(px, py, b1x, b1y, b2x, b2y, offx, offy):
-    """Nearest lattice node to (px, py); returns (cx, cy, d, m, n).
-
-    Solves real-valued lattice coordinates (tm, tn) through the basis
-    inverse and scans only the 4 corners (m0..m0+1) x (n0..n0+1) of the
-    basis parallelogram that holds the point, m0 = floor(tm), n0 =
-    floor(tn).  That is exact for the hexagonal (A2) lattice: the basis
-    vectors have equal length and meet at 60 degrees, so a diagonal splits
-    the parallelogram into two equilateral Delaunay triangles, and the
-    Voronoi cells of a triangle's corners cover it (Conway & Sloane, "Fast
-    quantizing and decoding algorithms for lattice quantizers and codes",
-    IEEE Trans. IT 1982).  A point that floor rounds into the neighbouring
-    parallelogram lies on their shared edge, whose two end nodes are corners
-    of both.  The corners are scanned in lexicographic order with a strict
-    ``<``, so ties on squared distance keep the lexicographically smallest
-    (m, n), as an exhaustive scan does.
-    """
-    det = b1x * b2y - b1y * b2x
-    qx = px - offx
-    qy = py - offy
-    tm = (b2y * qx - b2x * qy) / det
-    tn = (-b1y * qx + b1x * qy) / det
-    m0 = int(math.floor(tm))
-    n0 = int(math.floor(tn))
-    best = np.inf
-    bm = 0
-    bn = 0
-    bx = 0.0
-    by = 0.0
-    for m in (m0, m0 + 1):
-        fm = float(m)
-        for n in (n0, n0 + 1):
-            fn = float(n)
-            cx = fm * b1x + fn * b2x + offx
-            cy = fm * b1y + fn * b2y + offy
-            dx = px - cx
-            dy = py - cy
-            d2 = dx * dx + dy * dy
-            if d2 < best:
-                best = d2
-                bm = m
-                bn = n
-                bx = cx
-                by = cy
-    return bx, by, math.sqrt(best), bm, bn
-
-
 def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
     """Sequential walk: row 0 of ``out`` (ticks, 3) is the start pose, row t
     the pose at tick t; ``z_turn`` / ``z_retry`` have length ticks - 1 and
@@ -137,16 +93,27 @@ def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
 
 
 def nearest_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni):
-    """:func:`nearest_node` over arrays, bitwise identical per point.
+    """Nearest lattice node (cx, cy), its distance d and index (mi, ni) per point.
 
-    The 4 corners are scanned in the same lexicographic order with a
-    running minimum; only the winning index is kept, and (cx, cy, d) are
-    recomputed from it.
+    Solves real-valued lattice coordinates (tm, tn) through the basis
+    inverse and scans only the 4 corners (m0..m0+1) x (n0..n0+1) of the
+    basis parallelogram that holds the point, m0 = floor(tm), n0 =
+    floor(tn).  That is exact for the hexagonal (A2) lattice: the basis
+    vectors have equal length and meet at 60 degrees, so a diagonal splits
+    the parallelogram into two equilateral Delaunay triangles, and the
+    Voronoi cells of a triangle's corners cover it (Conway & Sloane, "Fast
+    quantizing and decoding algorithms for lattice quantizers and codes",
+    IEEE Trans. IT 1982).  A point that floor rounds into the neighbouring
+    parallelogram lies on their shared edge, whose two end nodes are corners
+    of both.  The corners are scanned in lexicographic order with a strict
+    ``<`` and a running minimum, so ties on squared distance keep the
+    lexicographically smallest (m, n), as an exhaustive scan does; only the
+    winning index is kept, and (cx, cy, d) are recomputed from it.
     """
     det = b1x * b2y - b1y * b2x
     qx = px - offx
     qy = py - offy
-    # + 0.0 maps a floor of -0.0 to 0.0, the float(m) of nearest_node's int m
+    # + 0.0 maps a floor of -0.0 to 0.0; an integer node index has no -0.0
     m0 = np.floor((b2y * qx - b2x * qy) / det) + 0.0
     n0 = np.floor((-b1y * qx + b1x * qy) / det) + 0.0
     best = np.full(px.shape, np.inf)
@@ -169,22 +136,33 @@ def nearest_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni):
     ni[:] = bn
 
 
+def firing_raw(d, spacing, kappa, zeta):
+    """Raw firing value arctan(kappa * (d / spacing - zeta)) at node
+    distance ``d``; negative near nodes."""
+    return np.arctan(kappa * (d / spacing - zeta))
+
+
+def firing_normalized(raw):
+    """A raw firing value mapped to (0, 1), increasing toward lattice nodes."""
+    return 0.5 - raw / np.pi
+
+
 def rates_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, spacing, kappa, zeta, out):
-    """Normalized arctangent firing rate at each point's nearest-node distance."""
+    """Normalized firing rate at each point's nearest-node distance."""
     cx = np.empty_like(px)
     cy = np.empty_like(px)
     d = np.empty_like(px)
     mi = np.empty(px.shape, dtype=np.int64)
     ni = np.empty(px.shape, dtype=np.int64)
     nearest_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni)
-    out[:] = 0.5 - np.arctan(kappa * (d / spacing - zeta)) / np.pi
+    out[:] = firing_normalized(firing_raw(d, spacing, kappa, zeta))
 
 
 def brute_force(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi, ni):
     """Exhaustive scan over |m|, |n| <= max_index in lexicographic order.
 
     The first minimum keeps the lexicographically smallest index on ties.
-    Deliberately independent of the 4-corner decode in nearest_node: it
+    Deliberately independent of the 4-corner decode in nearest_batch: it
     uses no basis inverse and no floor, only the distance to every node.
     The (chunk, nodes) distance buffers are allocated once per call and
     filled in place, in the same operand order as ``dx * dx + dy * dy``.

@@ -25,6 +25,16 @@ from .spatialcells import ConfigurationError
 
 MIN_OVERLAP_BINS = 20
 
+# Peak memory of a map analysis grows by about 1 KiB per bin of the map at
+# most.  The (2n-1) x (2n-1) lag grid of an n x n map has 4 lags per bin:
+# the autocorrelogram peaks near 670 B per map bin (three forward and four
+# inverse FFTs of 8-byte floats on a grid padded past (2n-1)^2, the
+# gathered lag sums and the output), gridness near 810 B (about 25 lag-grid
+# temporaries per rotation) and the rate map itself near 40 B.  Measured
+# for a whole `ratemap` run at 100k ticks: 733 B per bin between 128 x 128
+# and 256 x 256 maps.  The bound caps a map near 2**24 bins * 1 KiB = 16 GiB.
+MAX_MAP_SIDE = 2**12
+
 
 class AnalysisError(ValueError):
     """Raised when a map is too degenerate for the requested statistic."""
@@ -57,6 +67,17 @@ class Autocorrelogram:
         return (self.values.shape[0] - 1) // 2, (self.values.shape[1] - 1) // 2
 
 
+def check_map_side(extent: float, bin_size: float, name: str = "bin_size") -> None:
+    """Reject a ``bin_size`` that splits ``extent`` into more than
+    MAX_MAP_SIDE bins, before any map is allocated."""
+    # compared as a float: a subnormal bin_size makes the quotient inf
+    if extent / bin_size > MAX_MAP_SIDE:
+        raise ConfigurationError(
+            f"{name} = {bin_size!r} splits {extent!r} m into {extent / bin_size:.6g} bins; "
+            f"at most {MAX_MAP_SIDE} fit (about 1 KiB of memory per map bin)"
+        )
+
+
 def _bin_index(coords: np.ndarray, origin: float, bin_size: float, nbins: int) -> np.ndarray:
     idx = np.floor((coords - origin) / bin_size).astype(np.int64)
     return np.clip(idx, 0, nbins - 1)
@@ -82,6 +103,10 @@ def rate_map(positions, values, bin_size: float, bounds=None) -> RateMap:
             positions[:, 1].min(), positions[:, 1].max(),
         )
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
+    if not all(math.isfinite(b) for b in (xmin, xmax, ymin, ymax)):
+        raise ConfigurationError(f"bounds must be finite, got {(xmin, xmax, ymin, ymax)}")
+    check_map_side(xmax - xmin, bin_size)
+    check_map_side(ymax - ymin, bin_size)
     nx = max(1, int(math.ceil((xmax - xmin) / bin_size - 1e-9)))
     ny = max(1, int(math.ceil((ymax - ymin) / bin_size - 1e-9)))
     ix = _bin_index(positions[:, 0], xmin, bin_size, nx)
@@ -209,8 +234,10 @@ def coverage(positions, bin_size: float, radius: float) -> float:
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
         raise ConfigurationError("positions must be a non-empty (N, 2) array")
-    if bin_size <= 0.0 or radius <= 0.0:
-        raise ConfigurationError("bin_size and radius must be positive")
+    if not all(v > 0.0 and math.isfinite(v) for v in (bin_size, radius)):
+        raise ConfigurationError(
+            f"bin_size and radius must be positive and finite, got {bin_size} and {radius}"
+        )
     rm = rate_map(
         positions,
         np.zeros(positions.shape[0]),

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import TWO_PI, walk_loop, walk_step, wrap_angle
-from .spatialcells import ConfigurationError, Position2, _as_xy, check_seed, check_tick_count
+from ._kernels import TWO_PI, walk_loop, wrap_angle
+from .spatialcells import ConfigurationError, Position2, check_seed, check_tick_count
 
 GRAVITY = 9.81
 
@@ -34,10 +34,6 @@ class Pose:
         if not math.isfinite(self.heading):
             raise ConfigurationError(f"pose heading must be finite, got {self.heading}")
         object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
-
-    @property
-    def position(self) -> Position2:
-        return Position2(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -151,17 +147,6 @@ class CameraParams:
             raise ConfigurationError(f"max_range must be positive and finite, got {self.max_range}")
 
 
-@dataclass(frozen=True)
-class SensorSample:
-    """One tick of sensor data: accelerometer triple plus derived values."""
-
-    accel_x: float
-    accel_y: float
-    accel_z: float
-    vibration: float
-    color_fraction: float
-
-
 # ---------------------------------------------------------------------------
 # vibration channel
 # ---------------------------------------------------------------------------
@@ -174,23 +159,11 @@ def vibration_magnitude(accel) -> float:
     return math.sqrt(ax * ax + ay * ay + dz * dz)
 
 
-def vibration_sample(pose: Pose, arena: Arena, noise_sigma: float, rng) -> SensorSample:
-    """Accelerometer reading at a pose: rest + noise + in-zone impulses.
-
-    Gaussian noise of scale ``noise_sigma`` on each axis around rest
-    (0, 0, g); every zone containing the position adds a horizontal
-    impulse of its amplitude at a uniformly random direction (one shared
-    direction draw per call).
-    """
-    if noise_sigma < 0.0:
-        raise ConfigurationError("noise_sigma must be >= 0")
-    z = rng.standard_normal(3)
-    u = rng.uniform(-math.pi, math.pi)
-    ax, ay, az = _accel_at(pose.x, pose.y, arena, noise_sigma, z[0], z[1], z[2], u)
-    return SensorSample(ax, ay, az, vibration_magnitude((ax, ay, az)), 0.0)
-
-
 def _accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):
+    """Accelerometer reading at (x, y): rest (0, 0, g) plus ``noise_sigma``
+    times the normal draws (zx, zy, zz) on each axis; every zone containing
+    the point adds a horizontal impulse of its amplitude in the one shared
+    direction ``u``."""
     ax = noise_sigma * zx
     ay = noise_sigma * zy
     az = GRAVITY + noise_sigma * zz
@@ -308,22 +281,6 @@ def color_sample(pose: Pose, arena: Arena, cam: CameraParams) -> float:
 # ---------------------------------------------------------------------------
 # bounded random walk
 # ---------------------------------------------------------------------------
-
-
-def random_walk_step(pose: Pose, walk: WalkParams, arena: Arena, rng) -> Pose:
-    """One random-walk step; the returned pose is strictly inside the arena.
-
-    Draws exactly two normals per call (the second is consumed only by the
-    wall-contact retry) so a run's randomness usage is data-independent.
-    """
-    step = walk.speed * walk.dt
-    if step >= arena.radius:
-        raise ConfigurationError("speed * dt must be smaller than the arena radius")
-    z = rng.standard_normal(2)
-    x, y, h = walk_step(
-        pose.x, pose.y, pose.heading, step, walk.turn_sigma, arena.radius, z[0], z[1]
-    )
-    return Pose(x, y, h)
 
 
 def walk_trajectory(

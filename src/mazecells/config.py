@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import check_map_side
 from .arena import Arena, CameraParams, WalkParams, WallArc, ZoneDisc
 from .controller import EpisodeConfig
 from .learning import CircuitParams
@@ -329,6 +330,8 @@ def parse_config(text: str) -> RunConfig:
     bin_size = get("analysis", "bin_size", 0.05)
     if not (bin_size > 0.0 and math.isfinite(bin_size)):
         raise ConfigurationError(f"[analysis] bin_size must be positive and finite, got {bin_size}")
+    # the rate maps span the arena's diameter
+    check_map_side(2.0 * arena.radius, bin_size, "[analysis] bin_size")
     inner = get("analysis", "annulus_inner_scale", 0.5)
     outer = get("analysis", "annulus_outer_scale", 1.5)
     if not (0.0 < inner < outer and math.isfinite(outer)):

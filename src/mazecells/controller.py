@@ -100,16 +100,6 @@ class EpisodeLog:
         return int(self.ticks.shape[0])
 
 
-def avoidance_maneuver(pose: Pose, trigger_bearing: float, jitter_sigma: float, rng) -> Pose:
-    """Turn in place to face away from the trigger (plus Gaussian jitter)."""
-    if jitter_sigma < 0.0:
-        raise ConfigurationError("jitter_sigma must be >= 0")
-    z = float(rng.standard_normal())
-    return Pose(
-        pose.x, pose.y, wrap_angle(trigger_bearing + math.pi + jitter_sigma * z)
-    )
-
-
 def _trigger_bearing(x, y, heading, arena: Arena, vib_active: bool, color_active: bool) -> float:
     """Bearing toward the nearest active cue: a zone center for the
     vibration pathway, a wall-arc midpoint for the color pathway.  Falls

@@ -4,18 +4,18 @@ A grid cell is parameterized by a lattice spacing, an orientation and a
 pair of phases.  Its firing rate at a point depends only on the distance
 to the nearest lattice node, so rate maps inherit the hexagonal symmetry
 of the node set.  Place cells threshold the summed rates of a small grid
-ensemble; landmark cells score the match between current and remembered
-boundary observations.
+ensemble.  The one-point functions (``nearest_center``, ``firing_rate``)
+run the same batch kernels as their array counterparts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import brute_force, nearest_node, rates_batch, wrap_angle
+from ._kernels import brute_force, firing_normalized, firing_raw, nearest_batch, rates_batch
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,9 +25,13 @@ class ConfigurationError(ValueError):
 
 
 def check_seed(seed, name: str = "seed") -> int:
-    """``seed`` as an int; a non-integer or negative seed (which
-    ``np.random.default_rng`` rejects) raises ConfigurationError."""
-    if int(seed) != seed or seed < 0:
+    """``seed`` as an int; a non-integer (inf and nan included) or negative
+    seed (which ``np.random.default_rng`` rejects) raises ConfigurationError."""
+    try:
+        ok = int(seed) == seed and seed >= 0
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
         raise ConfigurationError(f"{name} must be a non-negative integer, got {seed}")
     return int(seed)
 
@@ -60,13 +64,6 @@ class Position2:
 
     x: float
     y: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=np.float64)
-
-    @staticmethod
-    def from_array(a) -> "Position2":
-        return Position2(float(a[0]), float(a[1]))
 
 
 def _as_xy(pos) -> tuple[float, float]:
@@ -146,31 +143,6 @@ class PlaceCellParams:
             )
 
 
-@dataclass(frozen=True)
-class LandmarkObservation:
-    """Distance and bearing to a landmark; bearing wrapped to [-pi, pi)."""
-
-    distance: float
-    bearing: float
-
-    def __post_init__(self):
-        if not (self.distance >= 0.0 and math.isfinite(self.distance)):
-            raise ConfigurationError(f"distance must be >= 0, got {self.distance}")
-        object.__setattr__(self, "bearing", wrap_angle(float(self.bearing)))
-
-
-@dataclass(frozen=True)
-class LandmarkParams:
-    """Gaussian tuning widths for distance (m) and bearing (rad) mismatch."""
-
-    sigma_d: float = 0.3
-    sigma_theta: float = 0.5
-
-    def __post_init__(self):
-        if not all(v > 0.0 and math.isfinite(v) for v in (self.sigma_d, self.sigma_theta)):
-            raise ConfigurationError("tuning widths must be positive and finite")
-
-
 # ---------------------------------------------------------------------------
 # lattice geometry
 # ---------------------------------------------------------------------------
@@ -204,19 +176,32 @@ def phase_offset(g: GridCellParams) -> Position2:
     )
 
 
+def _decode_one(pos, g: GridCellParams, kernel, *extra) -> tuple[Position2, float]:
+    """Run a batch decode ``kernel`` on the one point ``pos``."""
+    px, py = _as_xy(pos)
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ConfigurationError(f"position must be finite, got ({px}, {py})")
+    b = lattice_basis(g)
+    off = phase_offset(g)
+    cx = np.empty(1)
+    cy = np.empty(1)
+    d = np.empty(1)
+    mi = np.empty(1, dtype=np.int64)
+    ni = np.empty(1, dtype=np.int64)
+    kernel(
+        np.array([px]), np.array([py]), b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y,
+        *extra, cx, cy, d, mi, ni,
+    )
+    return Position2(float(cx[0]), float(cy[0])), float(d[0])
+
+
 def nearest_center(pos, g: GridCellParams) -> tuple[Position2, float]:
     """Nearest lattice node to ``pos`` and the distance to it.
 
     Exact ties are broken toward the lexicographically smallest integer
     node index (m, n).
     """
-    px, py = _as_xy(pos)
-    b = lattice_basis(g)
-    off = phase_offset(g)
-    cx, cy, d, _, _ = nearest_node(
-        px, py, b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y
-    )
-    return Position2(cx, cy), d
+    return _decode_one(pos, g, nearest_batch)
 
 
 def nearest_center_bruteforce(
@@ -227,35 +212,7 @@ def nearest_center_bruteforce(
     Independent reference implementation for validating nearest_center;
     the caller is responsible for max_index covering the query point.
     """
-    px, py = _as_xy(pos)
-    b = lattice_basis(g)
-    off = phase_offset(g)
-    ax = np.array([px], dtype=np.float64)
-    ay = np.array([py], dtype=np.float64)
-    cx = np.empty(1)
-    cy = np.empty(1)
-    d = np.empty(1)
-    mi = np.empty(1, dtype=np.int64)
-    ni = np.empty(1, dtype=np.int64)
-    brute_force(
-        ax, ay, b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y, max_index,
-        cx, cy, d, mi, ni,
-    )
-    return Position2(float(cx[0]), float(cy[0])), float(d[0])
-
-
-def lattice_nodes(g: GridCellParams, m_range, n_range) -> np.ndarray:
-    """All lattice nodes with integer indices in the given ranges, (N, 2)."""
-    b = lattice_basis(g)
-    off = phase_offset(g)
-    mm, nn = np.meshgrid(
-        np.arange(m_range[0], m_range[1] + 1, dtype=np.float64),
-        np.arange(n_range[0], n_range[1] + 1, dtype=np.float64),
-        indexing="ij",
-    )
-    xs = mm * b[0, 0] + nn * b[0, 1] + off.x
-    ys = mm * b[1, 0] + nn * b[1, 1] + off.y
-    return np.column_stack([xs.ravel(), ys.ravel()])
+    return _decode_one(pos, g, brute_force, max_index)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +224,17 @@ def raw_firing(distance: float, g: GridCellParams, fp: FiringParams) -> float:
     """Raw firing value arctan(kappa * (d / spacing - zeta)); negative near nodes."""
     if distance < 0.0:
         raise ConfigurationError(f"distance must be >= 0, got {distance}")
-    return math.atan(fp.kappa * (distance / g.spacing - fp.zeta))
+    return float(firing_raw(distance, g.spacing, fp.kappa, fp.zeta))
 
 
 def normalized_rate(raw: float) -> float:
     """Map a raw firing value to (0, 1), increasing toward lattice nodes."""
-    return 0.5 - raw / math.pi
+    return float(firing_normalized(raw))
 
 
 def firing_rate(pos, g: GridCellParams, fp: FiringParams) -> float:
     """Normalized firing rate at a position: peak at nodes, floor far away."""
-    _, d = nearest_center(pos, g)
-    return normalized_rate(raw_firing(d, g, fp))
+    return float(rates_at(np.array([_as_xy(pos)]), g, fp)[0])
 
 
 def rates_at(positions: np.ndarray, g: GridCellParams, fp: FiringParams) -> np.ndarray:
@@ -290,6 +246,9 @@ def rates_at(positions: np.ndarray, g: GridCellParams, fp: FiringParams) -> np.n
     off = phase_offset(g)
     px = np.ascontiguousarray(positions[:, 0])
     py = np.ascontiguousarray(positions[:, 1])
+    # the decode would place a non-finite point at distance inf, rate 0
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        raise ConfigurationError("positions must be finite")
     out = np.empty(px.shape[0], dtype=np.float64)
     rates_batch(
         px, py, b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y,
@@ -301,30 +260,6 @@ def rates_at(positions: np.ndarray, g: GridCellParams, fp: FiringParams) -> np.n
 # ---------------------------------------------------------------------------
 # frame transforms
 # ---------------------------------------------------------------------------
-
-
-def grid_frame_coords(pos, g: GridCellParams) -> np.ndarray:
-    """Projection of a position onto the lattice basis, minus the phases.
-
-    Literally M^T * pos - (phase1, phase2) with M the basis matrix.  Note
-    the phases are subtracted as plain numbers, not scaled into basis
-    units; firing-field computations go through nearest_center instead.
-    """
-    px, py = _as_xy(pos)
-    b = lattice_basis(g)
-    return np.array(
-        [
-            b[0, 0] * px + b[1, 0] * py - g.phase1,
-            b[0, 1] * px + b[1, 1] * py - g.phase2,
-        ],
-        dtype=np.float64,
-    )
-
-
-def rotation_matrix(phi: float) -> np.ndarray:
-    c = math.cos(phi)
-    s = math.sin(phi)
-    return np.array([[c, -s], [s, c]], dtype=np.float64)
 
 
 def change_frame(pos, t: FrameTransform) -> Position2:
@@ -348,16 +283,6 @@ def change_frame_inverse(pos, t: FrameTransform) -> Position2:
 # ---------------------------------------------------------------------------
 # place cells
 # ---------------------------------------------------------------------------
-
-
-def place_activity(rates, pc: PlaceCellParams) -> int:
-    """Binary place-cell output: 1 iff the summed input rates reach threshold."""
-    rates = np.asarray(rates, dtype=np.float64)
-    if rates.shape != (len(pc.inputs),):
-        raise ConfigurationError(
-            f"expected {len(pc.inputs)} rates, got shape {rates.shape}"
-        )
-    return 1 if float(rates.sum()) >= pc.threshold else 0
 
 
 def place_activity_at(positions: np.ndarray, pc: PlaceCellParams, fp: FiringParams) -> np.ndarray:
@@ -398,39 +323,3 @@ def anchored_ensemble(
         p2 = TWO_PI * (cn - math.floor(cn))
         cells.append(GridCellParams(s, orient, p1, p2))
     return tuple(cells)
-
-
-# ---------------------------------------------------------------------------
-# landmark memory
-# ---------------------------------------------------------------------------
-
-
-def landmark_response(observed, remembered, lp: LandmarkParams) -> float:
-    """Summed Gaussian match between observed and remembered landmark views.
-
-    ``remembered`` holds K stored observations.  ``observed`` is either a
-    single current observation (broadcast against every stored one) or a
-    list of K observations paired index-wise.  Bearing differences are
-    wrapped to [-pi, pi) before squaring, so the response never exceeds K
-    and equals K only for exact matches.
-    """
-    if isinstance(observed, LandmarkObservation):
-        observed = [observed]
-    observed = list(observed)
-    remembered = list(remembered)
-    if not observed or not remembered:
-        raise ConfigurationError("landmark lists must be non-empty")
-    if len(observed) == 1:
-        observed = observed * len(remembered)
-    if len(observed) != len(remembered):
-        raise ConfigurationError(
-            f"got {len(observed)} observations against {len(remembered)} memories"
-        )
-    total = 0.0
-    for o, r in zip(observed, remembered):
-        dd = o.distance - r.distance
-        dt = wrap_angle(o.bearing - r.bearing)
-        total += math.exp(
-            -(dd * dd) / (lp.sigma_d**2) - (dt * dt) / (lp.sigma_theta**2)
-        )
-    return total

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mazecells.analysis import (
+    MAX_MAP_SIDE,
     AnalysisError,
     connected_components,
     coverage,
@@ -72,6 +73,29 @@ def test_rate_map_rejects_bad_inputs():
         rate_map(np.zeros((3, 2)), np.zeros(3), math.nan)
     with pytest.raises(ConfigurationError):
         coverage(np.zeros((3, 2)), math.inf, 1.3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_bounds_rejected(bad):
+    pos = np.zeros((3, 2))
+    with pytest.raises(ConfigurationError, match="radius must be positive and finite"):
+        coverage(pos, 0.05, bad)
+    with pytest.raises(ConfigurationError, match="bounds must be finite"):
+        rate_map(pos, np.zeros(3), 0.05, (-1.0, 1.0, bad, 1.0))
+    # bounds taken from the data meet the same check
+    with pytest.raises(ConfigurationError, match="bounds must be finite"):
+        rate_map(np.array([[0.0, 0.0], [bad, 0.5]]), np.zeros(2), 0.05)
+
+
+def test_rate_map_side_bound():
+    side = 1.0 / MAX_MAP_SIDE
+    rm = rate_map(np.zeros((1, 2)), np.zeros(1), side, (0.0, 1.0, 0.0, 1.0 / 64))
+    assert rm.values.shape == (MAX_MAP_SIDE // 64, MAX_MAP_SIDE)
+    for bounds in ((0.0, 1.0 + 2 * side, 0.0, 0.1), (0.0, 0.1, -1.0, 1.0)):
+        with pytest.raises(ConfigurationError, match="at most 4096"):
+            rate_map(np.zeros((1, 2)), np.zeros(1), side, bounds)
+    with pytest.raises(ConfigurationError, match="at most 4096"):
+        coverage(np.zeros((1, 2)), 5e-324, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ from mazecells.arena import (
     WalkParams,
     WallArc,
     ZoneDisc,
+    _accel_at,
     color_sample,
-    random_walk_step,
     vibration_magnitude,
-    vibration_sample,
     walk_trajectory,
 )
 from mazecells.spatialcells import ConfigurationError
@@ -53,10 +52,12 @@ def test_vibration_magnitude_vertical_axis():
 def test_noise_free_zone_impulse_has_zone_amplitude():
     arena = Arena(radius=1.3, zones=(ZoneDisc(0.5, 0.0, 0.2, 8.0),))
     rng = np.random.default_rng(0)
-    inside = vibration_sample(Pose(0.5, 0.0, 0.0), arena, 0.0, rng)
-    outside = vibration_sample(Pose(-0.5, 0.0, 0.0), arena, 0.0, rng)
-    assert abs(inside.vibration - 8.0) < 1e-12
-    assert outside.vibration == 0.0
+    for u in rng.uniform(-math.pi, math.pi, 20):
+        z = rng.standard_normal(3)
+        inside = _accel_at(0.5, 0.0, arena, 0.0, *z, u)
+        outside = _accel_at(-0.5, 0.0, arena, 0.0, *z, u)
+        assert abs(vibration_magnitude(inside) - 8.0) < 1e-12
+        assert outside == (0.0, 0.0, GRAVITY)
 
 
 def test_overlapping_zones_share_one_impulse_direction():
@@ -66,18 +67,9 @@ def test_overlapping_zones_share_one_impulse_direction():
         radius=1.3,
         zones=(ZoneDisc(0.0, 0.0, 0.5, 3.0), ZoneDisc(0.0, 0.0, 0.5, 4.0)),
     )
-    s = vibration_sample(Pose(0.0, 0.0, 0.0), arena, 0.0, np.random.default_rng(1))
-    assert abs(s.vibration - 7.0) < 1e-12
-
-
-def test_vibration_sample_consumes_fixed_rng_budget():
-    arena = Arena(radius=1.3)
-    r1 = np.random.default_rng(7)
-    vibration_sample(Pose(0.1, 0.1, 0.0), arena, 0.3, r1)
-    r2 = np.random.default_rng(7)
-    r2.standard_normal(3)
-    r2.uniform(-math.pi, math.pi)
-    assert r1.standard_normal() == r2.standard_normal()
+    for u in np.random.default_rng(1).uniform(-math.pi, math.pi, 20):
+        a = _accel_at(0.0, 0.0, arena, 0.0, 0.0, 0.0, 0.0, u)
+        assert abs(vibration_magnitude(a) - 7.0) < 1e-12
 
 
 def test_zone_containment_boundary_inclusive():
@@ -248,22 +240,11 @@ def test_negative_seed_rejected():
         WalkParams(seed=-1)
     with pytest.raises(ConfigurationError, match="non-negative"):
         walk_trajectory(arena, WalkParams(), 10, seed=-1)
-
-
-def test_random_walk_step_matches_trajectory_stream():
-    """The public single-step op consumes the same two normals per tick as
-    the walk loop, so stepping manually reproduces the trajectory."""
-    arena = Arena(radius=1.3)
-    walk = WalkParams()
-    tr = walk_trajectory(arena, walk, 200, seed=33)
-    rng = np.random.default_rng(33)
-    rng.standard_normal((199, 2))  # the loop pre-draws its budget
-    rng2 = np.random.default_rng(33)
-    pose = Pose(0.0, 0.0, 0.0)
-    for t in range(1, 200):
-        pose = random_walk_step(pose, walk, arena, rng2)
-        assert abs(pose.x - tr[t, 0]) < 1e-12
-        assert abs(pose.y - tr[t, 1]) < 1e-12
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            WalkParams(seed=bad)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            walk_trajectory(arena, WalkParams(), 10, seed=bad)
 
 
 @given(seed=st.integers(0, 10_000), ticks=st.integers(2, 300))

@@ -345,3 +345,26 @@ def test_huge_tick_count_exits_2_before_any_output(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error:") and "tick_count" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ratemap", "episode", "sweep"])
+def test_tiny_bin_size_exits_2_before_any_output(tmp_path, capsys, monkeypatch, command):
+    import mazecells.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a run started with a map beyond MAX_MAP_SIDE")
+
+    # belt and braces: the run must never reach a walk, an episode or a map
+    for name in ("walk_trajectory", "run_episode", "rate_map", "coverage"):
+        monkeypatch.setattr(cli, name, never)
+    text = "[run]\ntick_count = 200\nseed = 5\n[analysis]\nbin_size = 1e-7\n"
+    if command == "sweep":
+        text += "[sweep]\nkappa = 1, 5\n"
+    out = tmp_path / "o"
+    argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out)]
+    if command == "episode":
+        argv += ["--mode", "train"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [analysis] bin_size") and "Traceback" not in err
+    assert not out.exists()

@@ -16,6 +16,7 @@ from mazecells import (
     parse_config,
     sweep_points,
 )
+from mazecells.analysis import MAX_MAP_SIDE
 
 
 def test_default_ini_parses_to_paired_cue_arena():
@@ -104,6 +105,20 @@ def test_run_validation():
         parse_config("[place]\nspacing_min = 2.0\nspacing_max = 1.0\n")
     with pytest.raises(ConfigurationError, match="threshold_fraction"):
         parse_config("[place]\nthreshold_fraction = 0.0\n")
+
+
+def test_map_side_bound():
+    # the arena's 2.6 m diameter over a bin_size of 2.6 / 4096 (exact: a
+    # power-of-two division) is exactly MAX_MAP_SIDE bins
+    side = 2.6 / MAX_MAP_SIDE
+    assert parse_config(f"[analysis]\nbin_size = {side!r}\n").bin_size == side
+    for tiny in (math.nextafter(side, 0.0), 1e-7, 5e-324):
+        with pytest.raises(ConfigurationError, match=r"\[analysis\] bin_size .* at most 4096"):
+            parse_config(f"[analysis]\nbin_size = {tiny!r}\n")
+    # the bound follows the arena
+    with pytest.raises(ConfigurationError, match="at most 4096"):
+        parse_config(f"[arena]\nradius = 2.6\n[analysis]\nbin_size = {side!r}\n")
+    parse_config(f"[arena]\nradius = 2.6\n[analysis]\nbin_size = {2 * side!r}\n")
 
 
 def test_sweep_parsing_and_cartesian_order():

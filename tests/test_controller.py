@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from mazecells.arena import Arena, CameraParams, Pose, WalkParams, WallArc, ZoneDisc
+from mazecells.arena import Arena, CameraParams, WalkParams, WallArc, ZoneDisc
 from mazecells.config import episode_config, parse_config
-from mazecells.controller import EpisodeConfig, avoidance_maneuver, run_episode
+from mazecells.controller import EpisodeConfig, run_episode
 from mazecells.learning import CircuitParams
 from mazecells.spatialcells import (
     ConfigurationError,
@@ -51,23 +51,6 @@ def quiet_arena():
 def reflex_arena():
     # noise-free shuttle: zone on the +x axis, no walls, all noise zero
     return Arena(radius=1.3, zones=(ZoneDisc(0.8, 0.0, 0.25, 8.0),))
-
-
-def test_avoidance_maneuver_turns_away_exactly():
-    pose = Pose(0.3, 0.2, 0.5)
-    rng = np.random.default_rng(0)
-    out = avoidance_maneuver(pose, 0.5, 0.0, rng)
-    assert (out.x, out.y) == (0.3, 0.2)
-    assert abs(out.heading - (0.5 - math.pi)) < 1e-12
-
-
-def test_avoidance_maneuver_jitter_uses_rng():
-    pose = Pose(0.0, 0.0, 0.0)
-    a = avoidance_maneuver(pose, 0.0, 0.3, np.random.default_rng(1))
-    b = avoidance_maneuver(pose, 0.0, 0.3, np.random.default_rng(1))
-    c = avoidance_maneuver(pose, 0.0, 0.3, np.random.default_rng(2))
-    assert a.heading == b.heading
-    assert a.heading != c.heading
 
 
 def test_episode_bitwise_deterministic(quiet_arena):
@@ -232,6 +215,9 @@ def test_config_validation(quiet_arena):
         make_config(quiet_arena, seed=0.5)
     with pytest.raises(ConfigurationError, match="non-negative"):
         make_config(quiet_arena, seed=-1)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            make_config(quiet_arena, seed=bad)
     with pytest.raises(ConfigurationError):
         make_config(quiet_arena, jitter_sigma=-1.0)
     with pytest.raises(ConfigurationError):

@@ -1,8 +1,8 @@
 """Batch kernels against their scalar oracles.
 
-The sequential walk and the nearest-node decode must match the scalar
-functions bitwise (identical floating-point operation order); the firing
-rate matches the scalar formula to roundoff.  The 4-corner decode is
+The sequential walk matches the scalar ``walk_step`` bitwise (identical
+floating-point operation order), and the firing rate matches the scalar
+formula bitwise at the brute-force node distances.  The 4-corner decode is
 checked bitwise against the exhaustive ``brute_force`` scan at exact
 nodes, edge midpoints and triangle circumcentres (2- and 3-way ties) and
 at points a few ulps off them.  The FFT autocorrelogram is
@@ -23,7 +23,6 @@ from mazecells._kernels import (
     autocorr,
     brute_force,
     nearest_batch,
-    nearest_node,
     rates_batch,
     walk_loop,
     walk_step,
@@ -77,22 +76,6 @@ def test_walk_loop_matches_scalar_walk_step():
             assert out[t + 1, 0] == x and out[t + 1, 1] == y and out[t + 1, 2] == h, name
 
 
-def test_nearest_batch_matches_scalar():
-    rng = np.random.default_rng(11)
-    px = rng.uniform(-2, 2, 300)
-    py = rng.uniform(-2, 2, 300)
-    b = (1.0, 0.0, 0.5, math.sqrt(3.0) / 2.0, 0.13, 0.27)
-    cx = np.empty(300)
-    cy = np.empty(300)
-    d = np.empty(300)
-    mi = np.empty(300, dtype=np.int64)
-    ni = np.empty(300, dtype=np.int64)
-    nearest_batch(px, py, *b, cx, cy, d, mi, ni)
-    for i in range(300):
-        sx, sy, sd, sm, sn = nearest_node(px[i], py[i], *b)
-        assert (cx[i], cy[i], d[i], mi[i], ni[i]) == (sx, sy, sd, sm, sn)
-
-
 def _lattice(spacing, t, f1, f2):
     """A 60-degree basis at any orientation ``t`` and its offset f1*b1 + f2*b2,
     as the 6-tuple the decode kernels take."""
@@ -115,8 +98,6 @@ def _assert_decode_exact(px, py, b, max_index):
     got, want = _decode_all(px, py, b, max_index)
     for g, w in zip(got, want):  # bitwise, sign of zero included
         assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
-    for i in range(px.size):
-        assert nearest_node(px[i], py[i], *b) == tuple(a[i] for a in got)
 
 
 # lattice-coordinate fractions: node, the three edge midpoints, the two
@@ -172,16 +153,13 @@ def test_nearest_decode_exact_ties_keep_lexicographic_smallest(t):
 
 
 def test_nearest_batch_matches_scalar_on_signed_zeros():
-    # a floor of -0.0 must not leak into cx, cy as a -0.0 the scalar
-    # decode (integer indices) never returns
+    # one-point decodes, as the scalar API runs them: a floor of -0.0 must
+    # not leak into cx, cy as a -0.0 the exhaustive scan (integer-valued
+    # index grid) never returns
     for t in np.linspace(0.0, TWO_PI, 25):
         for px, py, offx, offy in itertools.product((0.0, -0.0), repeat=4):
             b = _lattice(1.0, t, 0.0, 0.0)[:4] + (offx, offy)
-            got = [np.empty(1), np.empty(1), np.empty(1), np.empty(1, np.int64), np.empty(1, np.int64)]
-            nearest_batch(np.array([px]), np.array([py]), *b, *got)
-            want = nearest_node(px, py, *b)
-            for g, w in zip(got, want):
-                assert g.tobytes() == np.array([w], dtype=g.dtype).tobytes()
+            _assert_decode_exact(np.array([px]), np.array([py]), b, 2)
 
 
 @given(
@@ -211,9 +189,9 @@ def test_rates_batch_matches_scalar_firing_formula():
     b = (bm[0, 0], bm[1, 0], bm[0, 1], bm[1, 1], off.x, off.y)
     out = np.empty(1500)
     rates_batch(px, py, *b, g.spacing, fp.kappa, fp.zeta, out)
-    for i in range(1500):
-        d = nearest_node(px[i], py[i], *b)[2]
-        assert abs(out[i] - normalized_rate(raw_firing(d, g, fp))) <= 1e-12
+    _, want = _decode_all(px, py, b, 16)
+    for i, d in enumerate(want[2].tolist()):
+        assert out[i] == normalized_rate(raw_firing(d, g, fp))
 
 
 def _pairs(vals, visited, dy, dx):

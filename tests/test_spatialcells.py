@@ -1,4 +1,4 @@
-"""Lattice geometry, firing curves, frames, place cells, landmarks.
+"""Lattice geometry, firing curves, frames, place cells.
 
 The nearest-node search is checked against an exhaustive brute-force
 oracle; everything with a closed form is checked against hand-evaluated
@@ -18,8 +18,6 @@ from mazecells.spatialcells import (
     FiringParams,
     FrameTransform,
     GridCellParams,
-    LandmarkObservation,
-    LandmarkParams,
     PlaceCellParams,
     Position2,
     anchored_ensemble,
@@ -27,15 +25,11 @@ from mazecells.spatialcells import (
     change_frame_inverse,
     check_tick_count,
     firing_rate,
-    grid_frame_coords,
-    landmark_response,
     lattice_basis,
-    lattice_nodes,
     nearest_center,
     nearest_center_bruteforce,
     normalized_rate,
     phase_offset,
-    place_activity,
     place_activity_at,
     rates_at,
     raw_firing,
@@ -78,13 +72,6 @@ def test_phase_offset_is_phase_fraction_of_each_basis_vector(unit_grid):
     # zero phases -> origin is a node
     zero = phase_offset(unit_grid)
     assert (zero.x, zero.y) == (0.0, 0.0)
-
-
-def test_lattice_nodes_enumeration(unit_grid):
-    nodes = lattice_nodes(unit_grid, (-1, 1), (-1, 1))
-    assert nodes.shape == (9, 2)
-    # (1, 1) node of the unit lattice: b1 + b2
-    assert any(np.allclose(n, [1.5, SQRT3 / 2.0]) for n in nodes)
 
 
 def test_full_parameter_validation():
@@ -203,20 +190,37 @@ def test_rates_at_matches_scalar_loop(demo_grid, firing):
     pts = rng.uniform(-2, 2, size=(128, 2))
     batch = rates_at(pts, demo_grid, firing)
     for i, p in enumerate(pts):
-        assert abs(batch[i] - firing_rate(Position2(p[0], p[1]), demo_grid, firing)) < 1e-12
+        assert batch[i] == firing_rate(Position2(p[0], p[1]), demo_grid, firing)
+
+
+def test_firing_rate_is_rates_at_bitwise():
+    # one-point calls run the batch kernel, so they reproduce every entry
+    # of a batch exactly, however numpy dispatches its arctan
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        g = random_grid(rng)
+        fp = FiringParams(float(rng.uniform(0.5, 30.0)), float(rng.uniform(0.05, 0.9)))
+        pts = rng.uniform(-4.0, 4.0, size=(4000, 2))
+        batch = rates_at(pts, g, fp)
+        one = np.array([firing_rate((x, y), g, fp) for x, y in pts.tolist()])
+        assert one.tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_position_rejected(demo_grid, firing, bad):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        nearest_center((0.5, bad), demo_grid)
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        nearest_center_bruteforce((bad, 0.5), demo_grid)
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        firing_rate((bad, 0.5), demo_grid, firing)
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        rates_at(np.array([[0.0, 0.0], [0.5, bad]]), demo_grid, firing)
 
 
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
-
-
-def test_grid_frame_coords_literal():
-    g = GridCellParams(spacing=2.0, orientation=0.0, phase1=math.pi, phase2=math.pi / 2.0)
-    out = grid_frame_coords(Position2(1.0, 1.0), g)
-    # M^T pos - (phase1, phase2) with columns b1=(2,0), b2=(1, sqrt3)
-    assert abs(out[0] - (2.0 - math.pi)) < 1e-12
-    assert abs(out[1] - (1.0 + SQRT3 - math.pi / 2.0)) < 1e-12
 
 
 def test_change_frame_literal_quarter_turn():
@@ -246,10 +250,13 @@ def test_change_frame_round_trip(phi, tx, ty, px, py):
 # ---------------------------------------------------------------------------
 
 
-def test_place_activity_threshold_is_inclusive(unit_grid):
-    pc = PlaceCellParams(inputs=(unit_grid, unit_grid), threshold=1.2)
-    assert place_activity(np.array([0.6, 0.6]), pc) == 1  # sum == threshold
-    assert place_activity(np.array([0.6, 0.5999]), pc) == 0
+def test_place_activity_threshold_is_inclusive(demo_grid, firing):
+    p = np.array([[0.3, -0.2]])
+    inputs = (demo_grid, GridCellParams(0.7, 0.2, 1.0, 2.0))
+    total = rates_at(p, inputs[0], firing)[0] + rates_at(p, inputs[1], firing)[0]
+    assert place_activity_at(p, PlaceCellParams(inputs, total), firing)[0] == 1
+    above = float(np.nextafter(total, np.inf))
+    assert place_activity_at(p, PlaceCellParams(inputs, above), firing)[0] == 0
 
 
 def test_anchored_ensemble_shares_node_at_anchor(firing):
@@ -265,56 +272,6 @@ def test_place_cell_fires_at_anchor_only_nearby(firing):
     pc = PlaceCellParams(inputs=cells, threshold=0.8 * 8)
     assert place_activity_at(np.array([[0.35, 0.2]]), pc, firing)[0] == 1
     assert place_activity_at(np.array([[-0.6, -0.6]]), pc, firing)[0] == 0
-
-
-# ---------------------------------------------------------------------------
-# landmarks
-# ---------------------------------------------------------------------------
-
-
-def test_landmark_identity_scores():
-    lp = LandmarkParams()
-    obs = LandmarkObservation(1.0, 0.5)
-    assert landmark_response([obs], [obs], lp) == 1.0
-    remembered = [LandmarkObservation(1.0, 0.5)] * 5
-    assert landmark_response([obs], remembered, lp) == 5.0
-
-
-def test_landmark_sigma_distance_gives_inverse_e():
-    lp = LandmarkParams(sigma_d=0.3, sigma_theta=0.5)
-    obs = LandmarkObservation(1.0 + 0.3, 0.5)
-    remembered = [LandmarkObservation(1.0, 0.5)]
-    assert abs(landmark_response([obs], remembered, lp) - math.exp(-1.0)) < 1e-12
-
-
-def test_landmark_bearing_difference_wraps():
-    lp = LandmarkParams()
-    a = LandmarkObservation(1.0, math.pi - 0.05)
-    b = LandmarkObservation(1.0, -math.pi + 0.05)
-    # true angular difference is 0.1, not ~2*pi
-    expect = math.exp(-(0.1 / lp.sigma_theta) ** 2)
-    assert abs(landmark_response([a], [b], lp) - expect) < 1e-9
-
-
-@given(
-    dd=st.floats(0, 5),
-    db=st.floats(-math.pi, math.pi - 1e-6),
-    k=st.integers(1, 6),
-)
-@settings(max_examples=100, deadline=None)
-def test_landmark_bounded_by_count(dd, db, k):
-    lp = LandmarkParams()
-    obs = LandmarkObservation(1.0 + dd, db)
-    remembered = [LandmarkObservation(1.0, 0.0)] * k
-    r = landmark_response([obs], remembered, lp)
-    assert 0.0 < r <= k
-    if dd > 1e-6 or abs(db) > 1e-6:
-        assert r < k
-
-
-def test_landmark_empty_remembered_rejected():
-    with pytest.raises(ConfigurationError):
-        landmark_response([LandmarkObservation(1.0, 0.0)], [], LandmarkParams())
 
 
 @pytest.mark.parametrize("ticks", [0, -1, MAX_TICK_COUNT + 1, 10**12, 2.0, "10", None])
