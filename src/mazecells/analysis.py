@@ -86,8 +86,8 @@ def _bin_index(coords: np.ndarray, origin: float, bin_size: float, nbins: int) -
 def rate_map(positions, values, bin_size: float, bounds=None) -> RateMap:
     """Mean of ``values`` per square spatial bin.
 
-    ``bounds`` is (xmin, xmax, ymin, ymax); by default it is taken from the
-    data.  Samples on the top edges fall into the last bin.
+    ``bounds`` is (xmin, xmax, ymin, ymax), with xmin <= xmax and ymin <=
+    ymax; by default it is taken from the data.  Samples on the top edges fall into the last bin.
     """
     positions = np.asarray(positions, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -105,6 +105,8 @@ def rate_map(positions, values, bin_size: float, bounds=None) -> RateMap:
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     if not all(math.isfinite(b) for b in (xmin, xmax, ymin, ymax)):
         raise ConfigurationError(f"bounds must be finite, got {(xmin, xmax, ymin, ymax)}")
+    if xmax < xmin or ymax < ymin:
+        raise ConfigurationError(f"bounds must not be inverted, got {(xmin, xmax, ymin, ymax)}")
     check_map_side(xmax - xmin, bin_size)
     check_map_side(ymax - ymin, bin_size)
     nx = max(1, int(math.ceil((xmax - xmin) / bin_size - 1e-9)))

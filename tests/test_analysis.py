@@ -87,6 +87,16 @@ def test_non_finite_bounds_rejected(bad):
         rate_map(np.array([[0.0, 0.0], [bad, 0.5]]), np.zeros(2), 0.05)
 
 
+def test_rate_map_rejects_inverted_bounds():
+    pos = np.array([[0.2, 0.3], [-0.2, -0.1]])
+    for bounds in ((1.0, -1.0, 1.0, -1.0), (1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 0.5, 0.4)):
+        with pytest.raises(ConfigurationError, match="inverted"):
+            rate_map(pos, np.array([1.0, 2.0]), 0.1, bounds)
+    # equal bounds give one bin along that axis
+    rm = rate_map(pos, np.array([1.0, 2.0]), 0.1, (0.0, 0.0, -1.0, 1.0))
+    assert rm.values.shape == (20, 1)
+
+
 def test_rate_map_side_bound():
     side = 1.0 / MAX_MAP_SIDE
     rm = rate_map(np.zeros((1, 2)), np.zeros(1), side, (0.0, 1.0, 0.0, 1.0 / 64))

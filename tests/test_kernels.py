@@ -5,13 +5,16 @@ floating-point operation order), and the firing rate matches the scalar
 formula bitwise at the brute-force node distances.  The 4-corner decode is
 checked bitwise against the exhaustive ``brute_force`` scan at exact
 nodes, edge midpoints and triangle circumcentres (2- and 3-way ties) and
-at points a few ulps off them.  The FFT autocorrelogram is
-checked at every lag against a per-lag, two-pass, long-double masked
-Pearson oracle, including which lags are NaN.
+at points a few ulps off them.  The blocked firing-rate scan equals the
+firing formula at the brute-force distances across block boundaries, on
+strided position views, and in a bounded amount of scratch memory.  The
+FFT autocorrelogram is checked at every lag against a per-lag, two-pass,
+long-double masked Pearson oracle, including which lags are NaN.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazecells._kernels import (
+    BLOCK,
     TWO_PI,
     autocorr,
     brute_force,
+    firing_normalized,
+    firing_raw,
     nearest_batch,
     rates_batch,
     walk_loop,
@@ -34,6 +40,7 @@ from mazecells.spatialcells import (
     lattice_basis,
     normalized_rate,
     phase_offset,
+    rates_at,
     raw_firing,
 )
 
@@ -134,6 +141,16 @@ def test_nearest_decode_exact_at_ties_on_random_lattices():
         _assert_decode_exact(px, py, b, 16)
 
 
+def _two_way_ties(px, py, b, max_index):
+    """How many points are exactly as far from two nodes as from the nearest."""
+    idx = np.arange(-float(max_index), max_index + 1.0)
+    m, n = (a.ravel() for a in np.meshgrid(idx, idx, indexing="ij"))
+    dx = px[:, None] - (m * b[0] + n * b[2] + b[4])
+    dy = py[:, None] - (m * b[1] + n * b[3] + b[5])
+    d2 = dx * dx + dy * dy
+    return int(((d2 == d2.min(axis=1, keepdims=True)).sum(axis=1) == 2).sum())
+
+
 @pytest.mark.parametrize("t", [0.0, math.pi / 3.0, 2.0 * math.pi / 3.0, math.pi])
 def test_nearest_decode_exact_ties_keep_lexicographic_smallest(t):
     # with an edge along the x axis and a dyadic spacing and offset, the
@@ -142,13 +159,7 @@ def test_nearest_decode_exact_ties_keep_lexicographic_smallest(t):
     rng = np.random.default_rng(23)
     b = _lattice(2.0, t, 0.25, 0.5)
     px, py = _tie_points(b, 2.0, rng, 20)
-    idx = np.arange(-16.0, 17.0)
-    m, n = (a.ravel() for a in np.meshgrid(idx, idx, indexing="ij"))
-    dx = px[:, None] - (m * b[0] + n * b[2] + b[4])
-    dy = py[:, None] - (m * b[1] + n * b[3] + b[5])
-    d2 = dx * dx + dy * dy
-    ties = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1)
-    assert (ties == 2).sum() > 50  # exact 2-way ties really occur
+    assert _two_way_ties(px, py, b, 16) > 50  # exact 2-way ties really occur
     _assert_decode_exact(px, py, b, 16)
 
 
@@ -178,20 +189,77 @@ def test_nearest_decode_property_matches_brute_force(spacing, t, f1, f2, u):
     _assert_decode_exact(px, py, b, 9)
 
 
+def _basis(g):
+    """The 6-tuple lattice argument of the decode kernels for cell ``g``."""
+    bm = lattice_basis(g)
+    off = phase_offset(g)
+    return (bm[0, 0], bm[1, 0], bm[0, 1], bm[1, 1], off.x, off.y)
+
+
 def test_rates_batch_matches_scalar_firing_formula():
     rng = np.random.default_rng(5)
     px = rng.uniform(-2, 2, 1500)
     py = rng.uniform(-2, 2, 1500)
     g = GridCellParams(0.7, 0.4, 1.1, 2.9)
     fp = FiringParams(5.0, 0.3)
-    bm = lattice_basis(g)
-    off = phase_offset(g)
-    b = (bm[0, 0], bm[1, 0], bm[0, 1], bm[1, 1], off.x, off.y)
+    b = _basis(g)
     out = np.empty(1500)
     rates_batch(px, py, *b, g.spacing, fp.kappa, fp.zeta, out)
     _, want = _decode_all(px, py, b, 16)
     for i, d in enumerate(want[2].tolist()):
         assert out[i] == normalized_rate(raw_firing(d, g, fp))
+
+
+def test_rates_exact_across_block_boundaries():
+    # spacing 2, orientation 0 and phases (pi/2, pi) give the dyadic lattice
+    # of the lexicographic tie test, so exact 2-way ties occur
+    g = GridCellParams(2.0, 0.0, math.pi / 2.0, math.pi)
+    fp = FiringParams(5.0, 0.3)
+    b = _basis(g)
+    assert b == _lattice(2.0, 0.0, 0.25, 0.5)
+    rng = np.random.default_rng(29)
+    tx, ty = _tie_points(b, 2.0, rng, 200)
+    assert _two_way_ties(tx, ty, b, 16) > 500
+    total = 2 * BLOCK + 7
+    u = rng.uniform(-12.0, 12.0, (2, total - tx.size))
+    px = np.concatenate([tx, u[0] * b[0] + u[1] * b[2] + b[4]])
+    py = np.concatenate([ty, u[0] * b[1] + u[1] * b[3] + b[5]])
+    order = rng.permutation(total)
+    px, py = px[order], py[order]
+    _, want = _decode_all(px, py, b, 16)
+    expected = firing_normalized(firing_raw(want[2], g.spacing, fp.kappa, fp.zeta))
+    for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, total):
+        out = np.full(n, np.nan)
+        rates_batch(px[:n], py[:n], *b, g.spacing, fp.kappa, fp.zeta, out)
+        at = rates_at(np.column_stack([px[:n], py[:n]]), g, fp)
+        assert at.shape == (n,)
+        for got in (out, at):
+            assert np.array_equal(got.view(np.uint8), expected[:n].view(np.uint8)), n
+
+
+def test_rates_at_strided_views_match_contiguous_copy():
+    rng = np.random.default_rng(31)
+    poses = rng.uniform(-1.3, 1.3, (BLOCK + 100, 3))
+    g = GridCellParams(0.7, 0.4, 1.1, 2.9)
+    fp = FiringParams(5.0, 0.3)
+    for view in (poses[:, :2], poses[::-2, 1:]):
+        got = rates_at(view, g, fp)
+        want = rates_at(np.ascontiguousarray(view), g, fp)
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_rates_at_peak_memory_is_a_few_outputs():
+    # the decode runs in blocks with one scratch array, so its peak does
+    # not grow with a dozen full-length temporaries per call
+    poses = np.random.default_rng(37).uniform(-1.3, 1.3, (200_000, 3))
+    g = GridCellParams(0.7, 0.4, 1.1, 2.9)
+    tracemalloc.start()
+    try:
+        out = rates_at(poses[:, :2], g, FiringParams(5.0, 0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.nbytes
 
 
 def _pairs(vals, visited, dy, dx):
