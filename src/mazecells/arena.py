@@ -10,7 +10,7 @@ exactly through angular-interval intersection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,19 +66,18 @@ class WallArc:
     start_angle: float
     end_angle: float
     color: str = "red"
+    # Angular length, computed once from the wrapped endpoints; kept out of
+    # repr (and so out of config_hash) and out of comparisons.
+    extent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.start_angle) and math.isfinite(self.end_angle)):
             raise ConfigurationError("wall arc angles must be finite")
         object.__setattr__(self, "start_angle", wrap_angle(float(self.start_angle)))
         object.__setattr__(self, "end_angle", wrap_angle(float(self.end_angle)))
+        object.__setattr__(self, "extent", (self.end_angle - self.start_angle) % TWO_PI)
         if self.extent <= 0.0:
             raise ConfigurationError("wall arc must have nonzero angular extent")
-
-    @property
-    def extent(self) -> float:
-        e = (self.end_angle - self.start_angle) % TWO_PI
-        return e
 
     @property
     def mid_angle(self) -> float:
@@ -160,18 +159,23 @@ def vibration_magnitude(accel) -> float:
 
 
 def _accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):
-    """Accelerometer reading at (x, y): rest (0, 0, g) plus ``noise_sigma``
-    times the normal draws (zx, zy, zz) on each axis; every zone containing
-    the point adds a horizontal impulse of its amplitude in the one shared
-    direction ``u``."""
+    """Accelerometer reading at (x, y) and whether any zone contains it.
+
+    The reading is rest (0, 0, g) plus ``noise_sigma`` times the normal
+    draws (zx, zy, zz) on each axis; every zone containing the point adds
+    a horizontal impulse of its amplitude in the one shared direction
+    ``u``.  Returns ``(ax, ay, az, in_zone)``.
+    """
     ax = noise_sigma * zx
     ay = noise_sigma * zy
     az = GRAVITY + noise_sigma * zz
+    in_zone = False
     for z in arena.zones:
         if z.contains(x, y):
             ax += z.amplitude * math.cos(u)
             ay += z.amplitude * math.sin(u)
-    return ax, ay, az
+            in_zone = True
+    return ax, ay, az, in_zone
 
 
 # ---------------------------------------------------------------------------
@@ -184,85 +188,92 @@ _WALL_CLEARANCE = 1e-3
 _MIN_ARC = 1e-12
 
 
-def _circ_intersect(s1: float, l1: float, s2: float, l2: float):
-    """Intersection of two circular intervals (start, length), length <= 2*pi.
-
-    Returns up to two (start, length) pieces expressed relative to the
-    circle, not merged across the 2*pi seam.
-    """
-    out = []
-    d = (s2 - s1) % TWO_PI
-    for base in (d, d - TWO_PI):
-        lo = max(0.0, base)
-        hi = min(l1, base + l2)
-        if hi > lo:
-            out.append((s1 + lo, hi - lo))
-    return out
+# wrap_angle returns every heading in [-pi, _HEADING_HI) unchanged; the
+# one double just below pi is the exception (heading + pi rounds to 2*pi).
+_HEADING_HI = math.nextafter(math.pi, 0.0)
 
 
-def _bearing_to_boundary(px: float, py: float, radius: float, alpha: float) -> float:
-    return math.atan2(radius * math.sin(alpha) - py, radius * math.cos(alpha) - px)
-
-
-def color_sample(pose: Pose, arena: Arena, cam: CameraParams) -> float:
+def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraParams) -> float:
     """Fraction of the camera FOV covered by in-range colored wall, in [0, 1].
 
-    For each wall arc: intersect, in boundary-angle space, the arc with
-    the set of boundary points within ``max_range`` of the observer; map
-    the resulting pieces through the (monotone) boundary-angle-to-bearing
+    The observer stands at (x, y), strictly inside the arena, facing
+    ``heading`` (rad; any finite value, wrapped to [-pi, pi)).  For each
+    wall arc: intersect, in boundary-angle space, the arc with the set of
+    boundary points within ``max_range`` of the observer; map the
+    resulting pieces through the (monotone) boundary-angle-to-bearing
     function; clip against the FOV interval.  The covered length summed
     over arcs, divided by the FOV width.
     """
-    r = math.hypot(pose.x, pose.y)
     radius = arena.radius
-    if r >= radius:
+    r = math.hypot(x, y)
+    if not r < radius:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigurationError("pose position must be finite")
         raise ConfigurationError("pose lies outside the arena")
-    if not arena.walls:
+    if not -math.pi <= heading < _HEADING_HI:
+        if not math.isfinite(heading):
+            raise ConfigurationError(f"pose heading must be finite, got {heading}")
+        heading = wrap_angle(float(heading))
+    walls = arena.walls
+    if not walls:
         return 0.0
     # clamp observers hugging the wall slightly inward (sub-mm at 1.3 m)
     limit = radius * (1.0 - _WALL_CLEARANCE)
-    px, py = pose.x, pose.y
     if r > limit:
-        px *= limit / r
-        py *= limit / r
+        x *= limit / r
+        y *= limit / r
         r = limit
 
-    # boundary-angle interval within sensing range
+    # boundary-angle interval [g0, g0 + glen] within sensing range
+    max_range = cam.max_range
     if r < radius * 1e-12:
-        gate = (0.0, TWO_PI) if radius <= cam.max_range else None
+        if radius > max_range:
+            return 0.0
+        glen = TWO_PI
     else:
-        c = (radius * radius + r * r - cam.max_range * cam.max_range) / (2.0 * radius * r)
+        c = (radius * radius + r * r - max_range * max_range) / (2.0 * radius * r)
+        if c >= 1.0:
+            return 0.0
         if c <= -1.0:
-            gate = (0.0, TWO_PI)
-        elif c >= 1.0:
-            gate = None
+            glen = TWO_PI
         else:
             half = math.acos(c)
-            gate = (math.atan2(py, px) - half, 2.0 * half)
-    if gate is None:
-        return 0.0
+            g0 = math.atan2(y, x) - half
+            glen = 2.0 * half
 
-    fov_start = pose.heading - 0.5 * cam.fov
-    covered: list[tuple[float, float]] = []
-    for arc in arena.walls:
-        pieces = (
-            [(arc.start_angle, arc.extent)]
-            if gate[1] >= TWO_PI - 1e-15
-            else _circ_intersect(arc.start_angle, arc.extent, gate[0], gate[1])
-        )
-        for a0, alen in pieces:
-            if alen <= _MIN_ARC:
-                continue
-            b0 = _bearing_to_boundary(px, py, radius, a0)
-            b1 = _bearing_to_boundary(px, py, radius, a0 + alen)
-            blen = (b1 - b0) % TWO_PI
-            # map into FOV-relative coordinates and clip to [0, fov]
-            t0 = (b0 - fov_start) % TWO_PI
-            for lo, hi in ((t0, min(t0 + blen, TWO_PI)), (0.0, t0 + blen - TWO_PI)):
-                lo = max(lo, 0.0)
-                hi = min(hi, cam.fov)
+    # in-range pieces (start, length) of every arc, not merged across the seam
+    if glen >= TWO_PI - 1e-15:
+        pieces = [(arc.start_angle, arc.extent) for arc in walls]
+    else:
+        pieces = []
+        for arc in walls:
+            s1 = arc.start_angle
+            l1 = arc.extent
+            d = (g0 - s1) % TWO_PI
+            for base in (d, d - TWO_PI):
+                lo = base if base > 0.0 else 0.0
+                hi = base + glen
+                if hi > l1:
+                    hi = l1
                 if hi > lo:
-                    covered.append((lo, hi))
+                    pieces.append((s1 + lo, hi - lo))
+
+    fov = cam.fov
+    fov_start = heading - 0.5 * fov
+    covered: list[tuple[float, float]] = []
+    for a0, alen in pieces:
+        if alen <= _MIN_ARC:
+            continue
+        b0, b1 = [math.atan2(radius * math.sin(a) - y, radius * math.cos(a) - x) for a in (a0, a0 + alen)]
+        # map into FOV-relative coordinates [t0, t0 + blen] and clip to
+        # [0, fov]; the part past 2*pi wraps round to [0, end - 2*pi]
+        t0 = (b0 - fov_start) % TWO_PI
+        end = t0 + (b1 - b0) % TWO_PI
+        if t0 < fov and end > t0:
+            covered.append((t0, end if end < fov else fov))
+        end -= TWO_PI
+        if end > 0.0:
+            covered.append((0.0, end if end < fov else fov))
     if not covered:
         return 0.0
     covered.sort()
@@ -275,7 +286,7 @@ def color_sample(pose: Pose, arena: Arena, cam: CameraParams) -> float:
         else:
             cur_hi = max(cur_hi, hi)
     total += cur_hi - cur_lo
-    return min(1.0, total / cam.fov)
+    return min(1.0, total / fov)
 
 
 # ---------------------------------------------------------------------------

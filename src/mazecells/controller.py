@@ -20,7 +20,6 @@ from .arena import (
     GRAVITY,
     Arena,
     CameraParams,
-    Pose,
     WalkParams,
     _accel_at,
     color_sample,
@@ -142,10 +141,22 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     gauss = rng.standard_normal((T, 6))
     u_dir = rng.uniform(-math.pi, math.pi, T)
 
-    step = cfg.walk.speed * cfg.walk.dt
+    # Everything the loop reads that does not change from tick to tick.
     arena = cfg.arena
     cam = cfg.camera
     circuit = cfg.circuit
+    step = cfg.walk.speed * cfg.walk.dt
+    turn_sigma = cfg.walk.turn_sigma
+    radius = arena.radius
+    vibration_on = cfg.vibration_enabled
+    learning_on = cfg.learning_enabled
+    noise_sigma = cfg.noise_sigma
+    jitter_sigma = cfg.jitter_sigma
+    eta = circuit.eta
+    vibration_threshold = circuit.vibration_threshold
+    color_threshold = circuit.color_activation_threshold
+    zone_index_at = arena.zone_index_at
+    last = T - 1
 
     xs = np.empty(T)
     ys = np.empty(T)
@@ -170,53 +181,60 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     bumper = 0
     events = 0
 
+    # With vibration off the accelerometer rests at (0, 0, g) on every
+    # tick, so its columns are filled once.
+    if not vibration_on:
+        vib = vibration_magnitude((0.0, 0.0, GRAVITY))
+        accel[:] = (0.0, 0.0, GRAVITY)
+        vibration.fill(vib)
+
     for t in range(T):
-        if cfg.vibration_enabled:
-            ax, ay, az = _accel_at(
-                x, y, arena, cfg.noise_sigma,
+        if vibration_on:
+            ax, ay, az, in_zone = _accel_at(
+                x, y, arena, noise_sigma,
                 g_ax[t], g_ay[t], g_az[t], u[t],
             )
+            vib = vibration_magnitude((ax, ay, az))
+            log_ax[t] = ax
+            log_ay[t] = ay
+            log_az[t] = az
+            log_vib[t] = vib
         else:
-            ax, ay, az = 0.0, 0.0, GRAVITY
-        vib = vibration_magnitude((ax, ay, az))
-        xc = color_sample(Pose(x, y, h), arena, cam)
+            in_zone = zone_index_at(x, y) >= 0
+        xc = color_sample(x, y, h, arena, cam)
         # The escape below reads the weight from before this tick's update.
         w_prev = w
         yt = motion_output(vib, xc, w_prev, circuit)
+        rising = yt == 1 and y_prev == 0
 
-        if arena.zone_index_at(x, y) >= 0:
+        if in_zone:
             bumper += 1
-        if yt == 1 and y_prev == 0:
+        if rising:
             events += 1
 
         log_x[t] = x
         log_y[t] = y
         log_h[t] = h
-        log_ax[t] = ax
-        log_ay[t] = ay
-        log_az[t] = az
-        log_vib[t] = vib
         log_xc[t] = xc
         log_yt[t] = yt
 
-        if cfg.learning_enabled:
-            w = oja_update(w_prev, xc, yt, circuit.eta)
+        if learning_on:
+            w = oja_update(w_prev, xc, yt, eta)
         log_w[t] = w
 
-        if t < T - 1:
-            if yt == 1 and y_prev == 0:
-                vib_active = vib >= circuit.vibration_threshold
-                color_active = xc * w_prev >= circuit.color_activation_threshold
+        if t < last:
+            if rising:
+                vib_active = vib >= vibration_threshold
+                color_active = xc * w_prev >= color_threshold
                 tb = _trigger_bearing(x, y, h, arena, vib_active, color_active)
-                h = wrap_angle(tb + math.pi + cfg.jitter_sigma * g_jitter[t])
+                h = wrap_angle(tb + math.pi + jitter_sigma * g_jitter[t])
                 escaping = True
             else:
                 # The step right after a turn-in-place holds the commanded
                 # heading; wobbling it would let the walk linger in the
                 # zone it just turned away from.
-                sigma = 0.0 if escaping else cfg.walk.turn_sigma
                 x, y, h = walk_step(
-                    x, y, h, step, sigma, arena.radius,
+                    x, y, h, step, 0.0 if escaping else turn_sigma, radius,
                     g_turn[t], g_retry[t],
                 )
                 escaping = False

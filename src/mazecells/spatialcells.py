@@ -19,6 +19,16 @@ from ._kernels import brute_force, firing_normalized, firing_raw, nearest_batch,
 
 TWO_PI = 2.0 * math.pi
 
+# Lattice spacings outside this range (m) are rejected: at 1e200 m the
+# basis determinant already overflows.
+MIN_SPACING = 1e-6
+MAX_SPACING = 1e6
+# A coordinate may lie at most this many spacings from the origin.  Up to
+# 2**52 the integer node indices of neighbouring nodes are exact in
+# float64; beyond it the decode rounds them together, and near 1e154 the
+# squared distances overflow to inf.
+MAX_SPACINGS_FROM_ORIGIN = 2.0**52
+
 
 class ConfigurationError(ValueError):
     """Raised for invalid parameter values or mismatched inputs."""
@@ -86,8 +96,10 @@ class GridCellParams:
     phase2: float
 
     def __post_init__(self):
-        if not (self.spacing > 0.0 and math.isfinite(self.spacing)):
-            raise ConfigurationError(f"spacing must be positive, got {self.spacing}")
+        if not (MIN_SPACING <= self.spacing <= MAX_SPACING):
+            raise ConfigurationError(
+                f"spacing must lie in [{MIN_SPACING:g}, {MAX_SPACING:g}] m, got {self.spacing}"
+            )
         if not (0.0 <= self.orientation <= math.pi / 3.0):
             raise ConfigurationError(
                 f"orientation must lie in [0, pi/3], got {self.orientation}"
@@ -179,8 +191,12 @@ def phase_offset(g: GridCellParams) -> Position2:
 def _decode_one(pos, g: GridCellParams, kernel, *extra) -> tuple[Position2, float]:
     """Run a batch decode ``kernel`` on the one point ``pos``."""
     px, py = _as_xy(pos)
-    if not (math.isfinite(px) and math.isfinite(py)):
-        raise ConfigurationError(f"position must be finite, got ({px}, {py})")
+    bound = MAX_SPACINGS_FROM_ORIGIN * g.spacing
+    if not (abs(px) <= bound and abs(py) <= bound):
+        raise ConfigurationError(
+            f"position must be finite and within {bound:g} m (2**52 spacings) "
+            f"of the origin, got ({px}, {py})"
+        )
     b = lattice_basis(g)
     off = phase_offset(g)
     cx = np.empty(1)
@@ -244,14 +260,21 @@ def rates_at(positions: np.ndarray, g: GridCellParams, fp: FiringParams) -> np.n
         raise ConfigurationError("positions must have shape (N, 2)")
     b = lattice_basis(g)
     off = phase_offset(g)
-    # strided column views, not copies; checked column by column, which is
-    # 4x faster than np.isfinite on the (N, 2) view of an (N, 3) array
+    # strided column views, not copies
     px = positions[:, 0]
     py = positions[:, 1]
-    # the decode would place a non-finite point at distance inf, rate 0
-    if not (np.isfinite(px).all() and np.isfinite(py).all()):
-        raise ConfigurationError("positions must be finite")
     out = np.empty(px.shape[0], dtype=np.float64)
+    # The largest |coordinate| per column, with the output array as
+    # scratch: a max of a contiguous array is 4-6x faster than a min or
+    # max of a strided column.  A NaN propagates through max and fails
+    # the comparison, so it is rejected with the out-of-range points.
+    bound = MAX_SPACINGS_FROM_ORIGIN * g.spacing
+    if px.shape[0] and not (
+        np.abs(px, out=out).max() <= bound and np.abs(py, out=out).max() <= bound
+    ):
+        raise ConfigurationError(
+            f"positions must be finite and within {bound:g} m (2**52 spacings) of the origin"
+        )
     rates_batch(
         px, py, b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y,
         g.spacing, fp.kappa, fp.zeta, out,

@@ -25,6 +25,7 @@ from mazecells.arena import (
     vibration_magnitude,
     walk_trajectory,
 )
+from mazecells._kernels import wrap_angle
 from mazecells.spatialcells import ConfigurationError
 
 TWO_PI = 2.0 * math.pi
@@ -54,10 +55,11 @@ def test_noise_free_zone_impulse_has_zone_amplitude():
     rng = np.random.default_rng(0)
     for u in rng.uniform(-math.pi, math.pi, 20):
         z = rng.standard_normal(3)
-        inside = _accel_at(0.5, 0.0, arena, 0.0, *z, u)
-        outside = _accel_at(-0.5, 0.0, arena, 0.0, *z, u)
+        *inside, inside_hit = _accel_at(0.5, 0.0, arena, 0.0, *z, u)
+        *outside, outside_hit = _accel_at(-0.5, 0.0, arena, 0.0, *z, u)
         assert abs(vibration_magnitude(inside) - 8.0) < 1e-12
-        assert outside == (0.0, 0.0, GRAVITY)
+        assert outside == [0.0, 0.0, GRAVITY]
+        assert inside_hit and not outside_hit
 
 
 def test_overlapping_zones_share_one_impulse_direction():
@@ -68,8 +70,9 @@ def test_overlapping_zones_share_one_impulse_direction():
         zones=(ZoneDisc(0.0, 0.0, 0.5, 3.0), ZoneDisc(0.0, 0.0, 0.5, 4.0)),
     )
     for u in np.random.default_rng(1).uniform(-math.pi, math.pi, 20):
-        a = _accel_at(0.0, 0.0, arena, 0.0, 0.0, 0.0, 0.0, u)
+        *a, hit = _accel_at(0.0, 0.0, arena, 0.0, 0.0, 0.0, 0.0, u)
         assert abs(vibration_magnitude(a) - 7.0) < 1e-12
+        assert hit
 
 
 def test_zone_containment_boundary_inclusive():
@@ -109,42 +112,42 @@ def test_color_center_facing_wall_covers_half_fov():
     # 45-degree red arc dead ahead, 90-degree fov -> exactly half covered
     arena = Arena(radius=1.0, walls=(WallArc(-math.pi / 8, math.pi / 8, "red"),))
     cam = CameraParams(fov=math.pi / 2, max_range=2.0)
-    assert abs(color_sample(Pose(0.0, 0.0, 0.0), arena, cam) - 0.5) < 1e-12
+    assert abs(color_sample(0.0, 0.0, 0.0, arena, cam) - 0.5) < 1e-12
 
 
 def test_color_center_wall_out_of_range_is_zero():
     arena = Arena(radius=1.0, walls=(WallArc(-1.0, 1.0, "red"),))
     cam = CameraParams(fov=math.pi / 2, max_range=0.5)
-    assert color_sample(Pose(0.0, 0.0, 0.0), arena, cam) == 0.0
+    assert color_sample(0.0, 0.0, 0.0, arena, cam) == 0.0
 
 
 def test_color_facing_away_is_zero():
     arena = Arena(radius=1.0, walls=(WallArc(-0.5, 0.5, "red"),))
     cam = CameraParams(fov=math.pi / 2, max_range=2.0)
-    assert color_sample(Pose(0.0, 0.0, math.pi), arena, cam) == 0.0
+    assert color_sample(0.0, 0.0, math.pi, arena, cam) == 0.0
 
 
 def test_color_full_red_circle_from_center_is_one():
     arena = Arena(radius=1.0, walls=(WallArc(0.0, 2 * math.pi - 1e-9, "red"),))
     cam = CameraParams(fov=1.0, max_range=2.0)
-    assert abs(color_sample(Pose(0.0, 0.0, 2.5), arena, cam) - 1.0) < 1e-9
+    assert abs(color_sample(0.0, 0.0, 2.5, arena, cam) - 1.0) < 1e-9
 
 
 def test_color_no_walls_is_zero():
     arena = Arena(radius=1.0)
-    assert color_sample(Pose(0.2, 0.1, 0.3), arena, CameraParams()) == 0.0
+    assert color_sample(0.2, 0.1, 0.3, arena, CameraParams()) == 0.0
 
 
 def test_color_outside_arena_rejected():
     arena = Arena(radius=1.0, walls=(WallArc(-0.5, 0.5, "red"),))
     with pytest.raises(ConfigurationError):
-        color_sample(Pose(1.5, 0.0, 0.0), arena, CameraParams())
+        color_sample(1.5, 0.0, 0.0, arena, CameraParams())
 
 
 def test_color_monotone_on_head_on_approach():
     arena = Arena(radius=1.3, walls=(WallArc(-math.pi / 3, math.pi / 3, "red"),))
     cam = CameraParams(fov=math.pi / 2, max_range=1.5)
-    vals = [color_sample(Pose(x, 0.0, 0.0), arena, cam) for x in np.linspace(0.0, 1.25, 40)]
+    vals = [color_sample(x, 0.0, 0.0, arena, cam) for x in np.linspace(0.0, 1.25, 40)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.9
 
@@ -169,7 +172,7 @@ def test_color_matches_raycast_oracle_randomized():
         r = radius * math.sqrt(rng.uniform(0.0, 0.98))
         a = rng.uniform(-math.pi, math.pi)
         pose = Pose(r * math.cos(a), r * math.sin(a), float(rng.uniform(-math.pi, math.pi)))
-        exact = color_sample(pose, arena, cam)
+        exact = color_sample(pose.x, pose.y, pose.heading, arena, cam)
         approx = _raycast_fraction(pose, arena, cam)
         assert abs(exact - approx) < 2e-3, (trial, exact, approx)
 
@@ -177,8 +180,46 @@ def test_color_matches_raycast_oracle_randomized():
 def test_color_near_wall_pose_is_clamped_not_rejected():
     arena = Arena(radius=1.0, walls=(WallArc(-0.5, 0.5, "red"),))
     cam = CameraParams(fov=math.pi / 2, max_range=1.5)
-    v = color_sample(Pose(0.99999, 0.0, 0.0), arena, cam)
+    v = color_sample(0.99999, 0.0, 0.0, arena, cam)
     assert 0.0 <= v <= 1.0
+
+
+@pytest.mark.parametrize("walls", [(), (WallArc(-0.5, 0.5, "red"),)])
+def test_color_sample_rejects_non_finite_pose(walls):
+    arena = Arena(radius=1.0, walls=walls)
+    cam = CameraParams()
+    for bad in (math.nan, math.inf, -math.inf):
+        for x, y, h, what in ((bad, 0.0, 0.0, "position"), (0.0, bad, 0.0, "position"), (0.0, 0.0, bad, "heading")):
+            with pytest.raises(ConfigurationError, match=what):
+                color_sample(x, y, h, arena, cam)
+
+
+@pytest.mark.parametrize("walls", [(), (WallArc(-0.5, 0.5, "red"),)])
+def test_color_sample_rejects_pose_outside_arena(walls):
+    arena = Arena(radius=1.0, walls=walls)
+    for x, y in ((1.0, 0.0), (0.0, -1.0), (0.8, 0.8), (-1.5, 0.2)):
+        with pytest.raises(ConfigurationError, match="outside the arena"):
+            color_sample(x, y, 0.0, arena, CameraParams())
+
+
+def test_color_sample_wraps_heading_like_pose():
+    # headings in [-pi, nextafter(pi, 0)) are used as given, because
+    # wrap_angle leaves them unchanged; every other finite heading is
+    # wrapped first, the double just below pi included
+    lo, hi = -math.pi, math.nextafter(math.pi, 0.0)
+    near_ends = (math.nextafter(lo, -4.0), lo, math.nextafter(lo, 0.0), math.nextafter(hi, 0.0), hi, math.pi)
+    for g in near_ends:
+        assert (wrap_angle(g) == g) == (lo <= g < hi)
+    arena = Arena(radius=1.3, walls=(WallArc(-math.pi / 3, math.pi / 3, "red"),))
+    cam = CameraParams()
+    for h in (math.pi, math.nextafter(math.pi, 0.0), 7.5, -9.25, 2.5 + 4 * math.pi):
+        assert color_sample(0.9, 0.1, h, arena, cam) == color_sample(0.9, 0.1, wrap_angle(h), arena, cam)
+
+
+def test_wall_arc_extent_stays_out_of_repr():
+    arc = WallArc(-1.0, 1.0, "red")
+    assert "extent" not in repr(arc)
+    assert arc == WallArc(-1.0, 1.0, "red")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Closed-loop episode behavior: determinism, reflexes, learning hygiene."""
 
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from mazecells import controller
 from mazecells.arena import Arena, CameraParams, WalkParams, WallArc, ZoneDisc
 from mazecells.config import episode_config, parse_config
 from mazecells.controller import EpisodeConfig, run_episode
@@ -226,6 +228,31 @@ def test_config_validation(quiet_arena):
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigurationError, match=key):
                 make_config(quiet_arena, **{key: bad})
+
+
+@pytest.mark.parametrize("learning", [True, False])
+def test_per_tick_callees_run_once_per_tick(monkeypatch, paired_cue_arena, learning):
+    """perfbench's tracer counts these calls by rebinding the controller's
+    module globals; inlining one would zero its per-layer metrics."""
+    counts = collections.Counter()
+
+    def counting(name):
+        fn = getattr(controller, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("color_sample", "motion_output", "oja_update"):
+        monkeypatch.setattr(controller, name, counting(name))
+    ticks = 700
+    log = run_episode(make_config(paired_cue_arena, tick_count=ticks, seed=9, learning_enabled=learning))
+    assert log.avoidance_events > 0
+    assert counts["color_sample"] == ticks
+    assert counts["motion_output"] == ticks
+    assert counts["oja_update"] == (ticks if learning else 0)
 
 
 def test_default_train_episode_golden():

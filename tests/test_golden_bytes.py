@@ -1,0 +1,120 @@
+"""Byte pins for the closed loop and the color channel.
+
+The SHA-256 digests in ``golden_bytes.json`` were recorded before the
+per-tick loop was rewritten: every ``EpisodeLog`` array and both event
+counters for five episode configs, and ``color_sample`` over 5,000
+seeded random (arena, camera, pose) triples.  Any change to the bits of
+an output fails here, not only a change beyond a tolerance.
+"""
+
+import dataclasses
+import hashlib
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+
+from mazecells.arena import Arena, CameraParams, WallArc, color_sample
+from mazecells.config import episode_config, parse_config
+from mazecells.controller import run_episode
+
+with open(os.path.join(os.path.dirname(__file__), "golden_bytes.json")) as fh:
+    GOLDEN = json.load(fh)
+
+
+def array_digest(a: np.ndarray) -> str:
+    """SHA-256 over dtype, shape and the C-order bytes of an array."""
+    a = np.ascontiguousarray(a)
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def episode_digests(log) -> dict:
+    out = {}
+    for f in dataclasses.fields(log):
+        v = getattr(log, f.name)
+        out[f.name] = array_digest(v) if isinstance(v, np.ndarray) else int(v)
+    return out
+
+
+def _train(seed: int):
+    return episode_config(parse_config(f"[run]\nseed = {seed}\ntick_count = 6000\n"), "train")
+
+
+def episode_configs() -> dict:
+    train = _train(1)
+    return {
+        "train_default": train,
+        "test_initial_weight": episode_config(
+            parse_config("[run]\nseed = 2\ntick_count = 6000\n\n[circuit]\ninitial_w_color = 0.58\n"),
+            "test",
+        ),
+        "vibration_off": dataclasses.replace(_train(3), vibration_enabled=False),
+        "learning_off": dataclasses.replace(_train(4), learning_enabled=False, initial_w_color=0.45),
+        # one arc straddles the +-pi seam; max_range < radius, so the
+        # range gate is partial away from the center and empty near it
+        "two_arcs_partial_range": dataclasses.replace(
+            _train(5),
+            arena=Arena(
+                radius=train.arena.radius,
+                zones=train.arena.zones,
+                walls=(WallArc(2.7, -2.9, "red"), WallArc(-0.6, 0.9, "red")),
+            ),
+            camera=CameraParams(fov=1.9, max_range=0.8),
+        ),
+    }
+
+
+def color_triples(n_arenas: int = 500, per_arena: int = 10, seed: int = 20261018):
+    """Seeded (arena, camera, x, y, heading) triples for ``color_sample``.
+
+    Each arena gets 0-3 arcs (some straddle the +-pi seam) and a random
+    camera.  Poses mix the interior, the exact center, wall-hugging
+    points inside the clearance band (which ``color_sample`` clamps) and
+    headings outside [-pi, pi).
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n_arenas):
+        radius = float(rng.uniform(0.5, 2.5))
+        n_arcs = int(rng.integers(0, 4))
+        walls = tuple(
+            WallArc(s, s + e, "red")
+            for s, e in zip(rng.uniform(-math.pi, math.pi, n_arcs), rng.uniform(0.05, 6.2, n_arcs))
+        )
+        arena = Arena(radius=radius, walls=walls)
+        cam = CameraParams(
+            fov=float(rng.uniform(0.1, 2 * math.pi - 0.1)),
+            max_range=float(rng.uniform(0.1 * radius, 2.5 * radius)),
+        )
+        for _ in range(per_arena):
+            kind = int(rng.integers(0, 10))
+            a = float(rng.uniform(-math.pi, math.pi))
+            if kind == 0:
+                r = 0.0
+            elif kind <= 2:
+                r = radius * (1.0 - 1e-3 * float(rng.uniform(0.0, 1.0)))
+            else:
+                r = radius * math.sqrt(float(rng.uniform(0.0, 0.999)))
+            if kind == 9:
+                heading = float(rng.uniform(-20.0, 20.0))
+            else:
+                heading = float(rng.uniform(-math.pi, math.pi))
+            yield arena, cam, r * math.cos(a), r * math.sin(a), heading
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["episodes"]))
+def test_episode_log_bytes(name):
+    got = episode_digests(run_episode(episode_configs()[name]))
+    assert got == GOLDEN["episodes"][name]
+
+
+def test_color_sample_bytes():
+    vals = np.array(
+        [color_sample(x, y, h, arena, cam) for arena, cam, x, y, h in color_triples()],
+        dtype=np.float64,
+    )
+    assert vals.shape == (5000,)
+    assert array_digest(vals) == GOLDEN["color_sample"]

@@ -6,6 +6,7 @@ literals.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mazecells.spatialcells import (
+    MAX_SPACING,
+    MAX_SPACINGS_FROM_ORIGIN,
     MAX_TICK_COUNT,
+    MIN_SPACING,
     ConfigurationError,
     FiringParams,
     FrameTransform,
@@ -216,6 +220,50 @@ def test_non_finite_position_rejected(demo_grid, firing, bad):
         firing_rate((bad, 0.5), demo_grid, firing)
     with pytest.raises(ConfigurationError, match="must be finite"):
         rates_at(np.array([[0.0, 0.0], [0.5, bad]]), demo_grid, firing)
+
+
+def test_far_position_repro_rejected(firing):
+    # 1e200 used to decode to the phase-offset node at distance inf, rate 0
+    g = GridCellParams(0.7, 0.4, 1.1, 2.9)
+    with pytest.raises(ConfigurationError, match="2\\*\\*52 spacings"):
+        nearest_center((1e200, 0.0), g)
+    with pytest.raises(ConfigurationError, match="2\\*\\*52 spacings"):
+        rates_at(np.array([[1e200, 0.0]]), g, firing)
+    # 1e150 used to warn "invalid value encountered in cast"
+    with pytest.raises(ConfigurationError, match="2\\*\\*52 spacings"):
+        rates_at(np.array([[0.0, 0.0], [0.0, 1e150]]), g, firing)
+
+
+@pytest.mark.parametrize("spacing", [MIN_SPACING, 0.7, MAX_SPACING])
+def test_position_bound_is_warning_free_and_inclusive(spacing, firing):
+    g = GridCellParams(spacing, 0.4, 1.1, 2.9)
+    bound = MAX_SPACINGS_FROM_ORIGIN * spacing
+    corners = [(bound, 0.0), (-bound, bound), (bound, -bound), (-bound, -bound), (0.0, bound)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # at this magnitude one ulp is about a spacing, so the distances
+        # are coarse, but finite: no overflow, no invalid cast
+        rates = rates_at(np.array(corners), g, firing)
+        assert np.all((rates > 0.0) & (rates < 1.0))
+        for pos in corners:
+            _, d = nearest_center(pos, g)
+            assert 0.0 <= d < 2.0 * spacing
+    above = math.nextafter(bound, math.inf)
+    for pos in ((above, 0.0), (0.0, above), (-above, 0.0), (0.0, -above)):
+        with pytest.raises(ConfigurationError, match="within"):
+            rates_at(np.array([[0.0, 0.0], pos]), g, firing)
+        with pytest.raises(ConfigurationError, match="within"):
+            nearest_center(pos, g)
+
+
+def test_spacing_range_rejected():
+    for bad in (0.0, math.nextafter(MIN_SPACING, 0.0), math.nextafter(MAX_SPACING, math.inf), 1e200, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="spacing must lie in"):
+            GridCellParams(bad, 0.4, 1.1, 2.9)
+
+
+def test_rates_at_accepts_no_points(demo_grid, firing):
+    assert rates_at(np.empty((0, 2)), demo_grid, firing).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
