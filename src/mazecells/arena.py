@@ -188,11 +188,6 @@ _WALL_CLEARANCE = 1e-3
 _MIN_ARC = 1e-12
 
 
-# wrap_angle returns every heading in [-pi, _HEADING_HI) unchanged; the
-# one double just below pi is the exception (heading + pi rounds to 2*pi).
-_HEADING_HI = math.nextafter(math.pi, 0.0)
-
-
 def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraParams) -> float:
     """Fraction of the camera FOV covered by in-range colored wall, in [0, 1].
 
@@ -210,10 +205,9 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ConfigurationError("pose position must be finite")
         raise ConfigurationError("pose lies outside the arena")
-    if not -math.pi <= heading < _HEADING_HI:
-        if not math.isfinite(heading):
-            raise ConfigurationError(f"pose heading must be finite, got {heading}")
-        heading = wrap_angle(float(heading))
+    if not math.isfinite(heading):
+        raise ConfigurationError(f"pose heading must be finite, got {heading}")
+    heading = wrap_angle(float(heading))
     walls = arena.walls
     if not walls:
         return 0.0

@@ -181,26 +181,16 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     bumper = 0
     events = 0
 
-    # With vibration off the accelerometer rests at (0, 0, g) on every
-    # tick, so its columns are filled once.
-    if not vibration_on:
-        vib = vibration_magnitude((0.0, 0.0, GRAVITY))
-        accel[:] = (0.0, 0.0, GRAVITY)
-        vibration.fill(vib)
-
     for t in range(T):
         if vibration_on:
             ax, ay, az, in_zone = _accel_at(
                 x, y, arena, noise_sigma,
                 g_ax[t], g_ay[t], g_az[t], u[t],
             )
-            vib = vibration_magnitude((ax, ay, az))
-            log_ax[t] = ax
-            log_ay[t] = ay
-            log_az[t] = az
-            log_vib[t] = vib
         else:
+            ax, ay, az = 0.0, 0.0, GRAVITY
             in_zone = zone_index_at(x, y) >= 0
+        vib = vibration_magnitude((ax, ay, az))
         xc = color_sample(x, y, h, arena, cam)
         # The escape below reads the weight from before this tick's update.
         w_prev = w
@@ -215,6 +205,10 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         log_x[t] = x
         log_y[t] = y
         log_h[t] = h
+        log_ax[t] = ax
+        log_ay[t] = ay
+        log_az[t] = az
+        log_vib[t] = vib
         log_xc[t] = xc
         log_yt[t] = yt
 

@@ -262,10 +262,6 @@ def test_spacing_range_rejected():
             GridCellParams(bad, 0.4, 1.1, 2.9)
 
 
-def test_rates_at_accepts_no_points(demo_grid, firing):
-    assert rates_at(np.empty((0, 2)), demo_grid, firing).shape == (0,)
-
-
 # ---------------------------------------------------------------------------
 # frames
 # ---------------------------------------------------------------------------
