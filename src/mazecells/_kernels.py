@@ -46,7 +46,11 @@ DEGENERATE_RTOL = 1e-10
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to the half-open interval [-pi, pi)."""
-    return a - TWO_PI * math.floor((a + math.pi) / TWO_PI)
+    r = a - TWO_PI * math.floor((a + math.pi) / TWO_PI)
+    # just below pi, a + pi rounds up to 2*pi and r lands one step below -pi
+    if r < -math.pi:
+        r += TWO_PI
+    return r
 
 
 def walk_step(x, y, h, step, turn_sigma, radius, z_turn, z_retry):
@@ -58,17 +62,16 @@ def walk_step(x, y, h, step, turn_sigma, radius, z_turn, z_retry):
     retry still exit - possible only for extreme noise draws - the step
     falls back to a noise-free toward-center move, which provably lands
     inside for step < radius.
-
-    The angle wrap is inlined (rather than calling wrap_angle) to keep the
-    per-tick walk loop free of extra calls.
     """
     h = h + turn_sigma * z_turn
-    h = h - TWO_PI * math.floor((h + math.pi) / TWO_PI)
+    # wrap_angle returns an angle already in [-pi, pi) unchanged; skipping
+    # the call there keeps the per-tick walk as fast as an inlined wrap
+    if not -math.pi <= h < math.pi:
+        h = wrap_angle(h)
     cx = x + step * math.cos(h)
     cy = y + step * math.sin(h)
     if cx * cx + cy * cy >= radius * radius:
-        h = math.atan2(-y, -x) + turn_sigma * z_retry
-        h = h - TWO_PI * math.floor((h + math.pi) / TWO_PI)
+        h = wrap_angle(math.atan2(-y, -x) + turn_sigma * z_retry)
         cx = x + step * math.cos(h)
         cy = y + step * math.sin(h)
         if cx * cx + cy * cy >= radius * radius:

@@ -123,27 +123,8 @@ def cmd_ratemap(config_path: str, out_dir: str, seed: int | None = None) -> int:
 def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = None) -> int:
     rc = load_config(config_path)
     seed = _resolve_seed(rc, seed, default=None)
-    initial_w = None
-    if mode == "test" and rc.initial_w_color is None and rc.train_summary is not None:
-        try:
-            summary = artifacts.read_summary(rc.train_summary)
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read train_summary {rc.train_summary}: {exc}"
-            ) from exc
-        if "final_w_color" not in summary:
-            raise ConfigurationError(
-                f"train_summary {rc.train_summary} has no final_w_color entry"
-            )
-        raw_w = summary["final_w_color"]
-        try:
-            initial_w = float(raw_w)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"train_summary {rc.train_summary} has a non-numeric final_w_color: {raw_w!r}"
-            ) from exc
     t0 = time.perf_counter()
-    ecfg = episode_config(rc, mode, seed=seed, initial_w=initial_w)
+    ecfg = episode_config(rc, mode, seed=seed)
     log = run_episode(ecfg)
     os.makedirs(out_dir, exist_ok=True)
     artifacts.write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), log)

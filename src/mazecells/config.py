@@ -1,9 +1,10 @@
 """Run configuration: a flat-sectioned key=value text format.
 
 Sections hold numbers and strings only.  Unknown sections or keys are
-rejected with an error naming the offender; every optional key has a
-documented default.  Repeated elements (bumper zones, wall arcs, grid
-cells) use numbered sections: ``[zone 1]``, ``[wall 1]``, ``[grid 1]`` ...
+rejected with an error naming the offender.  :data:`SCHEMA` gives every
+key's type and default; a few keys of the numbered sections are required.
+Repeated elements (bumper zones, wall arcs, grid cells) use numbered
+sections: ``[zone 1]``, ``[wall 1]``, ``[grid 1]`` ...
 """
 
 from __future__ import annotations
@@ -33,41 +34,86 @@ from .spatialcells import (
 
 SWEEPABLE = ("kappa", "zeta", "spacing", "orientation", "phase1", "phase2")
 
-_FIXED_SECTIONS: dict[str, dict[str, object]] = {
-    "run": {"seed": int, "tick_count": int},
-    "arena": {"radius": float},
-    "walk": {"speed": float, "dt": float, "turn_sigma": float, "start_heading": float},
-    "sensors": {"noise_sigma": float},
-    "camera": {"fov": float, "max_range": float},
-    "firing": {"kappa": float, "zeta": float},
+# Marks a key that a numbered section must name.
+_REQUIRED = object()
+
+# Every section's keys, as key -> (type, default).  A default of None means
+# the key is unset unless the config names it.  The numbered kinds are read
+# from sections named "<kind> <index>" (``[zone 1]``, ``[grid 2]`` ...); the
+# table's order is the order of ``default_sections()``.
+SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
+    # ten thousand ticks give the color weight ample time to climb well past
+    # the activation threshold on any seed
+    "run": {"seed": (int, None), "tick_count": (int, 10000)},
+    "arena": {"radius": (float, 1.3)},
+    "zone": {
+        "center_x": (float, _REQUIRED),
+        "center_y": (float, _REQUIRED),
+        "radius": (float, _REQUIRED),
+        "amplitude": (float, 8.0),
+    },
+    "wall": {
+        "start_angle": (float, _REQUIRED),
+        "end_angle": (float, _REQUIRED),
+        "color": (str, "red"),
+    },
+    "walk": {
+        "speed": (float, 0.2),
+        "dt": (float, 0.1),
+        "turn_sigma": (float, 0.2),
+        "start_heading": (float, 0.0),
+    },
+    "sensors": {"noise_sigma": (float, 0.3)},
+    "camera": {"fov": (float, math.pi / 2.0), "max_range": (float, 1.5)},
+    "firing": {"kappa": (float, 5.0), "zeta": (float, 0.3)},
+    "grid": {
+        "spacing": (float, _REQUIRED),
+        "orientation": (float, 0.0),
+        "phase1": (float, 0.0),
+        "phase2": (float, 0.0),
+    },
     "place": {
-        "count": int,
-        "spacing_min": float,
-        "spacing_max": float,
-        "anchor_x": float,
-        "anchor_y": float,
-        "threshold_fraction": float,
+        "count": (int, 8),
+        "spacing_min": (float, 0.3),
+        "spacing_max": (float, 1.2),
+        "anchor_x": (float, 0.35),
+        "anchor_y": (float, 0.2),
+        "threshold_fraction": (float, 0.8),
     },
     "circuit": {
-        "vibration_threshold": float,
-        "color_activation_threshold": float,
-        "eta": float,
-        "initial_w_color": float,
-        "train_summary": str,
+        "vibration_threshold": (float, 5.0),
+        "color_activation_threshold": (float, 0.3),
+        "eta": (float, 0.05),
+        "initial_w_color": (float, None),
+        "train_summary": (str, None),
     },
-    "controller": {"jitter_sigma": float},
+    "controller": {"jitter_sigma": (float, 0.3)},
     "analysis": {
-        "bin_size": float,
-        "annulus_inner_scale": float,
-        "annulus_outer_scale": float,
+        "bin_size": (float, 0.05),
+        "annulus_inner_scale": (float, 0.5),
+        "annulus_outer_scale": (float, 1.5),
     },
+}
+NUMBERED_KINDS = ("zone", "wall", "grid")
+
+# The default paired-cue training arena: a 120-degree red wall sector
+# centered on the positive x axis, with three vibration bumper zones tucked
+# against it, one on the axis and one each side.  A config that names no
+# section of a numbered kind gets this layout's sections of that kind.
+DEFAULT_LAYOUT: dict[str, dict[str, object]] = {
+    "zone 1": {"center_x": 1.04, "center_y": 0.44, "radius": 0.2},
+    "zone 2": {"center_x": 1.04, "center_y": -0.44, "radius": 0.2},
+    "zone 3": {"center_x": 1.13, "center_y": 0.0, "radius": 0.2},
+    "wall 1": {"start_angle": -math.pi / 3.0, "end_angle": math.pi / 3.0},
+    "grid 1": {"spacing": 1.0, "orientation": math.pi / 4.0, "phase1": 0.5},
+    "grid 2": {"spacing": 8.8, "orientation": math.pi / 4.0, "phase1": 0.5, "phase2": 1.2},
 }
 
-_NUMBERED_SECTIONS: dict[str, dict[str, object]] = {
-    "zone": {"center_x": float, "center_y": float, "radius": float, "amplitude": float},
-    "wall": {"start_angle": float, "end_angle": float, "color": str},
-    "grid": {"spacing": float, "orientation": float, "phase1": float, "phase2": float},
-}
+# Each place-cell input costs one rates_at pass over every tick of a run
+# (about 50 ns per point: 10 ms per input for a 200k-tick ratemap) and
+# about 100 B of config_hash text.  The bound caps a 200k-tick run near
+# 2**10 * 10 ms = 10 s of decode and the hashed text near 100 KiB.
+MAX_PLACE_COUNT = 2**10
 
 
 @dataclass(frozen=True)
@@ -95,50 +141,17 @@ class RunConfig:
 
 
 def default_sections() -> dict[str, dict[str, object]]:
-    """The default paired-cue training arena as editable section dicts.
-
-    A 120-degree red wall sector centered on the positive x axis, with
-    three vibration bumper zones tucked against it: one on the axis, one
-    each side.  Ten thousand ticks give the color weight ample time to
-    climb well past the activation threshold on any seed.
-    """
-    return {
-        "run": {"tick_count": 10000},
-        "arena": {"radius": 1.3},
-        "zone 1": {"center_x": 1.04, "center_y": 0.44, "radius": 0.2, "amplitude": 8.0},
-        "zone 2": {"center_x": 1.04, "center_y": -0.44, "radius": 0.2, "amplitude": 8.0},
-        "zone 3": {"center_x": 1.13, "center_y": 0.0, "radius": 0.2, "amplitude": 8.0},
-        "wall 1": {
-            "start_angle": -math.pi / 3.0,
-            "end_angle": math.pi / 3.0,
-            "color": "red",
-        },
-        "walk": {"speed": 0.2, "dt": 0.1, "turn_sigma": 0.2, "start_heading": 0.0},
-        "sensors": {"noise_sigma": 0.3},
-        "camera": {"fov": math.pi / 2.0, "max_range": 1.5},
-        "firing": {"kappa": 5.0, "zeta": 0.3},
-        "grid 1": {"spacing": 1.0, "orientation": math.pi / 4.0, "phase1": 0.5, "phase2": 0.0},
-        "grid 2": {"spacing": 8.8, "orientation": math.pi / 4.0, "phase1": 0.5, "phase2": 1.2},
-        "place": {
-            "count": 8,
-            "spacing_min": 0.3,
-            "spacing_max": 1.2,
-            "anchor_x": 0.35,
-            "anchor_y": 0.2,
-            "threshold_fraction": 0.8,
-        },
-        "circuit": {
-            "vibration_threshold": 5.0,
-            "color_activation_threshold": 0.3,
-            "eta": 0.05,
-        },
-        "controller": {"jitter_sigma": 0.3},
-        "analysis": {
-            "bin_size": 0.05,
-            "annulus_inner_scale": 0.5,
-            "annulus_outer_scale": 1.5,
-        },
-    }
+    """The default paired-cue training arena as editable section dicts:
+    every key that has a default, plus the sections of DEFAULT_LAYOUT."""
+    sections: dict[str, dict[str, object]] = {}
+    for kind, schema in SCHEMA.items():
+        if kind in NUMBERED_KINDS:
+            for name, vals in DEFAULT_LAYOUT.items():
+                if name.split()[0] == kind:
+                    sections[name] = _read_section(name, kind, vals.items())
+        else:
+            sections[kind] = {k: d for k, (_, d) in schema.items() if d is not None}
+    return sections
 
 
 def build_ini(sections: dict[str, dict[str, object]]) -> str:
@@ -159,7 +172,7 @@ def default_ini() -> str:
     return build_ini(default_sections())
 
 
-def _convert(section: str, key: str, raw: str, typ):
+def _convert(section: str, key: str, raw, typ):
     try:
         if typ is int:
             return int(raw)
@@ -172,14 +185,34 @@ def _convert(section: str, key: str, raw: str, typ):
         ) from exc
 
 
-def _split_numbered(name: str) -> tuple[str, int] | None:
+def _split_section(name: str) -> tuple[str, int | None]:
+    """A section name's schema kind and index: ``("walk", None)``, ``("zone", 2)``."""
+    if name in SCHEMA and name not in NUMBERED_KINDS:
+        return name, None
     parts = name.split()
-    if len(parts) == 2 and parts[0] in _NUMBERED_SECTIONS:
+    if len(parts) == 2 and parts[0] in NUMBERED_KINDS:
         try:
             return parts[0], int(parts[1])
         except ValueError:
-            return None
-    return None
+            pass
+    raise ConfigurationError(f"unknown section [{name}]")
+
+
+def _read_section(name: str, kind: str, items) -> dict[str, object]:
+    """Typed values of section ``name``'s (key, raw) items, read against
+    ``SCHEMA[kind]``, with the defaults filled in."""
+    schema = SCHEMA[kind]
+    vals = {}
+    for key, raw in items:
+        if key not in schema:
+            raise ConfigurationError(f"unknown key '{key}' in section [{name}]")
+        vals[key] = _convert(name, key, raw, schema[key][0])
+    for key, (_, default) in schema.items():
+        if key not in vals:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"missing key '{key}' in section [{name}]")
+            vals[key] = default
+    return vals
 
 
 def parse_config(text: str) -> RunConfig:
@@ -191,25 +224,12 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config: {exc}") from exc
 
-    flat: dict[str, dict[str, object]] = {}
-    numbered: dict[str, list[tuple[int, dict[str, object]]]] = {
-        kind: [] for kind in _NUMBERED_SECTIONS
-    }
+    sections: dict[str, dict[str, object]] = {}
+    numbered: dict[str, list[tuple[int, dict[str, object]]]] = {k: [] for k in NUMBERED_KINDS}
     sweep: list[tuple[str, tuple[float, ...]]] = []
-
-    for section in cp.sections():
-        if section in _FIXED_SECTIONS:
-            schema = _FIXED_SECTIONS[section]
-            vals: dict[str, object] = {}
-            for key, raw in cp.items(section):
-                if key not in schema:
-                    raise ConfigurationError(
-                        f"unknown key '{key}' in section [{section}]"
-                    )
-                vals[key] = _convert(section, key, raw, schema[key])
-            flat[section] = vals
-        elif section == "sweep":
-            for key, raw in cp.items(section):
+    for name in cp.sections():
+        if name == "sweep":
+            for key, raw in cp.items(name):
                 if key not in SWEEPABLE:
                     raise ConfigurationError(
                         f"unknown sweep parameter '{key}' (choices: {', '.join(SWEEPABLE)})"
@@ -225,115 +245,83 @@ def parse_config(text: str) -> RunConfig:
                 if not all(math.isfinite(v) for v in values):
                     raise ConfigurationError(f"non-finite value for sweep parameter '{key}': {raw!r}")
                 sweep.append((key, values))
+            continue
+        kind, index = _split_section(name)
+        vals = _read_section(name, kind, cp.items(name))
+        if index is None:
+            sections[kind] = vals
         else:
-            split = _split_numbered(section)
-            if split is None:
-                raise ConfigurationError(f"unknown section [{section}]")
-            kind, index = split
-            schema = _NUMBERED_SECTIONS[kind]
-            vals = {}
-            for key, raw in cp.items(section):
-                if key not in schema:
-                    raise ConfigurationError(
-                        f"unknown key '{key}' in section [{section}]"
-                    )
-                vals[key] = _convert(section, key, raw, schema[key])
             numbered[kind].append((index, vals))
+    # A numbered kind the config names no section of takes the default
+    # layout's (a minimal file still gets the full paired-cue arena); a fixed
+    # section it leaves out takes its defaults.  Empty arenas are built
+    # through the API instead.
+    missing = [kind for kind in NUMBERED_KINDS if not numbered[kind]]
+    for name, vals in DEFAULT_LAYOUT.items():
+        kind, index = _split_section(name)
+        if kind in missing:
+            numbered[kind].append((index, _read_section(name, kind, vals.items())))
+    for kind in SCHEMA:
+        if kind not in NUMBERED_KINDS and kind not in sections:
+            sections[kind] = _read_section(kind, kind, ())
 
-    for kind in numbered:
-        numbered[kind].sort(key=lambda p: p[0])
+    def elements(kind: str, cls) -> tuple:
+        return tuple(cls(**vals) for _, vals in sorted(numbered[kind], key=lambda p: p[0]))
 
-    def get(section: str, key: str, default):
-        return flat.get(section, {}).get(key, default)
-
-    # Numbered sections fall back to the default cue layout when a config
-    # names none of their kind (a minimal file still gets the full
-    # paired-cue arena).  Empty arenas are built through the API instead.
-    defaults = default_sections()
-    for kind in ("zone", "wall", "grid"):
-        if not numbered[kind]:
-            numbered[kind] = [
-                (int(sec.split()[1]), dict(vals))
-                for sec, vals in defaults.items()
-                if sec.startswith(kind + " ")
-            ]
-            numbered[kind].sort(key=lambda p: p[0])
-
-    seed = get("run", "seed", None)
+    run, walk_keys, circuit_keys = sections["run"], sections["walk"], sections["circuit"]
+    seed = run["seed"]
     if seed is not None:
         check_seed(seed, "[run] seed")
     arena = Arena(
-        radius=get("arena", "radius", 1.3),
-        zones=tuple(
-            ZoneDisc(
-                _require(vals, "zone", i, "center_x"),
-                _require(vals, "zone", i, "center_y"),
-                _require(vals, "zone", i, "radius"),
-                vals.get("amplitude", 8.0),
-            )
-            for i, vals in numbered["zone"]
-        ),
-        walls=tuple(
-            WallArc(
-                _require(vals, "wall", i, "start_angle"),
-                _require(vals, "wall", i, "end_angle"),
-                vals.get("color", "red"),
-            )
-            for i, vals in numbered["wall"]
-        ),
+        radius=sections["arena"]["radius"],
+        zones=elements("zone", ZoneDisc),
+        walls=elements("wall", WallArc),
     )
     walk = WalkParams(
-        speed=get("walk", "speed", 0.2),
-        dt=get("walk", "dt", 0.1),
-        turn_sigma=get("walk", "turn_sigma", 0.2),
+        speed=walk_keys["speed"],
+        dt=walk_keys["dt"],
+        turn_sigma=walk_keys["turn_sigma"],
         seed=seed or 0,
     )
-    camera = CameraParams(
-        fov=get("camera", "fov", math.pi / 2.0),
-        max_range=get("camera", "max_range", 1.5),
-    )
-    firing = FiringParams(
-        kappa=get("firing", "kappa", 5.0),
-        zeta=get("firing", "zeta", 0.3),
-    )
+    camera = CameraParams(**sections["camera"])
+    firing = FiringParams(**sections["firing"])
     circuit = CircuitParams(
-        vibration_threshold=get("circuit", "vibration_threshold", 5.0),
-        color_activation_threshold=get("circuit", "color_activation_threshold", 0.3),
-        eta=get("circuit", "eta", 0.05),
+        vibration_threshold=circuit_keys["vibration_threshold"],
+        color_activation_threshold=circuit_keys["color_activation_threshold"],
+        eta=circuit_keys["eta"],
     )
-    grid_cells = tuple(
-        GridCellParams(
-            _require(vals, "grid", i, "spacing"),
-            vals.get("orientation", 0.0),
-            vals.get("phase1", 0.0),
-            vals.get("phase2", 0.0),
-        )
-        for i, vals in numbered["grid"]
-    )
-    count = get("place", "count", 8)
+    grid_cells = elements("grid", GridCellParams)
+    place_keys = sections["place"]
+    count = place_keys["count"]
     if count < 1:
         raise ConfigurationError(f"place count must be >= 1, got {count}")
-    smin = get("place", "spacing_min", 0.3)
-    smax = get("place", "spacing_max", 1.2)
+    if count > MAX_PLACE_COUNT:
+        raise ConfigurationError(
+            f"[place] count must be at most {MAX_PLACE_COUNT} "
+            f"(one rates_at pass per input per run), got {count}"
+        )
+    smin, smax = place_keys["spacing_min"], place_keys["spacing_max"]
     if not (0.0 < smin <= smax):
         raise ConfigurationError("need 0 < spacing_min <= spacing_max")
-    frac = get("place", "threshold_fraction", 0.8)
+    if not math.isfinite(smax):
+        raise ConfigurationError(f"[place] spacing_max must be finite, got {smax}")
+    frac = place_keys["threshold_fraction"]
     if not (0.0 < frac <= 1.0):
         raise ConfigurationError("threshold_fraction must lie in (0, 1]")
     ensemble = anchored_ensemble(
-        np.geomspace(smin, smax, count),
-        (get("place", "anchor_x", 0.35), get("place", "anchor_y", 0.2)),
+        np.geomspace(smin, smax, count), (place_keys["anchor_x"], place_keys["anchor_y"])
     )
     place = PlaceCellParams(inputs=ensemble, threshold=frac * count)
 
-    tick_count = check_tick_count(get("run", "tick_count", 10000))
-    bin_size = get("analysis", "bin_size", 0.05)
+    tick_count = check_tick_count(run["tick_count"])
+    analysis = sections["analysis"]
+    bin_size = analysis["bin_size"]
     if not (bin_size > 0.0 and math.isfinite(bin_size)):
         raise ConfigurationError(f"[analysis] bin_size must be positive and finite, got {bin_size}")
     # the rate maps span the arena's diameter
     check_map_side(2.0 * arena.radius, bin_size, "[analysis] bin_size")
-    inner = get("analysis", "annulus_inner_scale", 0.5)
-    outer = get("analysis", "annulus_outer_scale", 1.5)
+    inner = analysis["annulus_inner_scale"]
+    outer = analysis["annulus_outer_scale"]
     if not (0.0 < inner < outer and math.isfinite(outer)):
         raise ConfigurationError(
             "[analysis] needs finite 0 < annulus_inner_scale < annulus_outer_scale, "
@@ -341,10 +329,10 @@ def parse_config(text: str) -> RunConfig:
         )
     # Checked here as well as in EpisodeConfig so that ratemap and sweep
     # runs, which never build one, reject them too.
-    noise_sigma = get("sensors", "noise_sigma", 0.3)
-    jitter_sigma = get("controller", "jitter_sigma", 0.3)
-    start_heading = get("walk", "start_heading", 0.0)
-    initial_w_color = get("circuit", "initial_w_color", None)
+    noise_sigma = sections["sensors"]["noise_sigma"]
+    jitter_sigma = sections["controller"]["jitter_sigma"]
+    start_heading = walk_keys["start_heading"]
+    initial_w_color = circuit_keys["initial_w_color"]
     for name, v in (
         ("[sensors] noise_sigma", noise_sigma),
         ("[controller] jitter_sigma", jitter_sigma),
@@ -368,18 +356,12 @@ def parse_config(text: str) -> RunConfig:
         jitter_sigma=jitter_sigma,
         start_heading=start_heading,
         initial_w_color=initial_w_color,
-        train_summary=get("circuit", "train_summary", None),
+        train_summary=circuit_keys["train_summary"],
         bin_size=bin_size,
         annulus_inner_scale=inner,
         annulus_outer_scale=outer,
         sweep=tuple(sweep),
     )
-
-
-def _require(vals: dict, kind: str, index: int, key: str):
-    if key not in vals:
-        raise ConfigurationError(f"missing key '{key}' in section [{kind} {index}]")
-    return vals[key]
 
 
 def load_config(path: str) -> RunConfig:
@@ -435,7 +417,9 @@ def episode_config(
     """Build an EpisodeConfig for 'train' or 'test' mode.
 
     Train mode enables vibration and learning; test mode disables both.
-    ``initial_w`` (if given) overrides the configured starting weight.
+    The starting weight is the first of: ``initial_w``, ``[circuit]
+    initial_w_color``, in test mode the ``final_w_color`` of the
+    ``[circuit] train_summary`` file, and in train mode 0.
     """
     if mode not in ("train", "test"):
         raise ConfigurationError(f"mode must be 'train' or 'test', got {mode!r}")
@@ -445,6 +429,8 @@ def episode_config(
         raise ConfigurationError("episode runs need a seed ([run] seed or --seed)")
     if initial_w is None:
         initial_w = rc.initial_w_color
+    if initial_w is None and mode == "test" and rc.train_summary is not None:
+        initial_w = _trained_weight(rc.train_summary)
     if initial_w is None:
         if mode == "train":
             initial_w = 0.0
@@ -470,3 +456,25 @@ def episode_config(
         jitter_sigma=rc.jitter_sigma,
         start_heading=rc.start_heading,
     )
+
+
+def _trained_weight(path: str) -> float:
+    """The ``final_w_color`` entry of a train episode's summary file."""
+    # Imported on first use, so that importing the package does not load
+    # the writers (and tempfile); read_summary is looked up on the module,
+    # which perfbench's tracer rebinds.
+    from . import artifacts
+
+    try:
+        summary = artifacts.read_summary(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read train_summary {path}: {exc}") from exc
+    if "final_w_color" not in summary:
+        raise ConfigurationError(f"train_summary {path} has no final_w_color entry")
+    raw = summary["final_w_color"]
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"train_summary {path} has a non-numeric final_w_color: {raw!r}"
+        ) from exc

@@ -179,6 +179,7 @@ NON_FINITE_CASES = [
     ("zone_center-nan", {"zone 1": dict(ZONE, center_x="nan")}, "zone center"),
     ("wall_angle-nan", {"wall 1": {"start_angle": "nan", "end_angle": 1.0}}, "wall arc"),
     ("anchor_x-nan", {"place": {"anchor_x": "nan"}}, "anchor"),
+    ("spacing_max-inf", {"place": {"spacing_max": "inf"}}, "[place] spacing_max"),
 ]
 COMMANDS = {
     "ratemap": ["ratemap"],
@@ -196,6 +197,7 @@ COMMANDS = {
         for cmd, argv in COMMANDS.items()
     ],
 )
+@pytest.mark.filterwarnings("error")  # rejected before numpy can warn about it
 def test_non_finite_walk_or_bin_size_exits_2(tmp_path, capsys, command, sections, offender):
     base = {"run": {"tick_count": 400, "seed": 5}, "circuit": {"initial_w_color": 0.5}}
     for name, keys in sections.items():
@@ -367,4 +369,31 @@ def test_tiny_bin_size_exits_2_before_any_output(tmp_path, capsys, monkeypatch, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [analysis] bin_size") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ratemap", "episode", "sweep"])
+def test_huge_place_count_exits_2_before_any_output(tmp_path, capsys, monkeypatch, command):
+    import types
+
+    import mazecells.cli as cli
+    import mazecells.config as config
+
+    def never(*args, **kwargs):
+        raise AssertionError("a run started with a place count beyond MAX_PLACE_COUNT")
+
+    # belt and braces: neither the ensemble nor a run may be allocated
+    monkeypatch.setattr(config, "np", types.SimpleNamespace(geomspace=never))
+    monkeypatch.setattr(cli, "walk_trajectory", never)
+    monkeypatch.setattr(cli, "run_episode", never)
+    text = f"[run]\ntick_count = 200\nseed = 5\n[place]\ncount = {config.MAX_PLACE_COUNT + 1}\n"
+    if command == "sweep":
+        text += "[sweep]\nkappa = 1, 5\n"
+    out = tmp_path / "o"
+    argv = [command, "--config", write_cfg(tmp_path, text), "--out", str(out)]
+    if command == "episode":
+        argv += ["--mode", "train"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [place] count") and "Traceback" not in err
     assert not out.exists()

@@ -205,6 +205,19 @@ def test_episode_config_weight_source_required():
     assert episode_config(rc2, "test", seed=3).initial_w_color == 0.7
 
 
+def test_episode_config_test_mode_reads_train_summary(tmp_path):
+    summary = tmp_path / "summary.txt"
+    summary.write_text("# mazecells.summary.v1\ncommand = episode\nfinal_w_color = 0.4375\n")
+    rc = parse_config(f"[circuit]\ntrain_summary = {summary}\n")
+    assert episode_config(rc, "test", seed=1).initial_w_color == 0.4375
+    # the explicit sources come first, and train mode ignores the summary
+    assert episode_config(rc, "test", seed=1, initial_w=0.25).initial_w_color == 0.25
+    assert episode_config(rc, "train", seed=1).initial_w_color == 0.0
+    missing = parse_config(f"[circuit]\ntrain_summary = {tmp_path / 'none.txt'}\n")
+    with pytest.raises(ConfigurationError, match="cannot read train_summary"):
+        episode_config(missing, "test", seed=1)
+
+
 def test_episode_config_mode_and_seed_errors():
     rc = parse_config(default_ini())
     with pytest.raises(ConfigurationError, match="mode"):

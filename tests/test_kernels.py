@@ -52,6 +52,44 @@ def test_wrap_angle_range_and_periodicity():
         assert abs(wrap_angle(float(a) + TWO_PI) - w) < 1e-9
 
 
+def _doubles_around(c: float, n: int = 2000) -> list[float]:
+    lo = hi = c
+    out = [c]
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_wrap_angle_range_at_every_double_near_the_seams():
+    # just below pi, a + pi rounds up to 2*pi: the wrap must still land in
+    # [-pi, pi), and an angle already there must come back unchanged
+    seams = (math.pi, -math.pi, 3 * math.pi, -3 * math.pi)
+    for a in itertools.chain.from_iterable(_doubles_around(c) for c in seams):
+        w = wrap_angle(a)
+        assert -math.pi <= w < math.pi, a
+        if -math.pi <= a < math.pi:
+            assert w == a
+
+
+def test_walk_step_wraps_like_wrap_angle_in_both_branches():
+    targets = _doubles_around(math.pi) + _doubles_around(-math.pi)
+    for t in targets:
+        # first branch: heading 0 turned by 1.0 * t, a step that stays inside
+        _, _, h = walk_step(0.0, 0.0, 0.0, 0.1, 1.0, 1.3, t, 0.0)
+        assert h == wrap_angle(t) and -math.pi <= h < math.pi, t
+    # retry branch: the first step leaves the disk, and the retry heading
+    # atan2(-y, -x) + z_retry is exactly t (the sum of two nearby doubles)
+    x = 0.9
+    for t in targets:
+        y = math.copysign(1e-3, -t)
+        toward_center = math.atan2(-y, -x)
+        z_retry = t - toward_center
+        assert toward_center + z_retry == t
+        _, _, h = walk_step(x, y, 0.0, 0.5, 1.0, 1.0, 0.0, z_retry)
+        assert h == wrap_angle(t) and -math.pi <= h < math.pi, t
+
+
 def test_walk_loop_bitwise_deterministic():
     rng = np.random.default_rng(6)
     z = rng.standard_normal((1000, 2))
