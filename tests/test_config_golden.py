@@ -14,8 +14,8 @@ reach ``numpy.geomspace`` and fail with a RuntimeWarning and a message
 naming ``spacing``; it is now rejected in the parser, and
 ``tests/test_cli.py::NON_FINITE_CASES`` pins the new message.
 
-Run ``python tests/test_config_golden.py`` to rewrite the JSON from the
-current code; do that only when a parse result changes on purpose.
+``PYTHONPATH=src python tests/test_config_golden.py`` rewrites the JSON
+from the current code; run it only when a parse result changes on purpose.
 """
 
 import hashlib
