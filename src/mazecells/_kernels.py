@@ -1,5 +1,5 @@
-"""Numeric kernels: walk loop, lattice decode, firing rate, brute-force
-scan, autocorrelogram.
+"""Numeric kernels: walk loop, lattice decode, firing rate, place-cell
+ensemble, brute-force scan, autocorrelogram.
 
 Each computation has exactly one implementation.  The scalar helpers
 (:func:`wrap_angle`, :func:`walk_step`) serve the per-tick controller; the
@@ -18,7 +18,14 @@ point; :func:`rates_batch` keeps only the smallest squared distance and
 walks the points in blocks of :data:`BLOCK`, sized so that the scratch
 rows of one block stay in a 2 MiB per-core L2 cache (16384 points ran
 fastest of 2k to 32k and unblocked on such a host; every block size gives
-the same bits).
+the same bits).  :func:`rates_batch` and the ensemble below run the same
+per-block body, :func:`_block_rates`.
+
+The place-cell ensemble, :func:`ensemble_batch`, is an exact attentional
+cascade: each grid input is decoded only on the points whose partial sum
+can still reach the threshold.  It rests on one premise, that no computed
+rate exceeds the input's rate at distance 0 by more than
+:data:`RATE_CAP_SLACK`, and gives the bits of the plain sum.
 
 The autocorrelogram is the masked normalized cross-correlation of
 Padfield (IEEE TIP 2012), computed with ``numpy.fft``; an overlap counts as
@@ -29,6 +36,7 @@ constant, and its lag as NaN, when its variance term is at most
 from __future__ import annotations
 
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,28 +213,160 @@ def firing_normalized(raw):
     return 0.5 - raw / np.pi
 
 
+def _block_rates(px, py, b1x, b1y, b2x, b2y, offx, offy, spacing, kappa, zeta, s, out):
+    """Normalized firing rate at each point's nearest-node distance, for
+    one block of at most :data:`BLOCK` points, into ``out``.
+
+    Runs the 4-corner scan of :func:`_corners` in the scratch ``s`` (shape
+    (SCRATCH_ROWS, len(px))) and keeps only the smallest squared
+    distance.  Tied squared distances have equal bits, so this minimum is
+    the one the strict-``<`` scan of :func:`nearest_batch` returns;
+    ``fmin`` skips a NaN as that scan does.
+    """
+    out.fill(np.inf)
+    for *_, d2 in _corners(px, py, b1x, b1y, b2x, b2y, offx, offy, s):
+        np.fmin(out, d2, out=out)
+    np.sqrt(out, out=out)
+    out[:] = firing_normalized(firing_raw(out, spacing, kappa, zeta))
+
+
 def rates_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, spacing, kappa, zeta, out):
     """Normalized firing rate at each point's nearest-node distance.
 
-    Runs the 4-corner scan of :func:`_corners` over blocks of :data:`BLOCK`
-    points in one scratch array and keeps only the smallest squared
-    distance.  Tied squared distances have equal bits, so this minimum is
-    the one the strict-``<`` scan of :func:`nearest_batch` returns;
-    ``fmin`` skips a NaN as that scan does.  ``px``, ``py`` may be strided
-    views.
+    Walks the points in blocks of :data:`BLOCK` through
+    :func:`_block_rates`, with one scratch array for all blocks.  ``px``,
+    ``py`` may be strided views.
     """
     n = px.shape[0]
     s = np.empty((SCRATCH_ROWS, min(n, BLOCK)))
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        best = out[lo:hi]
-        best.fill(np.inf)
-        for *_, d2 in _corners(
-            px[lo:hi], py[lo:hi], b1x, b1y, b2x, b2y, offx, offy, s[:, : hi - lo]
-        ):
-            np.fmin(best, d2, out=best)
-        np.sqrt(best, out=best)
-        best[:] = firing_normalized(firing_raw(best, spacing, kappa, zeta))
+        _block_rates(
+            px[lo:hi], py[lo:hi], b1x, b1y, b2x, b2y, offx, offy,
+            spacing, kappa, zeta, s[:, : hi - lo], out[lo:hi],
+        )
+
+
+# Added to each input's rate at distance 0 to cap every rate it can take.
+# For d >= 0 the argument kappa * (d / spacing - zeta) is at least its
+# d = 0 value, since every rounded operation is monotone, and the true
+# arctan is increasing; numpy's arctan is within a few ulp of the true
+# one (about 1e-15 of rate, as arctan lies in [-pi/2, pi/2]), and the
+# steps 0.5 - t / pi are monotone again.  2**-30 (about 9.3e-10) exceeds
+# that error by about six orders of magnitude.
+RATE_CAP_SLACK = 2.0**-30
+
+
+def rate_cap(spacing, kappa, zeta) -> float:
+    """An upper bound on every normalized rate of one grid cell: its rate
+    at distance 0 plus :data:`RATE_CAP_SLACK`."""
+    return float(firing_normalized(firing_raw(0.0, spacing, kappa, zeta))) + RATE_CAP_SLACK
+
+
+_INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _least_reaching(c, t) -> float:
+    """The least double x >= 0 whose rounded sum ``x + c`` is ``>= t``.
+
+    A bisection over the bit patterns of the non-negative doubles, whose
+    integer order is their order as floats; ``x + c`` is nondecreasing in
+    x, and at x = inf it is inf.
+    """
+    lo, hi = -1, _INF_BITS  # x + c < t at bits lo (or lo is below 0.0); >= t at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _from_bits(mid) + c >= t:
+            hi = mid
+        else:
+            lo = mid
+    return _from_bits(hi)
+
+
+def survival_thresholds(caps, threshold) -> list[float]:
+    """Per input j, the least partial total after inputs 0..j that can
+    still reach ``threshold``, with inputs j+1.. at their caps.
+
+    Element j + 1 corresponds to input j; element 0, the least value the
+    total may start from, is 0.0 exactly when some point can fire.  A
+    partial total x survives input j iff the caps of the remaining
+    inputs, added to x one float add at a time in input order, reach
+    ``threshold``.  That sum is nondecreasing in x, because IEEE addition
+    is monotone in each operand, so it holds iff x is at least the least
+    double for which it holds.  Going backwards, x + caps[j+1] must reach
+    element j + 2, so each element is one bisection of one add.
+    """
+    out = [float(threshold)]
+    for c in reversed(caps):
+        out.append(_least_reaching(c, out[-1]))
+    return out[::-1]
+
+
+def ensemble_batch(px, py, cells, threshold, out):
+    """1 where the summed normalized rates of ``cells`` reach ``threshold``.
+
+    ``cells`` lists each grid input as ``(b1x, b1y, b2x, b2y, offx, offy,
+    spacing, kappa, zeta)``; ``out`` (int8, zeroed here) gets 1 at each
+    point whose total, the rates added left to right from 0.0 in the
+    given order, is ``>= threshold``.
+
+    An attentional cascade with an exact reject rule (Viola & Jones,
+    CVPR 2001).  Per block of :data:`BLOCK` points, input j is evaluated
+    only on the points that survived inputs 0..j-1.  After adding input
+    j, a point is dropped once its partial total plus the caps
+    (:func:`rate_cap`) of the remaining inputs, added one float add at a
+    time in input order, falls below ``threshold``; that test is one
+    compare against a per-input bound from :func:`survival_thresholds`.
+    IEEE addition is monotone in each operand and every rate is at most
+    its cap, so that sum bounds the final total from above: a dropped
+    point cannot fire.  The survivors get the same adds in the same order
+    as a plain sum, so their totals are bit-identical to it, and after the
+    last input they are exactly the points that fire.  Never reorder the
+    inputs: the rounding of the sum depends on their order.
+    """
+    n = px.shape[0]
+    out.fill(0)
+    start, *least = survival_thresholds([rate_cap(*cell[6:]) for cell in cells], threshold)
+    if n == 0 or start > 0.0:  # no point can fire
+        return
+    m = min(n, BLOCK)
+    # The _corners scratch has the shape of rates_batch's, and the rows of
+    # the survivors' x, y, total and the current input's rate come apart:
+    # one array of both raised a 50k-tick ratemap's peak RSS by its 2.4 MB
+    # (glibc's mmap threshold had risen past it, so it stayed on the heap).
+    s = np.empty((SCRATCH_ROWS, m))
+    rows = np.empty((4, m))
+    keep = np.empty(m, dtype=bool)
+    for lo in range(0, n, BLOCK):
+        k = min(lo + BLOCK, n) - lo
+        qx, qy, total, rate = rows[:, :k]
+        qx[:] = px[lo : lo + k]
+        qy[:] = py[lo : lo + k]
+        total.fill(0.0)
+        idx = None  # the survivors' indices into the block, once one is dropped
+        for cell, t in zip(cells, least):
+            _block_rates(qx, qy, *cell, s[:, :k], rate)
+            np.add(total, rate, out=total)
+            alive = np.greater_equal(total, t, out=keep[:k])
+            if alive.all():
+                continue
+            sel = np.flatnonzero(alive)
+            k = sel.size
+            if k == 0:
+                break
+            idx = sel if idx is None else idx[sel]
+            for row in (qx, qy, total):
+                np.take(row, sel, out=row[:k])
+            qx, qy, total, rate = (r[:k] for r in (qx, qy, total, rate))
+        else:
+            if idx is None:
+                out[lo : lo + k] = 1
+            else:
+                out[lo + idx] = 1
 
 
 def brute_force(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi, ni):

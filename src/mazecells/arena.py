@@ -158,6 +158,18 @@ def vibration_magnitude(accel) -> float:
     return math.sqrt(ax * ax + ay * ay + dz * dz)
 
 
+# The largest accelerometer noise sigma (m/s^2) a run accepts.  numpy's
+# standard normal draws (ziggurat) stay below 14 in magnitude: a tail draw
+# is r - log1p(-U) / r with r = 3.654 and U a multiple of 2**-53 below 1,
+# so at most 3.654 + 53 * ln(2) / 3.654 < 13.71.  Each noise term of a
+# reading then stays below 14 * 1e150, and the three squared axes that
+# vibration_magnitude sums below 3 * (1.4e151)**2 = 5.9e302, under the
+# float maximum 1.8e308 with room for zone impulses up to about 7e153.
+# The noise arithmetic runs on Python floats, so an overflow to inf
+# would pass without a warning.
+MAX_NOISE_SIGMA = 1e150
+
+
 def _accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):
     """Accelerometer reading at (x, y) and whether any zone contains it.
 

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import check_map_side
-from .arena import Arena, CameraParams, WalkParams, WallArc, ZoneDisc
+from .arena import MAX_NOISE_SIGMA, Arena, CameraParams, WalkParams, WallArc, ZoneDisc
 from .controller import EpisodeConfig
 from .learning import CircuitParams
 from .spatialcells import (
+    MAX_SPACING,
+    MIN_SPACING,
     ConfigurationError,
     FiringParams,
     GridCellParams,
@@ -109,10 +111,13 @@ DEFAULT_LAYOUT: dict[str, dict[str, object]] = {
     "grid 2": {"spacing": 8.8, "orientation": math.pi / 4.0, "phase1": 0.5, "phase2": 1.2},
 }
 
-# Each place-cell input costs one rates_at pass over every tick of a run
-# (about 50 ns per point: 10 ms per input for a 200k-tick ratemap) and
-# about 100 B of config_hash text.  The bound caps a 200k-tick run near
-# 2**10 * 10 ms = 10 s of decode and the hashed text near 100 KiB.
+# Each place-cell input costs at most one decode pass over the ticks of a
+# run (about 50 ns per point: at most 10 ms per input for a 200k-tick
+# ratemap), as the ensemble cascade decodes an input only on the ticks
+# that can still fire, and about 100 B of config_hash text.  A threshold
+# low enough that the cascade rules out no tick is the worst case; the
+# bound caps it for a 200k-tick run near 2**10 * 10 ms = 10 s of decode,
+# and the hashed text near 100 KiB.
 MAX_PLACE_COUNT = 2**10
 
 
@@ -305,6 +310,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigurationError("need 0 < spacing_min <= spacing_max")
     if not math.isfinite(smax):
         raise ConfigurationError(f"[place] spacing_max must be finite, got {smax}")
+    # checked before np.geomspace, whose values would otherwise name no key
+    for key, v in (("spacing_min", smin), ("spacing_max", smax)):
+        if not MIN_SPACING <= v <= MAX_SPACING:
+            raise ConfigurationError(
+                f"[place] {key} must lie in [{MIN_SPACING:g}, {MAX_SPACING:g}] m, got {v}"
+            )
     frac = place_keys["threshold_fraction"]
     if not (0.0 < frac <= 1.0):
         raise ConfigurationError("threshold_fraction must lie in (0, 1]")
@@ -341,6 +352,11 @@ def parse_config(text: str) -> RunConfig:
     ):
         if v is not None and not math.isfinite(v):
             raise ConfigurationError(f"{name} must be finite, got {v}")
+    if abs(noise_sigma) > MAX_NOISE_SIGMA:
+        raise ConfigurationError(
+            f"[sensors] noise_sigma must be at most {MAX_NOISE_SIGMA:g} in magnitude "
+            f"(so that accelerometer readings stay finite), got {noise_sigma}"
+        )
 
     return RunConfig(
         seed=seed,

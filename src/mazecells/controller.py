@@ -18,6 +18,7 @@ import numpy as np
 from ._kernels import wrap_angle, walk_step
 from .arena import (
     GRAVITY,
+    MAX_NOISE_SIGMA,
     Arena,
     CameraParams,
     WalkParams,
@@ -67,6 +68,11 @@ class EpisodeConfig:
         for name, v in (("noise_sigma", self.noise_sigma), ("jitter_sigma", self.jitter_sigma)):
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {v}")
+        if self.noise_sigma > MAX_NOISE_SIGMA:
+            raise ConfigurationError(
+                f"noise_sigma must be at most {MAX_NOISE_SIGMA:g} "
+                f"(so that accelerometer readings stay finite), got {self.noise_sigma}"
+            )
         if not math.isfinite(self.start_heading):
             raise ConfigurationError(f"start_heading must be finite, got {self.start_heading}")
         if self.walk.speed * self.walk.dt >= self.arena.radius:

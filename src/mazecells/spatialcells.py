@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import brute_force, firing_normalized, firing_raw, nearest_batch, rates_batch
+from ._kernels import (
+    brute_force,
+    ensemble_batch,
+    firing_normalized,
+    firing_raw,
+    nearest_batch,
+    rates_batch,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -188,6 +195,13 @@ def phase_offset(g: GridCellParams) -> Position2:
     )
 
 
+def _lattice_args(g: GridCellParams) -> tuple[float, ...]:
+    """The lattice arguments ``b1x, b1y, b2x, b2y, offx, offy`` of the kernels."""
+    b = lattice_basis(g)
+    off = phase_offset(g)
+    return (b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y)
+
+
 def _decode_one(pos, g: GridCellParams, kernel, *extra) -> tuple[Position2, float]:
     """Run a batch decode ``kernel`` on the one point ``pos``."""
     px, py = _as_xy(pos)
@@ -197,17 +211,12 @@ def _decode_one(pos, g: GridCellParams, kernel, *extra) -> tuple[Position2, floa
             f"position must be finite and within {bound:g} m (2**52 spacings) "
             f"of the origin, got ({px}, {py})"
         )
-    b = lattice_basis(g)
-    off = phase_offset(g)
     cx = np.empty(1)
     cy = np.empty(1)
     d = np.empty(1)
     mi = np.empty(1, dtype=np.int64)
     ni = np.empty(1, dtype=np.int64)
-    kernel(
-        np.array([px]), np.array([py]), b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y,
-        *extra, cx, cy, d, mi, ni,
-    )
+    kernel(np.array([px]), np.array([py]), *_lattice_args(g), *extra, cx, cy, d, mi, ni)
     return Position2(float(cx[0]), float(cy[0])), float(d[0])
 
 
@@ -253,32 +262,42 @@ def firing_rate(pos, g: GridCellParams, fp: FiringParams) -> float:
     return float(rates_at(np.array([_as_xy(pos)]), g, fp)[0])
 
 
-def rates_at(positions: np.ndarray, g: GridCellParams, fp: FiringParams) -> np.ndarray:
-    """Normalized firing rates for an (N, 2) array of positions."""
+def _xy_columns(positions, spacings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strided x and y column views of an (N, 2) position array, and a
+    scratch array of N floats.
+
+    Raises ConfigurationError for any other shape, and for the first of
+    ``spacings`` whose bound of MAX_SPACINGS_FROM_ORIGIN spacings some
+    coordinate exceeds.
+    """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ConfigurationError("positions must have shape (N, 2)")
-    b = lattice_basis(g)
-    off = phase_offset(g)
-    # strided column views, not copies
     px = positions[:, 0]
     py = positions[:, 1]
-    out = np.empty(px.shape[0], dtype=np.float64)
-    # The largest |coordinate| per column, with the output array as
-    # scratch: a max of a contiguous array is 4-6x faster than a min or
-    # max of a strided column.  A NaN propagates through max and fails
-    # the comparison, so it is rejected with the out-of-range points.
-    bound = MAX_SPACINGS_FROM_ORIGIN * g.spacing
-    if px.shape[0] and not (
-        np.abs(px, out=out).max() <= bound and np.abs(py, out=out).max() <= bound
-    ):
-        raise ConfigurationError(
-            f"positions must be finite and within {bound:g} m (2**52 spacings) of the origin"
-        )
-    rates_batch(
-        px, py, b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y,
-        g.spacing, fp.kappa, fp.zeta, out,
-    )
+    scratch = np.empty(px.shape[0], dtype=np.float64)
+    if px.shape[0]:
+        # The largest |coordinate| per column, through a contiguous
+        # scratch: a max of a contiguous array is 4-6x faster than a min
+        # or max of a strided column.  A NaN propagates through max and
+        # fails the comparison, so it is rejected with the out-of-range
+        # points.
+        ax = np.abs(px, out=scratch).max()
+        ay = np.abs(py, out=scratch).max()
+        for spacing in spacings:
+            bound = MAX_SPACINGS_FROM_ORIGIN * spacing
+            if not (ax <= bound and ay <= bound):
+                raise ConfigurationError(
+                    f"positions must be finite and within {bound:g} m (2**52 spacings) "
+                    "of the origin"
+                )
+    return px, py, scratch
+
+
+def rates_at(positions: np.ndarray, g: GridCellParams, fp: FiringParams) -> np.ndarray:
+    """Normalized firing rates for an (N, 2) array of positions."""
+    px, py, out = _xy_columns(positions, (g.spacing,))
+    rates_batch(px, py, *_lattice_args(g), g.spacing, fp.kappa, fp.zeta, out)
     return out
 
 
@@ -311,12 +330,22 @@ def change_frame_inverse(pos, t: FrameTransform) -> Position2:
 
 
 def place_activity_at(positions: np.ndarray, pc: PlaceCellParams, fp: FiringParams) -> np.ndarray:
-    """Binary place-cell outputs for an (N, 2) array of positions."""
-    positions = np.asarray(positions, dtype=np.float64)
-    total = np.zeros(positions.shape[0], dtype=np.float64)
-    for g in pc.inputs:
-        total += rates_at(positions, g, fp)
-    return (total >= pc.threshold).astype(np.int8)
+    """Binary place-cell outputs for an (N, 2) array of positions.
+
+    A point fires where the normalized rates of ``pc.inputs``, added left
+    to right from 0.0, reach ``pc.threshold``.  Every point is checked
+    against every input's position bound first; then an exact cascade
+    (:func:`mazecells._kernels.ensemble_batch`) evaluates each input only
+    on the points that can still fire.  It rests on one premise: no
+    input's computed rate exceeds its rate at distance 0 by more than
+    ``_kernels.RATE_CAP_SLACK``.  The outputs are the same bits as the
+    plain sum's.
+    """
+    px, py = _xy_columns(positions, [g.spacing for g in pc.inputs])[:2]
+    cells = [_lattice_args(g) + (g.spacing, fp.kappa, fp.zeta) for g in pc.inputs]
+    out = np.empty(px.shape[0], dtype=np.int8)
+    ensemble_batch(px, py, cells, pc.threshold, out)
+    return out
 
 
 def anchored_ensemble(

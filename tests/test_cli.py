@@ -211,6 +211,35 @@ def test_non_finite_walk_or_bin_size_exits_2(tmp_path, capsys, command, sections
     assert not out.exists()
 
 
+# (id, config sections, text the error must contain): finite values whose
+# magnitude a run cannot handle
+MAGNITUDE_CASES = [
+    ("noise_sigma-1e155", {"sensors": {"noise_sigma": "1e155"}}, "[sensors] noise_sigma"),
+    ("spacing_max-1e300", {"place": {"spacing_max": "1e300"}}, "[place] spacing_max"),
+    ("spacing_min-1e-300", {"place": {"spacing_min": "1e-300"}}, "[place] spacing_min"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, sections, offender",
+    [
+        pytest.param(argv, sections, offender, id=f"{case}-{cmd}")
+        for case, sections, offender in MAGNITUDE_CASES
+        for cmd, argv in COMMANDS.items()
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_out_of_range_magnitude_exits_2_naming_the_key(tmp_path, capsys, command, sections, offender):
+    base = {"run": {"tick_count": 400, "seed": 5}, "circuit": {"initial_w_color": 0.5}}
+    base.update(sections)
+    cfg = write_cfg(tmp_path, build_ini(base))
+    out = tmp_path / "o"
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {offender} must ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_inverted_annulus_exits_2_before_any_output(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RUN + "[analysis]\nannulus_inner_scale = 2.0\n")
     out = tmp_path / "o"

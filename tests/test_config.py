@@ -17,6 +17,8 @@ from mazecells import (
     sweep_points,
 )
 from mazecells.analysis import MAX_MAP_SIDE
+from mazecells.arena import MAX_NOISE_SIGMA
+from mazecells.spatialcells import MAX_SPACING, MIN_SPACING
 
 
 def test_default_ini_parses_to_paired_cue_arena():
@@ -105,6 +107,31 @@ def test_run_validation():
         parse_config("[place]\nspacing_min = 2.0\nspacing_max = 1.0\n")
     with pytest.raises(ConfigurationError, match="threshold_fraction"):
         parse_config("[place]\nthreshold_fraction = 0.0\n")
+
+
+def test_place_spacings_checked_before_geomspace():
+    # the error names the [place] key and its value, not a np.geomspace value
+    for key, bad in (("spacing_max", "1e300"), ("spacing_min", "1e-300"), ("spacing_max", "1000001.0")):
+        with pytest.raises(
+            ConfigurationError, match=rf"^\[place\] {key} must lie in \[1e-06, 1e\+06\] m, got "
+        ):
+            parse_config(f"[place]\n{key} = {bad}\n")
+    # the bounds are inclusive
+    rc = parse_config(f"[place]\nspacing_min = {MIN_SPACING!r}\nspacing_max = {MAX_SPACING!r}\n")
+    assert rc.place.inputs[0].spacing == MIN_SPACING
+    assert rc.place.inputs[-1].spacing == MAX_SPACING
+
+
+def test_noise_sigma_magnitude_bound():
+    # rejected at parse time, so ratemap and sweep runs, which build no
+    # EpisodeConfig, refuse it too; the bound itself is accepted
+    for bad in ("1e155", "-1e155", repr(math.nextafter(MAX_NOISE_SIGMA, math.inf))):
+        with pytest.raises(
+            ConfigurationError, match=r"^\[sensors\] noise_sigma must be at most 1e\+150 in magnitude"
+        ):
+            parse_config(f"[sensors]\nnoise_sigma = {bad}\n")
+    rc = parse_config(f"[sensors]\nnoise_sigma = {MAX_NOISE_SIGMA!r}\n")
+    assert episode_config(rc, "train", seed=1).noise_sigma == MAX_NOISE_SIGMA
 
 
 def test_map_side_bound():

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from mazecells import controller
-from mazecells.arena import Arena, CameraParams, WalkParams, WallArc, ZoneDisc
+from mazecells.arena import (
+    MAX_NOISE_SIGMA,
+    Arena,
+    CameraParams,
+    WalkParams,
+    WallArc,
+    ZoneDisc,
+    _accel_at,
+    vibration_magnitude,
+)
 from mazecells.config import episode_config, parse_config
 from mazecells.controller import EpisodeConfig, run_episode
 from mazecells.learning import CircuitParams
@@ -228,6 +237,23 @@ def test_config_validation(quiet_arena):
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigurationError, match=key):
                 make_config(quiet_arena, **{key: bad})
+
+
+def test_noise_sigma_bound_keeps_readings_finite(quiet_arena):
+    # the bound is checked when the config is built; no episode runs here
+    with pytest.raises(ConfigurationError, match="noise_sigma must be at most 1e\\+150"):
+        make_config(quiet_arena, noise_sigma=math.nextafter(MAX_NOISE_SIGMA, math.inf))
+    make_config(quiet_arena, noise_sigma=MAX_NOISE_SIGMA)
+    # the derivation: standard normal draws stay below 14 in magnitude, and
+    # at that draw on every axis, inside three overlapping zones, the
+    # reading and its vibration magnitude are finite
+    assert np.abs(np.random.default_rng(3).standard_normal(1_000_000)).max() < 14.0
+    zones = tuple(ZoneDisc(0.0, 0.0, 0.5, 1e150) for _ in range(3))
+    arena = Arena(radius=1.3, zones=zones)
+    for z in (14.0, -14.0):
+        ax, ay, az, in_zone = _accel_at(0.0, 0.0, arena, MAX_NOISE_SIGMA, z, z, z, math.pi / 4)
+        assert in_zone
+        assert math.isfinite(vibration_magnitude((ax, ay, az)))
 
 
 @pytest.mark.parametrize("learning", [True, False])

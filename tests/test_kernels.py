@@ -8,6 +8,9 @@ nodes, edge midpoints and triangle circumcentres (2- and 3-way ties) and
 at points a few ulps off them.  The blocked firing-rate scan equals the
 firing formula at the brute-force distances across block boundaries, on
 strided position views, and in a bounded amount of scratch memory.  The
+place-cell cascade is checked against a plain left-to-right sum bit for
+bit, and its premise, that no computed rate exceeds the cell's rate at
+distance 0 plus a slack, over the whole parameter range.  The
 FFT autocorrelogram is checked at every lag against a per-lag, two-pass,
 long-double masked Pearson oracle, including which lags are NaN.
 """
@@ -21,22 +24,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_grid
+
 from mazecells._kernels import (
     BLOCK,
+    RATE_CAP_SLACK,
     TWO_PI,
     autocorr,
     brute_force,
+    ensemble_batch,
     firing_normalized,
     firing_raw,
     nearest_batch,
+    rate_cap,
     rates_batch,
+    survival_thresholds,
     walk_loop,
     walk_step,
     wrap_angle,
 )
 from mazecells.spatialcells import (
+    MAX_SPACING,
+    MIN_SPACING,
     FiringParams,
     GridCellParams,
+    anchored_ensemble,
     lattice_basis,
     normalized_rate,
     phase_offset,
@@ -298,6 +310,207 @@ def test_rates_at_peak_memory_is_a_few_outputs():
     finally:
         tracemalloc.stop()
     assert peak < 3 * out.nbytes
+
+
+# ---------------------------------------------------------------------------
+# place-cell ensemble cascade
+# ---------------------------------------------------------------------------
+
+
+def _cap_premise_distances(spacing, zeta, extra):
+    """Distances >= 0 around every regime of the rate curve: 0, the
+    subnormals, the field edge d = spacing * zeta, the node spacing and
+    far beyond it, up to the largest double."""
+    edge = spacing * zeta
+    near = [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return np.concatenate([
+        [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-30, 1e308, 1.7976931348623157e308],
+        near,
+        np.linspace(0.0, 2.0 * spacing, 61),
+        np.geomspace(5e-324, 1e308, 61),
+        np.asarray(extra, dtype=np.float64),
+    ])
+
+
+@given(
+    spacing=st.floats(MIN_SPACING, MAX_SPACING),
+    log_kappa=st.floats(-3.0, 300.0),
+    zeta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    extra=st.lists(st.floats(0.0, allow_infinity=False, allow_subnormal=True), max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_rate_cap_premise(spacing, log_kappa, zeta, extra):
+    # the cascade drops a point only if no rate can exceed its cap; check
+    # that on the vectorized arctan (whole arrays) and on single values
+    kappa = 10.0**log_kappa
+    cap = rate_cap(spacing, kappa, zeta)
+    d = _cap_premise_distances(spacing, zeta, extra)
+    with np.errstate(over="ignore"):  # d / spacing overflows to inf for huge d
+        rates = firing_normalized(firing_raw(d, spacing, kappa, zeta))
+        ones = [firing_normalized(firing_raw(v, spacing, kappa, zeta)) for v in d[:12]]
+    assert np.all(rates <= cap)
+    assert all(r <= cap for r in ones)
+    assert cap <= 1.0 + RATE_CAP_SLACK
+
+
+def test_rate_cap_premise_dense_at_the_place_defaults():
+    # a million distances per cell of the default place ensemble: the cap
+    # holds with margin, and is the d = 0 rate plus the slack
+    fp = FiringParams(5.0, 0.3)
+    for g in anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)):
+        d = np.linspace(0.0, 1.5 * g.spacing, 1_000_000)
+        rates = firing_normalized(firing_raw(d, g.spacing, fp.kappa, fp.zeta))
+        cap = rate_cap(g.spacing, fp.kappa, fp.zeta)
+        assert rates.max() <= cap - RATE_CAP_SLACK / 2.0
+        assert cap == float(firing_normalized(firing_raw(0.0, g.spacing, fp.kappa, fp.zeta))) + RATE_CAP_SLACK
+
+
+def _sequential_bound(x, caps, threshold):
+    for c in caps:
+        x = x + c
+    return x >= threshold
+
+
+@given(
+    caps=st.lists(st.floats(0.0, 1.0 + 2.0**-30), min_size=1, max_size=16),
+    frac=st.floats(0.0, 1.0, exclude_min=True),
+    probes=st.lists(st.floats(0.0, 16.0), max_size=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_survival_thresholds_match_the_sequential_cap_sum(caps, frac, probes):
+    threshold = frac * len(caps)
+    least = survival_thresholds(caps, threshold)
+    assert len(least) == len(caps) + 1 and least[-1] == threshold
+    for j, t in enumerate(least):
+        tail = caps[j:]
+        # the least survivor survives, its predecessor and 0.0 do not
+        # (unless the least survivor is 0.0 itself)
+        assert _sequential_bound(t, tail, threshold)
+        if t > 0.0:
+            assert not _sequential_bound(math.nextafter(t, -math.inf), tail, threshold)
+            assert not _sequential_bound(0.0, tail, threshold)
+        for x in probes:
+            assert (x >= t) == _sequential_bound(x, tail, threshold)
+
+
+def _reference_activity(px, py, cells, threshold):
+    """The plain sum: every input on every point, added left to right."""
+    total = np.zeros(px.shape[0])
+    rate = np.empty(px.shape[0])
+    for cell in cells:
+        rates_batch(px, py, *cell, rate)
+        total += rate
+    return (total >= threshold).astype(np.int8), total
+
+
+def _ensemble_cells(grids, fp):
+    return [_basis(g) + (g.spacing, fp.kappa, fp.zeta) for g in grids]
+
+
+def _run_ensemble(px, py, cells, threshold):
+    out = np.full(px.shape[0], 7, dtype=np.int8)
+    ensemble_batch(px, py, cells, threshold, out)
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 16),
+    anchored=st.booleans(),
+    size=st.sampled_from([0, 1, 2, 37, BLOCK - 1, BLOCK, BLOCK + 1]),
+    kind=st.sampled_from(["fraction", "tiny", "count", "a point's total", "the anchor's total"]),
+    frac=st.floats(0.0, 1.0, exclude_min=True),
+    kappa=st.floats(0.5, 40.0),
+    zeta=st.floats(0.05, 0.95),
+)
+@settings(max_examples=60, deadline=None)
+def test_ensemble_matches_plain_sum_bitwise(seed, count, anchored, size, kind, frac, kappa, zeta):
+    rng = np.random.default_rng(seed)
+    fp = FiringParams(kappa, zeta)
+    anchor = rng.uniform(-1.0, 1.0, 2)
+    if anchored:
+        # lattices sharing a node at the anchor, in random order: points
+        # near it fire at high thresholds
+        grids = list(anchored_ensemble(rng.uniform(0.2, 1.5, count), anchor))
+        rng.shuffle(grids)
+    else:
+        grids = [random_grid(rng) for _ in range(count)]
+    px = anchor[0] + rng.normal(0.0, 0.3, size)
+    py = anchor[1] + rng.normal(0.0, 0.3, size)
+    if size:
+        # where an anchored ensemble peaks, every rate is near its cap
+        px[-1], py[-1] = anchor
+    cells = _ensemble_cells(grids, fp)
+    _, total = _reference_activity(px, py, cells, 1.0)
+    threshold = {
+        "fraction": frac * count,
+        "tiny": 5e-324,
+        "count": float(count),
+        "a point's total": float(total[rng.integers(size)]) if size else 0.5,
+        "the anchor's total": float(total[-1]) if size else 0.5,
+    }[kind]
+    want, _ = _reference_activity(px, py, cells, threshold)
+    assert np.array_equal(_run_ensemble(px, py, cells, threshold), want)
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_ensemble_every_point_fires_and_exact_threshold(n):
+    rng = np.random.default_rng(41)
+    fp = FiringParams(5.0, 0.3)
+    grids = anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2))
+    px = rng.uniform(-1.3, 1.3, n)
+    py = rng.uniform(-1.3, 1.3, n)
+    cells = _ensemble_cells(grids, fp)
+    assert np.all(_run_ensemble(px, py, cells, 5e-324) == 1)
+    if n:
+        # at the anchor every rate peaks; a threshold equal to its total
+        # keeps it, and so checks both the caps (which must not fall below
+        # a peak rate) and that the compare is inclusive at every stage
+        i = n // 2
+        px[i], py[i] = 0.35, 0.2
+        _, total = _reference_activity(px, py, cells, 1.0)
+        assert total[i] == total.max()
+        got = _run_ensemble(px, py, cells, float(total[i]))
+        assert got[i] == 1
+        assert np.array_equal(got, (total >= total[i]).astype(np.int8))
+
+
+def test_ensemble_drops_points_early(monkeypatch):
+    # at the default place parameters the caps (about 0.81) leave little
+    # room below the threshold 6.4: after its first input a point far from
+    # the anchor is out, so the eight inputs cost about one decode pass
+    from mazecells import _kernels
+
+    evaluated = []
+    real = _kernels._block_rates
+
+    def counting(px, *args):
+        evaluated.append(px.shape[0])
+        real(px, *args)
+
+    monkeypatch.setattr(_kernels, "_block_rates", counting)
+    rng = np.random.default_rng(43)
+    r = 1.3 * np.sqrt(rng.uniform(0.0, 1.0, 100_000))
+    a = rng.uniform(-math.pi, math.pi, 100_000)
+    px, py = r * np.cos(a), r * np.sin(a)
+    fp = FiringParams(5.0, 0.3)
+    cells = _ensemble_cells(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), fp)
+    got = _run_ensemble(px, py, cells, 6.4)
+    assert 0 < sum(evaluated) < 1.5 * px.shape[0]
+    monkeypatch.undo()
+    assert np.array_equal(got, _reference_activity(px, py, cells, 6.4)[0])
+    assert got.sum() > 0
+
+
+def test_ensemble_no_input_evaluated_when_nothing_can_fire(monkeypatch):
+    from mazecells import _kernels
+
+    monkeypatch.setattr(_kernels, "_block_rates", None)  # any call would fail
+    fp = FiringParams(5.0, 0.3)
+    cells = _ensemble_cells(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), fp)
+    px = np.zeros(10)
+    # every rate is at most about 0.81 here, so the sum cannot reach 8
+    assert np.all(_run_ensemble(px, px, cells, 8.0) == 0)
 
 
 def _pairs(vals, visited, dy, dx):

@@ -303,6 +303,53 @@ def test_place_activity_threshold_is_inclusive(demo_grid, firing):
     assert place_activity_at(p, PlaceCellParams(inputs, above), firing)[0] == 0
 
 
+@pytest.mark.parametrize(
+    "pos, offender",
+    [
+        # beyond only the third input's bound: it is named
+        ((6e9, 0.0), 2),
+        # beyond the second and third inputs' bounds: the second is named
+        ((0.0, -6e12), 1),
+        # beyond every bound, or not finite: the first input is named
+        ((1e200, 0.0), 0),
+        ((math.nan, 0.0), 0),
+        ((0.0, math.inf), 0),
+    ],
+)
+def test_place_activity_out_of_range_names_first_offending_input(firing, pos, offender):
+    # every input's position bound is checked on every point before the
+    # cascade drops any; the error is the one rates_at raises for the
+    # first input, in input order, whose bound a coordinate exceeds
+    inputs = (
+        GridCellParams(1.0, 0.4, 1.1, 2.9),
+        GridCellParams(1e-3, 0.4, 1.1, 2.9),
+        GridCellParams(MIN_SPACING, 0.4, 1.1, 2.9),
+    )
+    pc = PlaceCellParams(inputs, 0.5)
+    positions = np.array([[0.0, 0.0]] * 40000 + [pos])
+    with pytest.raises(ConfigurationError) as want:
+        rates_at(positions, inputs[offender], firing)
+    bound = MAX_SPACINGS_FROM_ORIGIN * inputs[offender].spacing
+    assert str(want.value) == (
+        f"positions must be finite and within {bound:g} m (2**52 spacings) of the origin"
+    )
+    with pytest.raises(ConfigurationError) as got:
+        place_activity_at(positions, pc, firing)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(4), np.zeros((3, 3)), np.zeros((2, 2, 2)), np.float64(1.0)])
+def test_place_activity_rejects_bad_shapes(demo_grid, firing, bad):
+    pc = PlaceCellParams((demo_grid,), 0.5)
+    with pytest.raises(ConfigurationError, match=r"^positions must have shape \(N, 2\)$"):
+        place_activity_at(bad, pc, firing)
+
+
+def test_place_activity_empty_positions(demo_grid, firing):
+    out = place_activity_at(np.empty((0, 2)), PlaceCellParams((demo_grid,), 0.5), firing)
+    assert out.shape == (0,) and out.dtype == np.int8
+
+
 def test_anchored_ensemble_shares_node_at_anchor(firing):
     cells = anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2))
     assert len(cells) == 8
