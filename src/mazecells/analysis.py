@@ -67,13 +67,17 @@ class Autocorrelogram:
         return (self.values.shape[0] - 1) // 2, (self.values.shape[1] - 1) // 2
 
 
-def check_map_side(extent: float, bin_size: float, name: str = "bin_size") -> None:
+def check_map_side(
+    extent: float, bin_size: float, name: str = "bin_size", extent_source: str | None = None
+) -> None:
     """Reject a ``bin_size`` that splits ``extent`` into more than
-    MAX_MAP_SIDE bins, before any map is allocated."""
+    MAX_MAP_SIDE bins, before any map is allocated.  ``extent_source``, if
+    given, says in the message where the extent comes from."""
     # compared as a float: a subnormal bin_size makes the quotient inf
     if extent / bin_size > MAX_MAP_SIDE:
+        source = f" ({extent_source})" if extent_source else ""
         raise ConfigurationError(
-            f"{name} = {bin_size!r} splits {extent!r} m into {extent / bin_size:.6g} bins; "
+            f"{name} = {bin_size!r} splits {extent!r} m{source} into {extent / bin_size:.6g} bins; "
             f"at most {MAX_MAP_SIDE} fit (about 1 KiB of memory per map bin)"
         )
 

@@ -102,6 +102,13 @@ class Arena:
                 raise ConfigurationError(
                     f"zone center ({z.center_x}, {z.center_y}) lies outside the arena"
                 )
+        # every zone that contains a point adds its impulse to the reading
+        amplitude_sum = sum(z.amplitude for z in self.zones)
+        if amplitude_sum > MAX_ZONE_AMPLITUDE_SUM:
+            raise ConfigurationError(
+                f"zone amplitudes must sum to at most {MAX_ZONE_AMPLITUDE_SUM:g} "
+                f"(so that accelerometer readings stay finite), got {amplitude_sum}"
+            )
 
     def zone_index_at(self, x: float, y: float) -> int:
         """Index of the first zone containing the point, or -1."""
@@ -168,6 +175,13 @@ def vibration_magnitude(accel) -> float:
 # The noise arithmetic runs on Python floats, so an overflow to inf
 # would pass without a warning.
 MAX_NOISE_SIGMA = 1e150
+# The largest sum of an arena's zone amplitudes (m/s^2).  A point inside
+# every zone gets all their impulses, along one shared direction, so each
+# horizontal axis stays below 1.4e151 + 1e153 < 1.02e153 in magnitude, and
+# vibration_magnitude's sum of squares below 2 * (1.02e153)**2 +
+# (1.4e151)**2 < 2.1e306, under the float maximum by a factor of 85 (which
+# also covers the rounding of the impulse sums).
+MAX_ZONE_AMPLITUDE_SUM = 1e153
 
 
 def _accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):

@@ -330,7 +330,9 @@ def parse_config(text: str) -> RunConfig:
     if not (bin_size > 0.0 and math.isfinite(bin_size)):
         raise ConfigurationError(f"[analysis] bin_size must be positive and finite, got {bin_size}")
     # the rate maps span the arena's diameter
-    check_map_side(2.0 * arena.radius, bin_size, "[analysis] bin_size")
+    check_map_side(
+        2.0 * arena.radius, bin_size, "[analysis] bin_size", f"twice [arena] radius = {arena.radius!r}"
+    )
     inner = analysis["annulus_inner_scale"]
     outer = analysis["annulus_outer_scale"]
     if not (0.0 < inner < outer and math.isfinite(outer)):
@@ -357,6 +359,9 @@ def parse_config(text: str) -> RunConfig:
             f"[sensors] noise_sigma must be at most {MAX_NOISE_SIGMA:g} in magnitude "
             f"(so that accelerometer readings stay finite), got {noise_sigma}"
         )
+    for name, v in (("[sensors] noise_sigma", noise_sigma), ("[controller] jitter_sigma", jitter_sigma)):
+        if v < 0.0:
+            raise ConfigurationError(f"{name} must be >= 0, got {v}")
 
     return RunConfig(
         seed=seed,
@@ -459,10 +464,7 @@ def episode_config(
         arena=rc.arena,
         walk=rc.walk,
         camera=rc.camera,
-        firing=rc.firing,
         circuit=rc.circuit,
-        grid_cells=rc.grid_cells,
-        place=rc.place,
         tick_count=rc.tick_count,
         seed=int(seed),
         vibration_enabled=(mode == "train"),

@@ -4,8 +4,7 @@ Each tick the agent senses at its current pose, evaluates the motion
 circuit, learns (in train mode), then acts: a rising edge of the motion
 output triggers a turn-in-place away from the nearest active cue, the
 following tick steps straight along the escape heading, and any other
-tick takes a bounded random-walk step.  Grid-cell rates and place
-activity are pure functions of the pose and are logged alongside.
+tick takes a bounded random-walk step.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 
 from ._kernels import wrap_angle, walk_step
 from .arena import (
-    GRAVITY,
     MAX_NOISE_SIGMA,
     Arena,
     CameraParams,
@@ -27,16 +25,10 @@ from .arena import (
     vibration_magnitude,
 )
 from .learning import CircuitParams, motion_output, oja_update
-from .spatialcells import (
-    ConfigurationError,
-    FiringParams,
-    GridCellParams,
-    PlaceCellParams,
-    check_seed,
-    check_tick_count,
-    place_activity_at,
-    rates_at,
-)
+from .spatialcells import ConfigurationError, check_seed, check_tick_count
+
+# Not called here: perfbench's tracer patches these two names on this module.
+from .spatialcells import place_activity_at, rates_at
 
 
 @dataclass(frozen=True)
@@ -46,10 +38,7 @@ class EpisodeConfig:
     arena: Arena
     walk: WalkParams
     camera: CameraParams
-    firing: FiringParams
     circuit: CircuitParams
-    grid_cells: tuple[GridCellParams, ...]
-    place: PlaceCellParams
     tick_count: int
     seed: int
     vibration_enabled: bool = True
@@ -60,7 +49,6 @@ class EpisodeConfig:
     start_heading: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "grid_cells", tuple(self.grid_cells))
         check_tick_count(self.tick_count)
         check_seed(self.seed)
         if not math.isfinite(self.initial_w_color):
@@ -87,13 +75,10 @@ class EpisodeLog:
     xs: np.ndarray
     ys: np.ndarray
     headings: np.ndarray
-    accel: np.ndarray
     vibration: np.ndarray
     x_color: np.ndarray
     y_out: np.ndarray
     w_color: np.ndarray
-    grid_rates: np.ndarray
-    place_active: np.ndarray
     bumper_contacts: int
     avoidance_events: int
 
@@ -167,7 +152,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     xs = np.empty(T)
     ys = np.empty(T)
     headings = np.empty(T)
-    accel = np.empty((T, 3))
     vibration = np.empty(T)
     x_color = np.empty(T)
     y_out = np.zeros(T, dtype=np.int8)
@@ -176,7 +160,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     g_turn, g_retry, g_ax, g_ay, g_az, g_jitter = (memoryview(gauss[:, k]) for k in range(6))
     u = memoryview(u_dir)
     log_x, log_y, log_h = memoryview(xs), memoryview(ys), memoryview(headings)
-    log_ax, log_ay, log_az = (memoryview(accel[:, k]) for k in range(3))
     log_vib, log_xc = memoryview(vibration), memoryview(x_color)
     log_yt, log_w = memoryview(y_out), memoryview(w_trace)
 
@@ -193,10 +176,11 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                 x, y, arena, noise_sigma,
                 g_ax[t], g_ay[t], g_az[t], u[t],
             )
+            vib = vibration_magnitude((ax, ay, az))
         else:
-            ax, ay, az = 0.0, 0.0, GRAVITY
+            # the magnitude of the rest reading (0, 0, g), exactly
+            vib = 0.0
             in_zone = zone_index_at(x, y) >= 0
-        vib = vibration_magnitude((ax, ay, az))
         xc = color_sample(x, y, h, arena, cam)
         # The escape below reads the weight from before this tick's update.
         w_prev = w
@@ -211,9 +195,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         log_x[t] = x
         log_y[t] = y
         log_h[t] = h
-        log_ax[t] = ax
-        log_ay[t] = ay
-        log_az[t] = az
         log_vib[t] = vib
         log_xc[t] = xc
         log_yt[t] = yt
@@ -240,24 +221,15 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                 escaping = False
         y_prev = yt
 
-    positions = np.column_stack([xs, ys])
-    grid_rates = np.empty((T, len(cfg.grid_cells)))
-    for i, cell in enumerate(cfg.grid_cells):
-        grid_rates[:, i] = rates_at(positions, cell, cfg.firing)
-    place = place_activity_at(positions, cfg.place, cfg.firing)
-
     return EpisodeLog(
         ticks=np.arange(T, dtype=np.int64),
         xs=xs,
         ys=ys,
         headings=headings,
-        accel=accel,
         vibration=vibration,
         x_color=x_color,
         y_out=y_out,
         w_color=w_trace,
-        grid_rates=grid_rates,
-        place_active=place,
         bumper_contacts=bumper,
         avoidance_events=events,
     )

@@ -54,13 +54,13 @@ def check_seed(seed, name: str = "seed") -> int:
 
 
 # Peak memory of a run grows by about 512 B per tick at most.  An episode,
-# the largest, holds per tick 7 float64 random draws (56 B); 9 float64 log
-# columns, the int8 motion output and the int64 tick index (81 B); the
-# positions, grid rates and place flags (~60 B); and, while it writes
+# the largest, holds per tick 7 float64 random draws (56 B); 6 float64 log
+# columns, the int8 motion output and the int64 tick index (57 B); the
+# positions it scores coverage on (16 B); and, while it writes
 # trajectory.csv, the row (~113 B of text, +57 B of str header and list
-# slot) and the joined file text (~113 B per copy).  Measured over 1.2M
-# ticks: 478 B per tick for `episode`, 206 B for `ratemap`.  The bound caps
-# a run near 2**26 ticks * 512 B = 32 GiB.
+# slot) and the joined file text (~113 B per copy).  Measured between 200k
+# and 1.4M ticks: 458 B per tick for `episode`, 64 B for `ratemap`.  The
+# bound caps a run near 2**26 ticks * 512 B = 32 GiB.
 MAX_TICK_COUNT = 2**26
 
 

@@ -7,6 +7,7 @@ summaries.  The values cover NaN, both infinities, negative zero, the
 smallest subnormal, a huge finite value and a sum with a 17-digit repr.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from mazecells.artifacts import (
     write_ratemap_csv,
     write_trajectory_csv,
 )
-from mazecells.controller import EpisodeLog
+from mazecells.config import episode_config, parse_config
+from mazecells.controller import EpisodeLog, run_episode
 
 HOSTILE = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0, -2.5]
 
@@ -41,13 +43,10 @@ def log():
         xs=rotated(0),
         ys=rotated(1),
         headings=rotated(2),
-        accel=np.zeros((n, 3)),
         vibration=rotated(3),
         x_color=rotated(4),
         y_out=np.array([0, 1, -1, 127, -128, 0, 1, 1, 0], dtype=np.int8),
         w_color=rotated(5),
-        grid_rates=np.zeros((n, 1)),
-        place_active=np.zeros(n, dtype=bool),
         bumper_contacts=0,
         avoidance_events=0,
     )
@@ -75,6 +74,29 @@ def test_trajectory_csv_matches_per_value_fmt(tmp_path, log):
     assert rows[0].split(",")[0] == "0" and rows[1].split(",")[0] == "1000000000000"
     assert rows[6].split(",")[1] == "0.30000000000000004"
     assert rows[2].split(",")[6] == "-1"
+
+
+def test_every_log_array_reaches_its_own_trajectory_column(tmp_path):
+    """An EpisodeLog array that no trajectory.csv column holds is computed
+    for nothing.  Each array field gets its own marker values, so each
+    must turn up in exactly one column, and no two fields in the same one."""
+    real = run_episode(episode_config(parse_config("[run]\nseed = 1\ntick_count = 3\n"), "train"))
+    arrays = [f.name for f in dataclasses.fields(real) if isinstance(getattr(real, f.name), np.ndarray)]
+    # small integers, so that the int8 motion output holds them too
+    markers = {
+        name: np.array([10 * i + t + 1 for t in range(len(real))], dtype=getattr(real, name).dtype)
+        for i, name in enumerate(arrays)
+    }
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(str(path), dataclasses.replace(real, **markers))
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    columns = [tuple(float(v) for v in col) for col in zip(*rows)]
+    found = {}
+    for name, values in markers.items():
+        hits = [c for c, col in enumerate(columns) if col == tuple(values.astype(float))]
+        assert len(hits) == 1, f"{name} is in {len(hits)} trajectory columns"
+        found[name] = hits[0]
+    assert len(set(found.values())) == len(arrays)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided view", "transposed view"])

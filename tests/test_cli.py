@@ -211,12 +211,15 @@ def test_non_finite_walk_or_bin_size_exits_2(tmp_path, capsys, command, sections
     assert not out.exists()
 
 
-# (id, config sections, text the error must contain): finite values whose
-# magnitude a run cannot handle
+# (id, config sections, text the error must start with): finite values
+# outside the range a run can handle
 MAGNITUDE_CASES = [
     ("noise_sigma-1e155", {"sensors": {"noise_sigma": "1e155"}}, "[sensors] noise_sigma"),
     ("spacing_max-1e300", {"place": {"spacing_max": "1e300"}}, "[place] spacing_max"),
     ("spacing_min-1e-300", {"place": {"spacing_min": "1e-300"}}, "[place] spacing_min"),
+    ("noise_sigma-negative", {"sensors": {"noise_sigma": "-1"}}, "[sensors] noise_sigma"),
+    ("jitter_sigma-negative", {"controller": {"jitter_sigma": "-1"}}, "[controller] jitter_sigma"),
+    ("zone_amplitude-1e300", {"zone 1": dict(ZONE, amplitude="1e300")}, "zone amplitudes"),
 ]
 
 

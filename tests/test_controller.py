@@ -10,6 +10,7 @@ import pytest
 from mazecells import controller
 from mazecells.arena import (
     MAX_NOISE_SIGMA,
+    MAX_ZONE_AMPLITUDE_SUM,
     Arena,
     CameraParams,
     WalkParams,
@@ -21,26 +22,15 @@ from mazecells.arena import (
 from mazecells.config import episode_config, parse_config
 from mazecells.controller import EpisodeConfig, run_episode
 from mazecells.learning import CircuitParams
-from mazecells.spatialcells import (
-    ConfigurationError,
-    FiringParams,
-    GridCellParams,
-    PlaceCellParams,
-    anchored_ensemble,
-)
+from mazecells.spatialcells import ConfigurationError
 
 
 def make_config(arena, **kw):
-    cells = (GridCellParams(1.0, math.pi / 4, 0.5, 0.0),)
-    place = PlaceCellParams(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), 6.4)
     base = dict(
         arena=arena,
         walk=WalkParams(),
         camera=CameraParams(),
-        firing=FiringParams(),
         circuit=CircuitParams(),
-        grid_cells=cells,
-        place=place,
         tick_count=500,
         seed=0,
         vibration_enabled=True,
@@ -68,7 +58,7 @@ def test_episode_bitwise_deterministic(quiet_arena):
     cfg = make_config(quiet_arena, tick_count=800, seed=14)
     a = run_episode(cfg)
     b = run_episode(cfg)
-    for name in ("xs", "ys", "headings", "vibration", "x_color", "w_color", "accel"):
+    for name in ("xs", "ys", "headings", "vibration", "x_color", "w_color"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert a.bumper_contacts == b.bumper_contacts
     assert a.avoidance_events == b.avoidance_events
@@ -79,8 +69,6 @@ def test_episode_length_and_first_row(quiet_arena):
     assert len(log) == 64
     assert log.xs[0] == 0.0 and log.ys[0] == 0.0
     assert abs(log.headings[0] - 0.25) < 1e-12
-    assert log.grid_rates.shape == (64, 1)
-    assert log.place_active.shape == (64,)
 
 
 def test_no_stimuli_keeps_weight_at_zero(quiet_arena):
@@ -109,8 +97,6 @@ def test_vibration_disabled_forces_exact_zero(quiet_arena):
         make_config(arena, tick_count=300, seed=2, vibration_enabled=False, noise_sigma=0.3)
     )
     assert np.all(log.vibration == 0.0)
-    assert np.all(log.accel[:, 0] == 0.0)
-    assert np.all(log.accel[:, 2] == 9.81)
 
 
 def test_reflex_every_vibration_spike_fires_output(reflex_arena):
@@ -254,6 +240,27 @@ def test_noise_sigma_bound_keeps_readings_finite(quiet_arena):
         ax, ay, az, in_zone = _accel_at(0.0, 0.0, arena, MAX_NOISE_SIGMA, z, z, z, math.pi / 4)
         assert in_zone
         assert math.isfinite(vibration_magnitude((ax, ay, az)))
+
+
+def test_zone_amplitude_sum_bound_keeps_readings_finite():
+    # the bound is checked when the arena is built; no episode runs here
+    def arena(*amplitudes):
+        return Arena(radius=1.3, zones=tuple(ZoneDisc(0.0, 0.0, 0.5, a) for a in amplitudes))
+
+    with pytest.raises(ConfigurationError, match="zone amplitudes must sum to at most 1e\\+153"):
+        arena(math.nextafter(MAX_ZONE_AMPLITUDE_SUM, math.inf))
+    # each zone is under the bound, their sum is not
+    half = MAX_ZONE_AMPLITUDE_SUM / 2
+    with pytest.raises(ConfigurationError, match="zone amplitudes"):
+        arena(half, half, half)
+    # at the bound, inside every zone, with the largest noise and draws on
+    # every axis, the reading and its vibration magnitude are finite
+    widest = arena(half, half)
+    for z in (14.0, -14.0):
+        for u in (0.0, math.pi / 4, -3 * math.pi / 4):
+            ax, ay, az, in_zone = _accel_at(0.0, 0.0, widest, MAX_NOISE_SIGMA, z, z, z, u)
+            assert in_zone
+            assert math.isfinite(vibration_magnitude((ax, ay, az)))
 
 
 @pytest.mark.parametrize("learning", [True, False])
