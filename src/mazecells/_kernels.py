@@ -18,14 +18,14 @@ point; :func:`rates_batch` keeps only the smallest squared distance and
 walks the points in blocks of :data:`BLOCK`, sized so that the scratch
 rows of one block stay in a 2 MiB per-core L2 cache (16384 points ran
 fastest of 2k to 32k and unblocked on such a host; every block size gives
-the same bits).  :func:`rates_batch` and the ensemble below run the same
-per-block body, :func:`_block_rates`.
+the same bits); it is the only loop over blocks.
 
 The place-cell ensemble, :func:`ensemble_batch`, is an exact attentional
-cascade: each grid input is decoded only on the points whose partial sum
-can still reach the threshold.  It rests on one premise, that no computed
-rate exceeds the input's rate at distance 0 by more than
-:data:`RATE_CAP_SLACK`, and gives the bits of the plain sum.
+cascade: each grid input is decoded, through :func:`rates_batch`, only on
+the points whose partial sum can still reach the threshold.  It rests on
+one premise, that no computed rate exceeds the input's rate at distance
+0 by more than :data:`RATE_CAP_SLACK`, and gives the bits of the plain
+sum.
 
 The autocorrelogram is the masked normalized cross-correlation of
 Padfield (IEEE TIP 2012), computed with ``numpy.fft``; an overlap counts as
@@ -213,38 +213,27 @@ def firing_normalized(raw):
     return 0.5 - raw / np.pi
 
 
-def _block_rates(px, py, b1x, b1y, b2x, b2y, offx, offy, spacing, kappa, zeta, s, out):
-    """Normalized firing rate at each point's nearest-node distance, for
-    one block of at most :data:`BLOCK` points, into ``out``.
-
-    Runs the 4-corner scan of :func:`_corners` in the scratch ``s`` (shape
-    (SCRATCH_ROWS, len(px))) and keeps only the smallest squared
-    distance.  Tied squared distances have equal bits, so this minimum is
-    the one the strict-``<`` scan of :func:`nearest_batch` returns;
-    ``fmin`` skips a NaN as that scan does.
-    """
-    out.fill(np.inf)
-    for *_, d2 in _corners(px, py, b1x, b1y, b2x, b2y, offx, offy, s):
-        np.fmin(out, d2, out=out)
-    np.sqrt(out, out=out)
-    out[:] = firing_normalized(firing_raw(out, spacing, kappa, zeta))
-
-
 def rates_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, spacing, kappa, zeta, out):
     """Normalized firing rate at each point's nearest-node distance.
 
-    Walks the points in blocks of :data:`BLOCK` through
-    :func:`_block_rates`, with one scratch array for all blocks.  ``px``,
-    ``py`` may be strided views.
+    Walks the points in blocks of :data:`BLOCK`, running the 4-corner scan
+    of :func:`_corners` in one scratch array for all blocks and keeping
+    only the smallest squared distance.  Tied squared distances have equal
+    bits, so this minimum is the one the strict-``<`` scan of
+    :func:`nearest_batch` returns; ``fmin`` skips a NaN as that scan does.
+    ``px``, ``py`` may be strided views.
     """
     n = px.shape[0]
     s = np.empty((SCRATCH_ROWS, min(n, BLOCK)))
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        _block_rates(
-            px[lo:hi], py[lo:hi], b1x, b1y, b2x, b2y, offx, offy,
-            spacing, kappa, zeta, s[:, : hi - lo], out[lo:hi],
-        )
+        d = out[lo:hi]
+        d.fill(np.inf)
+        corners = _corners(px[lo:hi], py[lo:hi], b1x, b1y, b2x, b2y, offx, offy, s[:, : hi - lo])
+        for *_, d2 in corners:
+            np.fmin(d, d2, out=d)
+        np.sqrt(d, out=d)
+        d[:] = firing_normalized(firing_raw(d, spacing, kappa, zeta))
 
 
 # Added to each input's rate at distance 0 to cap every rate it can take.
@@ -306,67 +295,52 @@ def survival_thresholds(caps, threshold) -> list[float]:
     return out[::-1]
 
 
-def ensemble_batch(px, py, cells, threshold, out):
+def ensemble_batch(px, py, cells, threshold, total, out):
     """1 where the summed normalized rates of ``cells`` reach ``threshold``.
 
     ``cells`` lists each grid input as ``(b1x, b1y, b2x, b2y, offx, offy,
-    spacing, kappa, zeta)``; ``out`` (int8, zeroed here) gets 1 at each
-    point whose total, the rates added left to right from 0.0 in the
-    given order, is ``>= threshold``.
+    spacing, kappa, zeta)``; ``total`` is a scratch array of len(px)
+    floats; ``out`` (int8, zeroed here) gets 1 at each point whose total,
+    the rates added left to right from 0.0 in the given order, is
+    ``>= threshold``.
 
     An attentional cascade with an exact reject rule (Viola & Jones,
-    CVPR 2001).  Per block of :data:`BLOCK` points, input j is evaluated
-    only on the points that survived inputs 0..j-1.  After adding input
-    j, a point is dropped once its partial total plus the caps
-    (:func:`rate_cap`) of the remaining inputs, added one float add at a
-    time in input order, falls below ``threshold``; that test is one
-    compare against a per-input bound from :func:`survival_thresholds`.
-    IEEE addition is monotone in each operand and every rate is at most
-    its cap, so that sum bounds the final total from above: a dropped
-    point cannot fire.  The survivors get the same adds in the same order
-    as a plain sum, so their totals are bit-identical to it, and after the
-    last input they are exactly the points that fire.  Never reorder the
+    CVPR 2001).  Input j is decoded with :func:`rates_batch` only on the
+    points that survived inputs 0..j-1.  After adding input j, a point is
+    dropped once its partial total plus the caps (:func:`rate_cap`) of
+    the remaining inputs, added one float add at a time in input order,
+    falls below ``threshold``; that test is one compare against a
+    per-input bound from :func:`survival_thresholds`, and the survivors'
+    coordinates and totals are then compacted over the whole array.  IEEE
+    addition is monotone in each operand and every rate is at most its
+    cap, so that sum bounds the final total from above: a dropped point
+    cannot fire.  The survivors get the same adds in the same order as a
+    plain sum, so their totals are bit-identical to it, and after the last
+    input they are exactly the points that fire.  Never reorder the
     inputs: the rounding of the sum depends on their order.
     """
-    n = px.shape[0]
     out.fill(0)
     start, *least = survival_thresholds([rate_cap(*cell[6:]) for cell in cells], threshold)
-    if n == 0 or start > 0.0:  # no point can fire
+    if px.shape[0] == 0 or start > 0.0:  # no point can fire
         return
-    m = min(n, BLOCK)
-    # The _corners scratch has the shape of rates_batch's, and the rows of
-    # the survivors' x, y, total and the current input's rate come apart:
-    # one array of both raised a 50k-tick ratemap's peak RSS by its 2.4 MB
-    # (glibc's mmap threshold had risen past it, so it stayed on the heap).
-    s = np.empty((SCRATCH_ROWS, m))
-    rows = np.empty((4, m))
-    keep = np.empty(m, dtype=bool)
-    for lo in range(0, n, BLOCK):
-        k = min(lo + BLOCK, n) - lo
-        qx, qy, total, rate = rows[:, :k]
-        qx[:] = px[lo : lo + k]
-        qy[:] = py[lo : lo + k]
-        total.fill(0.0)
-        idx = None  # the survivors' indices into the block, once one is dropped
-        for cell, t in zip(cells, least):
-            _block_rates(qx, qy, *cell, s[:, :k], rate)
-            np.add(total, rate, out=total)
-            alive = np.greater_equal(total, t, out=keep[:k])
-            if alive.all():
-                continue
-            sel = np.flatnonzero(alive)
-            k = sel.size
-            if k == 0:
-                break
-            idx = sel if idx is None else idx[sel]
-            for row in (qx, qy, total):
-                np.take(row, sel, out=row[:k])
-            qx, qy, total, rate = (r[:k] for r in (qx, qy, total, rate))
+    idx = None  # the survivors' indices into px, once one is dropped
+    for j, (cell, t) in enumerate(zip(cells, least)):
+        if j == 0:  # 0.0 + r is r for every rate, so input 0 is the total
+            rates_batch(px, py, *cell, total)
         else:
-            if idx is None:
-                out[lo : lo + k] = 1
-            else:
-                out[lo + idx] = 1
+            rate = np.empty(total.shape[0])
+            rates_batch(px, py, *cell, rate)
+            np.add(total, rate, out=total)
+        sel = np.flatnonzero(total >= t)
+        if sel.size == total.shape[0]:
+            continue
+        if sel.size == 0:
+            return
+        idx = sel if idx is None else idx[sel]
+        px = px[sel]
+        py = py[sel]
+        total = np.take(total, sel, out=total[: sel.size])
+    out[slice(None) if idx is None else idx] = 1
 
 
 def brute_force(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi, ni):

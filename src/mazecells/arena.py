@@ -19,6 +19,24 @@ from .spatialcells import ConfigurationError, Position2, check_seed, check_tick_
 
 GRAVITY = 9.81
 
+# The largest magnitude (rad) of a pose heading or a wall arc endpoint.
+# wrap_angle subtracts k = floor((a + pi) / TWO_PI) turns of TWO_PI, which
+# is 2*pi to within 2.5e-16, and rounds k * TWO_PI to half an ulp of |a|:
+# for |a| <= 1e6 (k <= 159155) the wrapped angle stays within
+# 159155 * 2.5e-16 + 2**-34 < 1e-10 rad of a's exact remainder.  The error
+# grows with |a|; from about 1e17, where an ulp of a exceeds 2*pi,
+# wrap_angle returns 0.0.
+MAX_ANGLE = 1e6
+
+
+def check_angle(a: float, name: str) -> None:
+    """Raise ConfigurationError if the finite angle ``a`` exceeds
+    MAX_ANGLE in magnitude."""
+    if abs(a) > MAX_ANGLE:
+        raise ConfigurationError(
+            f"{name} must be at most {MAX_ANGLE:g} rad in magnitude, got {a}"
+        )
+
 
 @dataclass(frozen=True)
 class Pose:
@@ -33,6 +51,7 @@ class Pose:
             raise ConfigurationError("pose position must be finite")
         if not math.isfinite(self.heading):
             raise ConfigurationError(f"pose heading must be finite, got {self.heading}")
+        check_angle(self.heading, "pose heading")
         object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
 
 
@@ -73,6 +92,8 @@ class WallArc:
     def __post_init__(self):
         if not (math.isfinite(self.start_angle) and math.isfinite(self.end_angle)):
             raise ConfigurationError("wall arc angles must be finite")
+        check_angle(self.start_angle, "wall arc start_angle")
+        check_angle(self.end_angle, "wall arc end_angle")
         object.__setattr__(self, "start_angle", wrap_angle(float(self.start_angle)))
         object.__setattr__(self, "end_angle", wrap_angle(float(self.end_angle)))
         object.__setattr__(self, "extent", (self.end_angle - self.start_angle) % TWO_PI)

@@ -8,7 +8,6 @@ runs byte-identical.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 
@@ -32,10 +31,7 @@ def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isnan(f):
-            return "nan"
-        return repr(f)
+        return repr(float(v))
     return str(v)
 
 

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import check_map_side
-from .arena import MAX_NOISE_SIGMA, Arena, CameraParams, WalkParams, WallArc, ZoneDisc
+from .arena import (
+    MAX_NOISE_SIGMA,
+    Arena,
+    CameraParams,
+    WalkParams,
+    WallArc,
+    ZoneDisc,
+    check_angle,
+)
 from .controller import EpisodeConfig
 from .learning import CircuitParams
 from .spatialcells import (
@@ -220,6 +228,20 @@ def _read_section(name: str, kind: str, items) -> dict[str, object]:
     return vals
 
 
+def _place_spacings(smin: float, smax: float, count: int) -> list[float]:
+    """``count`` spacings in geometric progression from ``smin`` to
+    ``smax``, both ends exact, as ``np.geomspace`` gives them.
+
+    The powers are Python's scalar ``10.0 ** v`` of a ``np.linspace`` of
+    the logs, whose multiplies and adds round the same way on every CPU:
+    the bits of ``np.geomspace``'s vectorized ``log10`` and ``power``
+    depend on numpy's SIMD dispatch, and would make the lattices and
+    ``config_hash`` host-dependent.
+    """
+    logs = np.linspace(math.log10(smin), math.log10(smax), count).tolist()
+    return [smin, *(10.0**v for v in logs[1:-1]), smax] if count > 1 else [smin]
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate config text into a RunConfig."""
     cp = configparser.ConfigParser(interpolation=None, strict=True)
@@ -277,6 +299,12 @@ def parse_config(text: str) -> RunConfig:
     seed = run["seed"]
     if seed is not None:
         check_seed(seed, "[run] seed")
+    # WallArc checks the angles too, but cannot name the section; a NaN or
+    # inf angle is left to its finiteness check
+    for index, vals in numbered["wall"]:
+        for key in ("start_angle", "end_angle"):
+            if math.isfinite(vals[key]):
+                check_angle(vals[key], f"[wall {index}] {key}")
     arena = Arena(
         radius=sections["arena"]["radius"],
         zones=elements("zone", ZoneDisc),
@@ -310,7 +338,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigurationError("need 0 < spacing_min <= spacing_max")
     if not math.isfinite(smax):
         raise ConfigurationError(f"[place] spacing_max must be finite, got {smax}")
-    # checked before np.geomspace, whose values would otherwise name no key
+    # checked here, so that the error names the key and not a computed
+    # spacing
     for key, v in (("spacing_min", smin), ("spacing_max", smax)):
         if not MIN_SPACING <= v <= MAX_SPACING:
             raise ConfigurationError(
@@ -320,7 +349,7 @@ def parse_config(text: str) -> RunConfig:
     if not (0.0 < frac <= 1.0):
         raise ConfigurationError("threshold_fraction must lie in (0, 1]")
     ensemble = anchored_ensemble(
-        np.geomspace(smin, smax, count), (place_keys["anchor_x"], place_keys["anchor_y"])
+        _place_spacings(smin, smax, count), (place_keys["anchor_x"], place_keys["anchor_y"])
     )
     place = PlaceCellParams(inputs=ensemble, threshold=frac * count)
 
@@ -354,6 +383,7 @@ def parse_config(text: str) -> RunConfig:
     ):
         if v is not None and not math.isfinite(v):
             raise ConfigurationError(f"{name} must be finite, got {v}")
+    check_angle(start_heading, "[walk] start_heading")
     if abs(noise_sigma) > MAX_NOISE_SIGMA:
         raise ConfigurationError(
             f"[sensors] noise_sigma must be at most {MAX_NOISE_SIGMA:g} in magnitude "

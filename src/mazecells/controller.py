@@ -21,6 +21,7 @@ from .arena import (
     CameraParams,
     WalkParams,
     _accel_at,
+    check_angle,
     color_sample,
     vibration_magnitude,
 )
@@ -63,6 +64,7 @@ class EpisodeConfig:
             )
         if not math.isfinite(self.start_heading):
             raise ConfigurationError(f"start_heading must be finite, got {self.start_heading}")
+        check_angle(self.start_heading, "start_heading")
         if self.walk.speed * self.walk.dt >= self.arena.radius:
             raise ConfigurationError("speed * dt must be smaller than the arena radius")
 

@@ -341,10 +341,10 @@ def place_activity_at(positions: np.ndarray, pc: PlaceCellParams, fp: FiringPara
     ``_kernels.RATE_CAP_SLACK``.  The outputs are the same bits as the
     plain sum's.
     """
-    px, py = _xy_columns(positions, [g.spacing for g in pc.inputs])[:2]
+    px, py, total = _xy_columns(positions, [g.spacing for g in pc.inputs])
     cells = [_lattice_args(g) + (g.spacing, fp.kappa, fp.zeta) for g in pc.inputs]
     out = np.empty(px.shape[0], dtype=np.int8)
-    ensemble_batch(px, py, cells, pc.threshold, out)
+    ensemble_batch(px, py, cells, pc.threshold, total, out)
     return out
 
 

@@ -6,6 +6,7 @@ properties.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from mazecells.arena import (
     GRAVITY,
+    MAX_ANGLE,
     Arena,
     CameraParams,
     Pose,
@@ -314,6 +316,39 @@ def test_non_finite_geometry_rejected():
         for args in ((bad, 0.0, 0.1, 8.0), (0.0, 0.0, bad, 8.0), (0.0, 0.0, 0.1, bad)):
             with pytest.raises(ConfigurationError, match="zone"):
                 ZoneDisc(*args)
+
+
+# pi far past double precision, for exact remainders
+PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _wrap_error(a: float) -> float:
+    """Distance, modulo 2*pi, from wrap_angle(a) to a's exact remainder."""
+    d = Fraction(wrap_angle(a)) - Fraction(a)
+    return abs(float(d - 2 * PI * round(d / (2 * PI))))
+
+
+def test_wrap_angle_error_stays_below_1e_10_up_to_max_angle():
+    # the derivation beside MAX_ANGLE, checked on angles up to the bound
+    rng = np.random.default_rng(53)
+    angles = [MAX_ANGLE, -MAX_ANGLE, math.nextafter(MAX_ANGLE, 0.0), 0.5 * MAX_ANGLE]
+    angles += rng.uniform(-MAX_ANGLE, MAX_ANGLE, 2000).tolist()
+    angles += (10.0 ** rng.uniform(-3.0, 6.0, 2000)).tolist()
+    assert max(_wrap_error(a) for a in angles) < 1e-10
+    # far beyond it the reduction loses every digit
+    assert wrap_angle(1e17) == 0.0 and _wrap_error(1e17) > 1.0
+
+
+def test_angle_magnitude_bound():
+    for bad in (math.nextafter(MAX_ANGLE, math.inf), -2 * MAX_ANGLE, 1e17, 1e300):
+        with pytest.raises(ConfigurationError, match=r"pose heading must be at most 1e\+06 rad"):
+            Pose(0.0, 0.0, bad)
+        with pytest.raises(ConfigurationError, match=r"wall arc start_angle must be at most 1e\+06"):
+            WallArc(bad, 0.5, "red")
+        with pytest.raises(ConfigurationError, match=r"wall arc end_angle must be at most 1e\+06"):
+            WallArc(0.5, bad, "red")
+    assert Pose(0.0, 0.0, MAX_ANGLE).heading == wrap_angle(MAX_ANGLE)
+    assert WallArc(-MAX_ANGLE, MAX_ANGLE, "red").start_angle == wrap_angle(-MAX_ANGLE)
 
 
 def test_huge_walk_rejected_before_any_draw(monkeypatch):

@@ -52,6 +52,13 @@ def log():
     )
 
 
+def test_fmt_prints_every_nan_as_nan():
+    # repr of a float never shows a NaN's sign or payload
+    nans = [math.nan, -math.nan, np.float64("nan"), -np.float64("nan")]
+    nans += [np.float32("nan"), -np.float32("nan")]
+    assert [_fmt(v) for v in nans] == ["nan"] * len(nans)
+
+
 def hostile_matrix():
     """A 9x7 matrix holding every hostile value in every row and column."""
     return np.array([[HOSTILE[(r + 2 * c) % len(HOSTILE)] for c in range(7)] for r in range(9)])

@@ -415,7 +415,7 @@ def test_huge_place_count_exits_2_before_any_output(tmp_path, capsys, monkeypatc
         raise AssertionError("a run started with a place count beyond MAX_PLACE_COUNT")
 
     # belt and braces: neither the ensemble nor a run may be allocated
-    monkeypatch.setattr(config, "np", types.SimpleNamespace(geomspace=never))
+    monkeypatch.setattr(config, "np", types.SimpleNamespace(linspace=never))
     monkeypatch.setattr(cli, "walk_trajectory", never)
     monkeypatch.setattr(cli, "run_episode", never)
     text = f"[run]\ntick_count = 200\nseed = 5\n[place]\ncount = {config.MAX_PLACE_COUNT + 1}\n"

@@ -1,7 +1,9 @@
 """Config parsing: defaults, validation, sweeps, episode construction."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from mazecells import (
@@ -17,7 +19,7 @@ from mazecells import (
     sweep_points,
 )
 from mazecells.analysis import MAX_MAP_SIDE
-from mazecells.arena import MAX_NOISE_SIGMA
+from mazecells.arena import MAX_ANGLE, MAX_NOISE_SIGMA
 from mazecells.spatialcells import MAX_SPACING, MIN_SPACING
 
 
@@ -132,6 +134,37 @@ def test_noise_sigma_magnitude_bound():
             parse_config(f"[sensors]\nnoise_sigma = {bad}\n")
     rc = parse_config(f"[sensors]\nnoise_sigma = {MAX_NOISE_SIGMA!r}\n")
     assert episode_config(rc, "train", seed=1).noise_sigma == MAX_NOISE_SIGMA
+
+
+def test_angle_magnitude_bound_names_the_key():
+    # 1e300 used to wrap to 0.0 and so parse like 0; the bound itself is
+    # accepted
+    big = repr(math.nextafter(MAX_ANGLE, math.inf))
+    for text, key in (
+        (f"[walk]\nstart_heading = {big}\n", "[walk] start_heading"),
+        ("[wall 2]\nstart_angle = -1e300\nend_angle = 1.0\n", "[wall 2] start_angle"),
+        (f"[wall 2]\nstart_angle = 0.5\nend_angle = {big}\n", "[wall 2] end_angle"),
+    ):
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)} must be at most 1e\+06"):
+            parse_config(text)
+    walls = f"[wall 1]\nstart_angle = {-MAX_ANGLE!r}\nend_angle = 1.0\n"
+    assert parse_config(f"[walk]\nstart_heading = {MAX_ANGLE!r}\n" + walls).start_heading == MAX_ANGLE
+
+
+def test_place_spacings_do_not_depend_on_numpy_dispatch():
+    # np.geomspace's log10 and power change their last bits with numpy's
+    # SIMD dispatch at these settings; the spacings are Python powers of a
+    # linspace of the logs, whose adds and multiplies round alike on every
+    # CPU, with both ends exact
+    for smin, smax, count in ((0.3, 1.0, 8), (0.3, 1.2, 12), (0.1, 5.0, 33), (0.3, 1.2, 1)):
+        rc = parse_config(f"[place]\nspacing_min = {smin}\nspacing_max = {smax}\ncount = {count}\n")
+        got = [g.spacing for g in rc.place.inputs]
+        lo, hi = math.log10(smin), math.log10(smax)
+        step = (hi - lo) / max(count - 1, 1)
+        inner = [10.0 ** (i * step + lo) for i in range(1, count - 1)]
+        want = [smin, *inner, smax] if count > 1 else [smin]
+        assert got == want
+        assert got == pytest.approx(list(np.geomspace(smin, smax, count)), rel=1e-14)
 
 
 def test_map_side_bound():

@@ -9,6 +9,7 @@ import pytest
 
 from mazecells import controller
 from mazecells.arena import (
+    MAX_ANGLE,
     MAX_NOISE_SIGMA,
     MAX_ZONE_AMPLITUDE_SUM,
     Arena,
@@ -223,6 +224,13 @@ def test_config_validation(quiet_arena):
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigurationError, match=key):
                 make_config(quiet_arena, **{key: bad})
+
+
+def test_start_heading_magnitude_bound(quiet_arena):
+    for bad in (math.nextafter(MAX_ANGLE, math.inf), -1e17, 1e300):
+        with pytest.raises(ConfigurationError, match=r"^start_heading must be at most 1e\+06 rad"):
+            make_config(quiet_arena, start_heading=bad)
+    make_config(quiet_arena, start_heading=-MAX_ANGLE)
 
 
 def test_noise_sigma_bound_keeps_readings_finite(quiet_arena):

@@ -48,10 +48,12 @@ from mazecells.spatialcells import (
     MIN_SPACING,
     FiringParams,
     GridCellParams,
+    PlaceCellParams,
     anchored_ensemble,
     lattice_basis,
     normalized_rate,
     phase_offset,
+    place_activity_at,
     rates_at,
     raw_firing,
 )
@@ -409,7 +411,7 @@ def _ensemble_cells(grids, fp):
 
 def _run_ensemble(px, py, cells, threshold):
     out = np.full(px.shape[0], 7, dtype=np.int8)
-    ensemble_batch(px, py, cells, threshold, out)
+    ensemble_batch(px, py, cells, threshold, np.full(px.shape[0], np.nan), out)
     return out
 
 
@@ -482,13 +484,13 @@ def test_ensemble_drops_points_early(monkeypatch):
     from mazecells import _kernels
 
     evaluated = []
-    real = _kernels._block_rates
+    real = _kernels.rates_batch
 
     def counting(px, *args):
         evaluated.append(px.shape[0])
         real(px, *args)
 
-    monkeypatch.setattr(_kernels, "_block_rates", counting)
+    monkeypatch.setattr(_kernels, "rates_batch", counting)
     rng = np.random.default_rng(43)
     r = 1.3 * np.sqrt(rng.uniform(0.0, 1.0, 100_000))
     a = rng.uniform(-math.pi, math.pi, 100_000)
@@ -505,12 +507,31 @@ def test_ensemble_drops_points_early(monkeypatch):
 def test_ensemble_no_input_evaluated_when_nothing_can_fire(monkeypatch):
     from mazecells import _kernels
 
-    monkeypatch.setattr(_kernels, "_block_rates", None)  # any call would fail
+    monkeypatch.setattr(_kernels, "rates_batch", None)  # any call would fail
     fp = FiringParams(5.0, 0.3)
     cells = _ensemble_cells(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), fp)
     px = np.zeros(10)
     # every rate is at most about 0.81 here, so the sum cannot reach 8
     assert np.all(_run_ensemble(px, px, cells, 8.0) == 0)
+
+
+def test_place_activity_at_peak_memory_is_a_few_outputs():
+    # the cascade keeps its running total in the position check's scratch
+    # and compacts it in place; at the default place cell most points drop
+    # after the first input, so the peak is the bound rates_at keeps
+    rng = np.random.default_rng(47)
+    r = 1.3 * np.sqrt(rng.uniform(0.0, 1.0, 200_000))
+    a = rng.uniform(-math.pi, math.pi, 200_000)
+    poses = np.stack([r * np.cos(a), r * np.sin(a), a], axis=1)
+    pc = PlaceCellParams(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), 6.4)
+    tracemalloc.start()
+    try:
+        out = place_activity_at(poses[:, :2], pc, FiringParams(5.0, 0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.sum() > 0
+    assert peak < 3 * out.shape[0] * 8
 
 
 def _pairs(vals, visited, dy, dx):
