@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import TWO_PI, walk_loop, wrap_angle
-from .spatialcells import ConfigurationError, Position2, check_seed, check_tick_count
+from .spatialcells import ConfigurationError, Position2, check_finite, check_seed, check_tick_count
 
 GRAVITY = 9.81
 
@@ -29,13 +29,20 @@ GRAVITY = 9.81
 MAX_ANGLE = 1e6
 
 
-def check_angle(a: float, name: str) -> None:
-    """Raise ConfigurationError if the finite angle ``a`` exceeds
-    MAX_ANGLE in magnitude."""
-    if abs(a) > MAX_ANGLE:
+def check_angle(a: float, name: str, nonfinite: str | None = None) -> None:
+    """Raise ConfigurationError unless the angle ``a`` is finite and at most
+    MAX_ANGLE in magnitude; ``nonfinite`` replaces the message for NaN or inf."""
+    if not abs(a) <= MAX_ANGLE:
+        if not math.isfinite(a):
+            raise ConfigurationError(nonfinite or f"{name} must be finite, got {a}")
         raise ConfigurationError(
             f"{name} must be at most {MAX_ANGLE:g} rad in magnitude, got {a}"
         )
+
+
+def check_wall_angle(a: float, name: str) -> None:
+    """check_angle for a wall arc endpoint; a NaN or inf one fails the whole arc."""
+    check_angle(a, name, "wall arc angles must be finite")
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,6 @@ class Pose:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ConfigurationError("pose position must be finite")
-        if not math.isfinite(self.heading):
-            raise ConfigurationError(f"pose heading must be finite, got {self.heading}")
         check_angle(self.heading, "pose heading")
         object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
 
@@ -90,12 +95,9 @@ class WallArc:
     extent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.start_angle) and math.isfinite(self.end_angle)):
-            raise ConfigurationError("wall arc angles must be finite")
-        check_angle(self.start_angle, "wall arc start_angle")
-        check_angle(self.end_angle, "wall arc end_angle")
-        object.__setattr__(self, "start_angle", wrap_angle(float(self.start_angle)))
-        object.__setattr__(self, "end_angle", wrap_angle(float(self.end_angle)))
+        for key in ("start_angle", "end_angle"):
+            check_wall_angle(getattr(self, key), f"wall arc {key}")
+            object.__setattr__(self, key, wrap_angle(float(getattr(self, key))))
         object.__setattr__(self, "extent", (self.end_angle - self.start_angle) % TWO_PI)
         if self.extent <= 0.0:
             raise ConfigurationError("wall arc must have nonzero angular extent")
@@ -160,6 +162,14 @@ class WalkParams:
         check_seed(self.seed)
 
 
+def check_walk_step(walk: WalkParams, arena: Arena) -> float:
+    """The walk's step ``speed * dt``, which must be smaller than the arena radius."""
+    step = walk.speed * walk.dt
+    if step >= arena.radius:
+        raise ConfigurationError("speed * dt must be smaller than the arena radius")
+    return step
+
+
 @dataclass(frozen=True)
 class CameraParams:
     """Angular field of view (rad) and maximum sensing range (m)."""
@@ -203,6 +213,25 @@ MAX_NOISE_SIGMA = 1e150
 # (1.4e151)**2 < 2.1e306, under the float maximum by a factor of 85 (which
 # also covers the rounding of the impulse sums).
 MAX_ZONE_AMPLITUDE_SUM = 1e153
+
+
+def _check_sigma(v: float, name: str, bound: float, why: str) -> None:
+    """Raise ConfigurationError unless ``v`` is finite, at most ``bound`` in magnitude and >= 0."""
+    check_finite(v, name)
+    if abs(v) > bound:
+        raise ConfigurationError(f"{name} must be at most {bound:g} in magnitude ({why}), got {v}")
+    if v < 0.0:
+        raise ConfigurationError(f"{name} must be >= 0, got {v}")
+
+
+def check_noise_sigma(v: float, name: str = "noise_sigma") -> None:
+    """The accelerometer noise sigma rule: finite, >= 0, at most MAX_NOISE_SIGMA."""
+    _check_sigma(v, name, MAX_NOISE_SIGMA, "so that accelerometer readings stay finite")
+
+
+def check_jitter_sigma(v: float, name: str = "jitter_sigma") -> None:
+    """The escape-heading jitter sigma rule: finite and >= 0."""
+    _check_sigma(v, name, math.inf, "")
 
 
 def _accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):
@@ -348,9 +377,7 @@ def walk_trajectory(
     pose at tick t.  Seed defaults to ``walk.seed``.
     """
     check_tick_count(ticks, "ticks")
-    step = walk.speed * walk.dt
-    if step >= arena.radius:
-        raise ConfigurationError("speed * dt must be smaller than the arena radius")
+    step = check_walk_step(walk, arena)
     if start is None:
         start = Pose(0.0, 0.0, 0.0)
     if math.hypot(start.x, start.y) >= arena.radius:

@@ -54,14 +54,9 @@ def _job_count(n_points: int) -> int:
     return max(1, min(jobs, n_points))
 
 
-def _resolve_seed(rc: RunConfig, seed: int | None, default: int | None = 0) -> int:
-    if seed is not None:
-        return check_seed(seed, "--seed")
-    if rc.seed is not None:
-        return int(rc.seed)
-    if default is None:
-        raise ConfigurationError("this command needs a seed ([run] seed or --seed)")
-    return default
+def _resolve_seed(rc: RunConfig, seed: int | None) -> int:
+    """``--seed``, checked, or else the config's walk seed (``[run] seed``, or 0)."""
+    return rc.walk.seed if seed is None else check_seed(seed, "--seed")
 
 
 def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
@@ -122,9 +117,9 @@ def cmd_ratemap(config_path: str, out_dir: str, seed: int | None = None) -> int:
 
 def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = None) -> int:
     rc = load_config(config_path)
-    seed = _resolve_seed(rc, seed, default=None)
     t0 = time.perf_counter()
-    ecfg = episode_config(rc, mode, seed=seed)
+    # without --seed, episode_config takes [run] seed, and fails if there is none
+    ecfg = episode_config(rc, mode, seed=None if seed is None else _resolve_seed(rc, seed))
     log = run_episode(ecfg)
     os.makedirs(out_dir, exist_ok=True)
     artifacts.write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), log)

@@ -20,13 +20,15 @@ import numpy as np
 
 from .analysis import check_map_side
 from .arena import (
-    MAX_NOISE_SIGMA,
     Arena,
     CameraParams,
     WalkParams,
     WallArc,
     ZoneDisc,
     check_angle,
+    check_jitter_sigma,
+    check_noise_sigma,
+    check_wall_angle,
 )
 from .controller import EpisodeConfig
 from .learning import CircuitParams
@@ -38,6 +40,7 @@ from .spatialcells import (
     GridCellParams,
     PlaceCellParams,
     anchored_ensemble,
+    check_finite,
     check_seed,
     check_tick_count,
 )
@@ -299,12 +302,10 @@ def parse_config(text: str) -> RunConfig:
     seed = run["seed"]
     if seed is not None:
         check_seed(seed, "[run] seed")
-    # WallArc checks the angles too, but cannot name the section; a NaN or
-    # inf angle is left to its finiteness check
+    # WallArc checks the angles too, but cannot name the section
     for index, vals in numbered["wall"]:
         for key in ("start_angle", "end_angle"):
-            if math.isfinite(vals[key]):
-                check_angle(vals[key], f"[wall {index}] {key}")
+            check_wall_angle(vals[key], f"[wall {index}] {key}")
     arena = Arena(
         radius=sections["arena"]["radius"],
         zones=elements("zone", ZoneDisc),
@@ -336,8 +337,6 @@ def parse_config(text: str) -> RunConfig:
     smin, smax = place_keys["spacing_min"], place_keys["spacing_max"]
     if not (0.0 < smin <= smax):
         raise ConfigurationError("need 0 < spacing_min <= spacing_max")
-    if not math.isfinite(smax):
-        raise ConfigurationError(f"[place] spacing_max must be finite, got {smax}")
     # checked here, so that the error names the key and not a computed
     # spacing
     for key, v in (("spacing_min", smin), ("spacing_max", smax)):
@@ -369,29 +368,17 @@ def parse_config(text: str) -> RunConfig:
             "[analysis] needs finite 0 < annulus_inner_scale < annulus_outer_scale, "
             f"got {inner} and {outer}"
         )
-    # Checked here as well as in EpisodeConfig so that ratemap and sweep
+    # Checked here, by EpisodeConfig's rules, so that ratemap and sweep
     # runs, which never build one, reject them too.
     noise_sigma = sections["sensors"]["noise_sigma"]
     jitter_sigma = sections["controller"]["jitter_sigma"]
     start_heading = walk_keys["start_heading"]
     initial_w_color = circuit_keys["initial_w_color"]
-    for name, v in (
-        ("[sensors] noise_sigma", noise_sigma),
-        ("[controller] jitter_sigma", jitter_sigma),
-        ("[walk] start_heading", start_heading),
-        ("[circuit] initial_w_color", initial_w_color),
-    ):
-        if v is not None and not math.isfinite(v):
-            raise ConfigurationError(f"{name} must be finite, got {v}")
+    check_noise_sigma(noise_sigma, "[sensors] noise_sigma")
+    check_jitter_sigma(jitter_sigma, "[controller] jitter_sigma")
     check_angle(start_heading, "[walk] start_heading")
-    if abs(noise_sigma) > MAX_NOISE_SIGMA:
-        raise ConfigurationError(
-            f"[sensors] noise_sigma must be at most {MAX_NOISE_SIGMA:g} in magnitude "
-            f"(so that accelerometer readings stay finite), got {noise_sigma}"
-        )
-    for name, v in (("[sensors] noise_sigma", noise_sigma), ("[controller] jitter_sigma", jitter_sigma)):
-        if v < 0.0:
-            raise ConfigurationError(f"{name} must be >= 0, got {v}")
+    if initial_w_color is not None:
+        check_finite(initial_w_color, "[circuit] initial_w_color")
 
     return RunConfig(
         seed=seed,
@@ -477,7 +464,7 @@ def episode_config(
     if seed is None:
         seed = rc.seed
     if seed is None:
-        raise ConfigurationError("episode runs need a seed ([run] seed or --seed)")
+        raise ConfigurationError("an episode needs a seed ([run] seed or --seed)")
     if initial_w is None:
         initial_w = rc.initial_w_color
     if initial_w is None and mode == "test" and rc.train_summary is not None:

@@ -16,17 +16,19 @@ import numpy as np
 
 from ._kernels import wrap_angle, walk_step
 from .arena import (
-    MAX_NOISE_SIGMA,
     Arena,
     CameraParams,
     WalkParams,
     _accel_at,
     check_angle,
+    check_jitter_sigma,
+    check_noise_sigma,
+    check_walk_step,
     color_sample,
     vibration_magnitude,
 )
 from .learning import CircuitParams, motion_output, oja_update
-from .spatialcells import ConfigurationError, check_seed, check_tick_count
+from .spatialcells import check_finite, check_seed, check_tick_count
 
 # Not called here: perfbench's tracer patches these two names on this module.
 from .spatialcells import place_activity_at, rates_at
@@ -52,21 +54,11 @@ class EpisodeConfig:
     def __post_init__(self):
         check_tick_count(self.tick_count)
         check_seed(self.seed)
-        if not math.isfinite(self.initial_w_color):
-            raise ConfigurationError(f"initial_w_color must be finite, got {self.initial_w_color}")
-        for name, v in (("noise_sigma", self.noise_sigma), ("jitter_sigma", self.jitter_sigma)):
-            if not (v >= 0.0 and math.isfinite(v)):
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {v}")
-        if self.noise_sigma > MAX_NOISE_SIGMA:
-            raise ConfigurationError(
-                f"noise_sigma must be at most {MAX_NOISE_SIGMA:g} "
-                f"(so that accelerometer readings stay finite), got {self.noise_sigma}"
-            )
-        if not math.isfinite(self.start_heading):
-            raise ConfigurationError(f"start_heading must be finite, got {self.start_heading}")
+        check_finite(self.initial_w_color, "initial_w_color")
+        check_noise_sigma(self.noise_sigma)
+        check_jitter_sigma(self.jitter_sigma)
         check_angle(self.start_heading, "start_heading")
-        if self.walk.speed * self.walk.dt >= self.arena.radius:
-            raise ConfigurationError("speed * dt must be smaller than the arena radius")
+        check_walk_step(self.walk, self.arena)
 
 
 @dataclass

@@ -53,6 +53,12 @@ def check_seed(seed, name: str = "seed") -> int:
     return int(seed)
 
 
+def check_finite(v: float, name: str) -> None:
+    """Raise ConfigurationError if ``v`` is NaN or infinite."""
+    if not math.isfinite(v):
+        raise ConfigurationError(f"{name} must be finite, got {v}")
+
+
 # Peak memory of a run grows by about 512 B per tick at most.  An episode,
 # the largest, holds per tick 7 float64 random draws (56 B); 6 float64 log
 # columns, the int8 motion output and the int64 tick index (57 B); the
@@ -204,19 +210,12 @@ def _lattice_args(g: GridCellParams) -> tuple[float, ...]:
 
 def _decode_one(pos, g: GridCellParams, kernel, *extra) -> tuple[Position2, float]:
     """Run a batch decode ``kernel`` on the one point ``pos``."""
-    px, py = _as_xy(pos)
-    bound = MAX_SPACINGS_FROM_ORIGIN * g.spacing
-    if not (abs(px) <= bound and abs(py) <= bound):
-        raise ConfigurationError(
-            f"position must be finite and within {bound:g} m (2**52 spacings) "
-            f"of the origin, got ({px}, {py})"
-        )
+    px, py, d = _xy_columns([_as_xy(pos)], (g.spacing,))
     cx = np.empty(1)
     cy = np.empty(1)
-    d = np.empty(1)
     mi = np.empty(1, dtype=np.int64)
     ni = np.empty(1, dtype=np.int64)
-    kernel(np.array([px]), np.array([py]), *_lattice_args(g), *extra, cx, cy, d, mi, ni)
+    kernel(px, py, *_lattice_args(g), *extra, cx, cy, d, mi, ni)
     return Position2(float(cx[0]), float(cy[0])), float(d[0])
 
 
