@@ -82,6 +82,23 @@ def check_map_side(
         )
 
 
+def check_bin_size(
+    bin_size: float, radius: float, name: str = "bin_size", radius_name: str = "radius"
+) -> None:
+    """Reject a ``bin_size`` that is not positive and finite, is wider than
+    the diameter of a disc of ``radius``, or splits it into more than
+    MAX_MAP_SIDE bins."""
+    if not (bin_size > 0.0 and math.isfinite(bin_size)):
+        raise ConfigurationError(f"{name} must be positive and finite, got {bin_size}")
+    diameter = 2.0 * radius
+    source = f"twice {radius_name} = {radius!r}"
+    # a wider bin puts bin centers outside the disc; near 1e154 their
+    # squares overflow
+    if bin_size > diameter:
+        raise ConfigurationError(f"{name} must be at most {diameter!r} m ({source}), got {bin_size}")
+    check_map_side(diameter, bin_size, name, source)
+
+
 def _bin_index(coords: np.ndarray, origin: float, bin_size: float, nbins: int) -> np.ndarray:
     idx = np.floor((coords - origin) / bin_size).astype(np.int64)
     return np.clip(idx, 0, nbins - 1)
@@ -240,10 +257,9 @@ def coverage(positions, bin_size: float, radius: float) -> float:
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
         raise ConfigurationError("positions must be a non-empty (N, 2) array")
-    if not all(v > 0.0 and math.isfinite(v) for v in (bin_size, radius)):
-        raise ConfigurationError(
-            f"bin_size and radius must be positive and finite, got {bin_size} and {radius}"
-        )
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise ConfigurationError(f"radius must be positive and finite, got {radius}")
+    check_bin_size(bin_size, radius)
     rm = rate_map(
         positions,
         np.zeros(positions.shape[0]),

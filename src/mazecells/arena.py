@@ -27,6 +27,15 @@ GRAVITY = 9.81
 # grows with |a|; from about 1e17, where an ulp of a exceeds 2*pi,
 # wrap_angle returns 0.0.
 MAX_ANGLE = 1e6
+# The largest turn or escape-jitter sigma (rad) a walk or an episode
+# accepts.  A walk turns a heading in [-pi, pi) by sigma * z; a wall retry
+# or an escape adds sigma * z to an angle within 2*pi of 0 (a bearing from
+# atan2, plus pi for an escape).  Standard normal draws z stay below 13.71
+# in magnitude (see MAX_NOISE_SIGMA), so every angle wrap_angle is given
+# stays within 2*pi + 13.71 * sigma, which is at most MAX_ANGLE for sigma
+# up to (1e6 - 2*pi) / 13.71 = 72939.  Far beyond it wrap_angle returns
+# 0.0: at sigma = 1e20, 45% of a walk's headings were exactly 0.0.
+MAX_HEADING_SIGMA = 7e4
 
 
 def check_angle(a: float, name: str, nonfinite: str | None = None) -> None:
@@ -159,6 +168,11 @@ class WalkParams:
                 raise ConfigurationError(f"{name} must be positive and finite, got {v}")
         if not (self.turn_sigma >= 0.0 and math.isfinite(self.turn_sigma)):
             raise ConfigurationError(f"turn_sigma must be finite and >= 0, got {self.turn_sigma}")
+        if self.turn_sigma > MAX_HEADING_SIGMA:
+            raise ConfigurationError(
+                f"turn_sigma must be at most {MAX_HEADING_SIGMA:g} "
+                f"(so that headings stay within {MAX_ANGLE:g} rad), got {self.turn_sigma}"
+            )
         check_seed(self.seed)
 
 
@@ -230,8 +244,8 @@ def check_noise_sigma(v: float, name: str = "noise_sigma") -> None:
 
 
 def check_jitter_sigma(v: float, name: str = "jitter_sigma") -> None:
-    """The escape-heading jitter sigma rule: finite and >= 0."""
-    _check_sigma(v, name, math.inf, "")
+    """The escape-heading jitter sigma rule: finite, >= 0, at most MAX_HEADING_SIGMA."""
+    _check_sigma(v, name, MAX_HEADING_SIGMA, f"so that headings stay within {MAX_ANGLE:g} rad")
 
 
 def _accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import check_map_side
+from .analysis import check_bin_size
 from .arena import (
     Arena,
     CameraParams,
@@ -355,12 +355,8 @@ def parse_config(text: str) -> RunConfig:
     tick_count = check_tick_count(run["tick_count"])
     analysis = sections["analysis"]
     bin_size = analysis["bin_size"]
-    if not (bin_size > 0.0 and math.isfinite(bin_size)):
-        raise ConfigurationError(f"[analysis] bin_size must be positive and finite, got {bin_size}")
     # the rate maps span the arena's diameter
-    check_map_side(
-        2.0 * arena.radius, bin_size, "[analysis] bin_size", f"twice [arena] radius = {arena.radius!r}"
-    )
+    check_bin_size(bin_size, arena.radius, "[analysis] bin_size", "[arena] radius")
     inner = analysis["annulus_inner_scale"]
     outer = analysis["annulus_outer_scale"]
     if not (0.0 < inner < outer and math.isfinite(outer)):

@@ -35,6 +35,15 @@ MAX_SPACING = 1e6
 # float64; beyond it the decode rounds them together, and near 1e154 the
 # squared distances overflow to inf.
 MAX_SPACINGS_FROM_ORIGIN = 2.0**52
+# The largest anchor coordinate (m) of a place-cell ensemble.  The phases
+# put a node of each lattice at the anchor through cm - floor(cm), where
+# cm is the anchor's coordinate in basis units: of cm's 53 bits, only
+# those below the units place are left.  Measured in exact arithmetic over
+# the default ensemble, the nearest node misses the anchor by up to about
+# |anchor| * 3e-16 m: 3e-10 m (3e-4 of MIN_SPACING) at the bound,
+# 1.9e-4 m at 1e12 m and 0.2 m at 1e15 m.  From about 1e17 m nearly every
+# phase is 0.0, whatever the anchor.
+MAX_ANCHOR = 1e6
 
 
 class ConfigurationError(ValueError):
@@ -356,12 +365,17 @@ def anchored_ensemble(
 
     Orientations default to an even spread over [0, pi/3).  Phases are
     solved so that the anchor is a lattice node of every cell, which makes
-    the thresholded ensemble sum a compact bump around the anchor.
+    the thresholded ensemble sum a compact bump around the anchor.  Each
+    anchor coordinate may be at most MAX_ANCHOR in magnitude.
     """
     spacings = [float(s) for s in spacings]
     ax, ay = _as_xy(anchor)
-    if not (math.isfinite(ax) and math.isfinite(ay)):
-        raise ConfigurationError(f"anchor must be finite, got ({ax}, {ay})")
+    if not (abs(ax) <= MAX_ANCHOR and abs(ay) <= MAX_ANCHOR):
+        if not (math.isfinite(ax) and math.isfinite(ay)):
+            raise ConfigurationError(f"anchor must be finite, got ({ax}, {ay})")
+        raise ConfigurationError(
+            f"anchor must lie within {MAX_ANCHOR:g} m of the origin in x and y, got ({ax}, {ay})"
+        )
     n = len(spacings)
     if orientations is None:
         orientations = [(i * math.pi / 3.0) / n for i in range(n)]

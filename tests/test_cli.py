@@ -4,13 +4,17 @@ Short tick counts keep these fast; determinism checks compare bytes on
 disk, not parsed values, since identical reruns must match exactly.
 """
 
+import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazecells.artifacts import read_matrix_csv, read_summary
 from mazecells.cli import main
-from mazecells.config import build_ini
+from mazecells.config import DEFAULT_LAYOUT, NUMBERED_KINDS, SCHEMA, build_ini
 
 FAST_RUN = "[run]\ntick_count = 400\nseed = 5\n"
 
@@ -220,6 +224,10 @@ MAGNITUDE_CASES = [
     ("noise_sigma-negative", {"sensors": {"noise_sigma": "-1"}}, "[sensors] noise_sigma"),
     ("jitter_sigma-negative", {"controller": {"jitter_sigma": "-1"}}, "[controller] jitter_sigma"),
     ("zone_amplitude-1e300", {"zone 1": dict(ZONE, amplitude="1e300")}, "zone amplitudes"),
+    ("turn_sigma-1e20", {"walk": {"turn_sigma": "1e20"}}, "turn_sigma"),
+    ("jitter_sigma-1e20", {"controller": {"jitter_sigma": "1e20"}}, "[controller] jitter_sigma"),
+    ("bin_size-1e155", {"analysis": {"bin_size": "1e155"}}, "[analysis] bin_size"),
+    ("anchor_x-1e17", {"place": {"anchor_x": "1e17"}}, "anchor"),
 ]
 
 
@@ -429,3 +437,45 @@ def test_huge_place_count_exits_2_before_any_output(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("error: [place] count") and "Traceback" not in err
     assert not out.exists()
+
+
+# Every numeric key of the schema, with the section that sets it: the
+# first default section of a numbered kind, so that its required keys
+# stay set.
+SCHEMA_KEYS = [
+    (f"{kind} 1" if kind in NUMBERED_KINDS else kind, key)
+    for kind, keys in SCHEMA.items()
+    for key, (typ, _) in keys.items()
+    if typ in (int, float)
+]
+HOSTILE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e155", "-1e155", "1e300", "1" + "0" * 30]
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(SCHEMA_KEYS), raw=st.sampled_from(HOSTILE_VALUES))
+def test_one_hostile_schema_value_is_rejected_or_runs_finite(target, raw):
+    section, key = target
+    sections = {"run": {"seed": 5, "tick_count": 300}}
+    sections.setdefault(section, dict(DEFAULT_LAYOUT.get(section, {})))[key] = raw
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.ini")
+        with open(cfg, "w") as fh:
+            fh.write(build_ini(sections))
+        for command in (["ratemap"], ["episode", "--mode", "train"]):
+            out = os.path.join(tmp, command[0])
+            code = main(command + ["--config", cfg, "--out", out])
+            assert code in (0, 2, 3)
+            if code != 0:
+                continue
+            # gridness is NaN by design when the annulus leaves the map
+            for name, value in read_summary(os.path.join(out, "summary.txt")).items():
+                try:
+                    number = float(value)
+                except ValueError:
+                    continue
+                assert math.isfinite(number) or name.startswith("gridness_"), (name, value)
+            if command[0] == "episode":
+                with open(os.path.join(out, "trajectory.csv")) as fh:
+                    rows = fh.read().splitlines()[2:]
+                assert len(rows) == 300
+                assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

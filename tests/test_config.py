@@ -1,5 +1,6 @@
 """Config parsing: defaults, validation, sweeps, episode construction."""
 
+import dataclasses
 import math
 import re
 
@@ -18,8 +19,8 @@ from mazecells import (
     parse_config,
     sweep_points,
 )
-from mazecells.analysis import MAX_MAP_SIDE
-from mazecells.arena import MAX_ANGLE, MAX_NOISE_SIGMA
+from mazecells.analysis import MAX_MAP_SIDE, coverage
+from mazecells.arena import MAX_ANGLE, MAX_HEADING_SIGMA, MAX_NOISE_SIGMA
 from mazecells.spatialcells import MAX_SPACING, MIN_SPACING
 
 
@@ -165,6 +166,62 @@ def test_place_spacings_do_not_depend_on_numpy_dispatch():
         want = [smin, *inner, smax] if count > 1 else [smin]
         assert got == want
         assert got == pytest.approx(list(np.geomspace(smin, smax, count)), rel=1e-14)
+
+
+def _around(bound):
+    """A bound, its negative, and the next float beyond each."""
+    return [bound, math.nextafter(bound, math.inf), -bound, math.nextafter(-bound, -math.inf)]
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+# Each rule that parse_config and EpisodeConfig both apply: the key and
+# field, and values on both sides of every bound it has.
+SHARED_RULES = {
+    ("sensors", "noise_sigma"): [0.0, 5e-324, -5e-324, -1.0, *_around(MAX_NOISE_SIGMA), *NON_FINITE],
+    ("controller", "jitter_sigma"): [0.0, 5e-324, -5e-324, -1.0, *_around(MAX_HEADING_SIGMA), *NON_FINITE],
+    ("walk", "start_heading"): [0.0, *_around(MAX_ANGLE), *NON_FINITE],
+    ("circuit", "initial_w_color"): [0.0, -1e300, 1e300, *NON_FINITE],
+}
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ConfigurationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("section, key", list(SHARED_RULES), ids="-".join)
+def test_parser_and_episode_config_accept_the_same_values(section, key):
+    base = episode_config(parse_config(""), "train", seed=1)
+    verdicts = {
+        v: (
+            _accepts(lambda: parse_config(f"[{section}]\n{key} = {v!r}\n")),
+            _accepts(lambda: dataclasses.replace(base, **{key: v})),
+        )
+        for v in SHARED_RULES[section, key]
+    }
+    assert {v: p for v, (p, e) in verdicts.items()} == {v: e for v, (p, e) in verdicts.items()}
+    assert verdicts[0.0] == (True, True) and verdicts[math.nan] == (False, False)
+
+
+def test_parser_and_coverage_accept_the_same_bin_sizes():
+    # the default arena radius is 1.3 m: the maps span 2.6 m
+    fine = 2.6 / MAX_MAP_SIDE
+    values = [0.05, 2.6, math.nextafter(2.6, math.inf), 1e155, fine, math.nextafter(fine, 0.0)]
+    values += [0.0, -1.0, 5e-324, *NON_FINITE]
+    positions = np.zeros((1, 2))
+    verdicts = {
+        v: (
+            _accepts(lambda: parse_config(f"[analysis]\nbin_size = {v!r}\n")),
+            _accepts(lambda: coverage(positions, v, 1.3)),
+        )
+        for v in values
+    }
+    assert {v: p for v, (p, c) in verdicts.items()} == {v: c for v, (p, c) in verdicts.items()}
+    assert verdicts[2.6] == verdicts[fine] == (True, True)
+    assert verdicts[1e155] == verdicts[math.nextafter(2.6, math.inf)] == (False, False)
 
 
 def test_map_side_bound():
