@@ -410,10 +410,10 @@ def autocorr(vals, visited, min_overlap, out):
     an overlap counts as constant when its variance term
     ``n * sum(a**2) - sum(a)**2`` is at most ``DEGENERATE_RTOL * n *
     sum(a**2 over the whole map)``.  The zero lag is 1 iff at least
-    ``min_overlap`` bins are visited.  Only the dy > 0 (plus dy == 0,
-    dx >= 0) half is taken from the sums; the mirrored lag gets the
-    identical value so the symmetry under lag negation is exact by
-    construction.
+    ``min_overlap`` bins are visited.  Only the rows dy >= 0 are computed
+    from the sums, and only the dy > 0 (plus dy == 0, dx >= 0) half is
+    kept; the mirrored lag gets the identical value so the symmetry under
+    lag negation is exact by construction.
     """
     h, w = vals.shape
     nv = int(visited.sum())
@@ -428,15 +428,17 @@ def autocorr(vals, visited, min_overlap, out):
     rows = np.arange(-(h - 1), h) % shape[0]
     cols = np.arange(-(w - 1), w) % shape[1]
     n, sa, saa, sab = c[:, rows[:, None], cols[None, :]]
-    n = np.rint(n)
-    sb = sa[::-1, ::-1]
-    sbb = saa[::-1, ::-1]
+    # only the rows dy >= 0 (index h-1 on) are written from the sums; the
+    # unshifted side of lag d is the shifted side of -d, rows h-1 down to 0
+    sb = sa[h - 1 :: -1, ::-1]
+    sbb = saa[h - 1 :: -1, ::-1]
+    n, sa, saa, sab = np.rint(n[h - 1 :]), sa[h - 1 :], saa[h - 1 :], sab[h - 1 :]
     va = n * saa - sa * sa
     vb = n * sbb - sb * sb
     floor = DEGENERATE_RTOL * n * float((a * a).sum())
     ok = (n >= min_overlap) & (va > floor) & (vb > floor)
     r = (n * sab - sa * sb) / np.sqrt(np.where(ok, va * vb, 1.0))
-    out[h - 1 :] = np.where(ok[h - 1 :], r[h - 1 :], np.nan)
+    out[h - 1 :] = np.where(ok, r, np.nan)
     out[h - 1, w - 1] = 1.0 if nv >= min_overlap else np.nan
     out[: h - 1] = out[h:][::-1, ::-1]
     out[h - 1, : w - 1] = out[h - 1, w:][::-1]

@@ -8,9 +8,13 @@ masked normalized cross-correlation of Padfield, "Masked Object
 Registration in the Fourier Domain", IEEE TIP 2012; see
 ``_kernels.autocorr``).  A lag whose overlap is constant up to FFT
 roundoff (variance term at most ``_kernels.DEGENERATE_RTOL`` times
-``n * sum(a**2)`` of the whole centred map) is NaN.  Gridness compares
-annulus correlations at 60-degree-family rotations against the 30/90/150
-family.
+``n * sum(a**2)`` of the whole centred map) is NaN.  The autocorrelogram
+is its own mirror under lag negation, so only the lags dy >= 0 are
+computed; the other half is copied, and ``artifacts.write_autocorr_csv``
+reuses the text of each row's mirror.  Gridness compares annulus
+correlations at 60-degree-family rotations against the 30/90/150 family
+(Sargolini et al., Science 2006), resampling only the annulus lags at
+each rotation.
 """
 
 from __future__ import annotations
@@ -27,12 +31,15 @@ MIN_OVERLAP_BINS = 20
 
 # Peak memory of a map analysis grows by about 1 KiB per bin of the map at
 # most.  The (2n-1) x (2n-1) lag grid of an n x n map has 4 lags per bin:
-# the autocorrelogram peaks near 670 B per map bin (three forward and four
+# the autocorrelogram peaks near 580 B per map bin (three forward and four
 # inverse FFTs of 8-byte floats on a grid padded past (2n-1)^2, the
-# gathered lag sums and the output), gridness near 810 B (about 25 lag-grid
-# temporaries per rotation) and the rate map itself near 40 B.  Measured
-# for a whole `ratemap` run at 100k ticks: 733 B per bin between 128 x 128
-# and 256 x 256 maps.  The bound caps a map near 2**24 bins * 1 KiB = 16 GiB.
+# gathered lag sums, the half-grid Pearson step and the output), gridness
+# near 280 B (the lag-grid distance and annulus masks; its per-rotation
+# temporaries are annulus-sized) and the rate map itself near 40 B
+# (tracemalloc peaks on a 128 x 128 map).  A whole `ratemap` run at 100k
+# ticks peaks about 800 B per bin higher at 256 x 256 than at 128 x 128
+# (resident set size).  The bound caps a map near 2**24 bins * 1 KiB =
+# 16 GiB.
 MAX_MAP_SIDE = 2**12
 
 
@@ -164,8 +171,9 @@ def spatial_autocorrelogram(rm: RateMap, min_overlap: int = MIN_OVERLAP_BINS) ->
     return Autocorrelogram(rm.bin_size, out)
 
 
-def _rotated_samples(ac: Autocorrelogram, angle_deg: float) -> np.ndarray:
-    """Autocorrelogram resampled on its own lag grid after rotation.
+def _rotated_samples(ac: Autocorrelogram, angle_deg: float, lags) -> np.ndarray:
+    """Autocorrelogram resampled after rotation at the lags ``(rows, cols)``
+    of its own grid, as a 1-D array in the order of ``lags``.
 
     Bilinear interpolation; a sample is NaN unless all four surrounding
     source bins are defined and in bounds.
@@ -173,7 +181,7 @@ def _rotated_samples(ac: Autocorrelogram, angle_deg: float) -> np.ndarray:
     vals = ac.values
     ny, nx = vals.shape
     cy, cx = ac.center
-    jj, ii = np.meshgrid(np.arange(nx), np.arange(ny))
+    ii, jj = lags
     x = (jj - cx).astype(np.float64)
     y = (ii - cy).astype(np.float64)
     a = math.radians(angle_deg)
@@ -238,13 +246,17 @@ def gridness(
         raise AnalysisError(
             f"annulus has {int(annulus.sum())} defined bins, need {min_bins}"
         )
+    # resample only the annulus; np.nonzero is row-major, the order in
+    # which a boolean mask over the whole grid would gather the same lags
+    lags = np.nonzero(annulus)
+    ring = vals[lags]
     corr = {}
     for ang in (30, 60, 90, 120, 150):
-        rot = _rotated_samples(ac, ang)
-        pair = annulus & np.isfinite(rot)
+        rot = _rotated_samples(ac, ang, lags)
+        pair = np.isfinite(rot)
         if int(pair.sum()) < min_bins:
             raise AnalysisError(f"too few defined bins after {ang}-degree rotation")
-        corr[ang] = _pearson(vals[pair], rot[pair])
+        corr[ang] = _pearson(ring[pair], rot[pair])
     return min(corr[60], corr[120]) - max(corr[30], corr[90], corr[150])
 
 

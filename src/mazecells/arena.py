@@ -282,12 +282,12 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
     """Fraction of the camera FOV covered by in-range colored wall, in [0, 1].
 
     The observer stands at (x, y), strictly inside the arena, facing
-    ``heading`` (rad; any finite value, wrapped to [-pi, pi)).  For each
-    wall arc: intersect, in boundary-angle space, the arc with the set of
-    boundary points within ``max_range`` of the observer; map the
-    resulting pieces through the (monotone) boundary-angle-to-bearing
-    function; clip against the FOV interval.  The covered length summed
-    over arcs, divided by the FOV width.
+    ``heading`` (rad; finite and at most MAX_ANGLE in magnitude, wrapped
+    to [-pi, pi)).  For each wall arc: intersect, in boundary-angle
+    space, the arc with the set of boundary points within ``max_range``
+    of the observer; map the resulting pieces through the (monotone)
+    boundary-angle-to-bearing function; clip against the FOV interval.
+    The covered length summed over arcs, divided by the FOV width.
     """
     radius = arena.radius
     r = math.hypot(x, y)
@@ -295,8 +295,8 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ConfigurationError("pose position must be finite")
         raise ConfigurationError("pose lies outside the arena")
-    if not math.isfinite(heading):
-        raise ConfigurationError(f"pose heading must be finite, got {heading}")
+    if not abs(heading) <= MAX_ANGLE:
+        check_angle(heading, "pose heading")
     heading = wrap_angle(float(heading))
     walls = arena.walls
     if not walls:

@@ -84,11 +84,28 @@ def write_ratemap_csv(path: str, rm: RateMap) -> None:
 
 
 def write_autocorr_csv(path: str, ac: Autocorrelogram) -> None:
-    meta = (
-        f"rows={ac.values.shape[0]} cols={ac.values.shape[1]} "
-        f"bin_size={_fmt(ac.bin_size)}"
-    )
-    _write_matrix_csv(path, AUTOCORR_FORMAT, meta, ac.values)
+    # An autocorrelogram is its own mirror under lag negation: row i is row
+    # n-1-i reversed (see _kernels.autocorr).  Format the lower rows, and
+    # give each upper row its mirror's cells reversed when their bits match
+    # (0.0 against -0.0 would not), else format it on its own.  Only one
+    # row's cell list is alive at a time.
+    values = ac.values
+    n = values.shape[0]
+    bits = values.view(f"u{values.itemsize}")
+    meta = f"rows={n} cols={values.shape[1]} bin_size={_fmt(ac.bin_size)}"
+    lines = [f"# {AUTOCORR_FORMAT} {meta}"] + [""] * n
+    for j in range(n - 1, n // 2 - 1, -1):
+        cells = list(map(repr, memoryview(values[j])))
+        lines[1 + j] = ",".join(cells)
+        i = n - 1 - j
+        if i == j:
+            continue
+        if np.array_equal(bits[i], bits[j, ::-1]):
+            cells.reverse()
+            lines[1 + i] = ",".join(cells)
+        else:
+            lines[1 + i] = ",".join(map(repr, memoryview(values[i])))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_pgm(path: str, values: np.ndarray) -> None:

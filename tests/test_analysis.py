@@ -2,7 +2,8 @@
 
 The autocorrelogram is cross-checked against a direct numpy Pearson
 computation on masked overlaps; gridness against synthetic fields with
-known symmetry (hexagonal > 0, radially symmetric <= 0, noise ~ 0).
+known symmetry (hexagonal > 0, radially symmetric <= 0, noise ~ 0), and
+bit for bit against resampling every lag of the grid at each rotation.
 """
 
 import math
@@ -13,6 +14,8 @@ import pytest
 from mazecells.analysis import (
     MAX_MAP_SIDE,
     AnalysisError,
+    Autocorrelogram,
+    _pearson,
     connected_components,
     coverage,
     gridness,
@@ -249,6 +252,86 @@ def test_gridness_annulus_beyond_map_raises():
         gridness(ac, 4.4, 13.2)  # an 8.8 m-spacing cell in a 1.3 m arena
     with pytest.raises(ConfigurationError):
         gridness(ac, 1.0, 0.5)
+
+
+def _rotated_samples_full_grid(ac, angle_deg):
+    """The rotation resampled at every lag of the grid: the reference for
+    resampling only the annulus."""
+    vals = ac.values
+    ny, nx = vals.shape
+    cy, cx = ac.center
+    jj, ii = np.meshgrid(np.arange(nx), np.arange(ny))
+    x = (jj - cx).astype(np.float64)
+    y = (ii - cy).astype(np.float64)
+    a = math.radians(angle_deg)
+    sx = math.cos(a) * x + math.sin(a) * y
+    sy = -math.sin(a) * x + math.cos(a) * y
+    gx = sx + cx
+    gy = sy + cy
+    x0 = np.floor(gx).astype(np.int64)
+    y0 = np.floor(gy).astype(np.int64)
+    fx = gx - x0
+    fy = gy - y0
+    ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= nx - 1) & (y0 + 1 <= ny - 1)
+    x0c = np.clip(x0, 0, nx - 2)
+    y0c = np.clip(y0, 0, ny - 2)
+    v00 = vals[y0c, x0c]
+    v01 = vals[y0c, x0c + 1]
+    v10 = vals[y0c + 1, x0c]
+    v11 = vals[y0c + 1, x0c + 1]
+    interp = v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy) + v10 * (1 - fx) * fy + v11 * fx * fy
+    good = ok & np.isfinite(v00) & np.isfinite(v01) & np.isfinite(v10) & np.isfinite(v11)
+    return np.where(good, interp, np.nan)
+
+
+def _gridness_full_grid(ac, inner_radius, outer_radius, min_bins=20):
+    vals = ac.values
+    ny, nx = vals.shape
+    cy, cx = ac.center
+    jj, ii = np.meshgrid(np.arange(nx), np.arange(ny))
+    dist = np.hypot(jj - cx, ii - cy) * ac.bin_size
+    annulus = (dist >= inner_radius) & (dist <= outer_radius) & np.isfinite(vals)
+    if int(annulus.sum()) < min_bins:
+        raise AnalysisError(f"annulus has {int(annulus.sum())} defined bins, need {min_bins}")
+    corr = {}
+    for ang in (30, 60, 90, 120, 150):
+        rot = _rotated_samples_full_grid(ac, ang)
+        pair = annulus & np.isfinite(rot)
+        if int(pair.sum()) < min_bins:
+            raise AnalysisError(f"too few defined bins after {ang}-degree rotation")
+        corr[ang] = _pearson(vals[pair], rot[pair])
+    return min(corr[60], corr[120]) - max(corr[30], corr[90], corr[150])
+
+
+def _gridness_test_maps():
+    yield "hex", spatial_autocorrelogram(hex_rate_map()), (0.5, 1.5)
+    pos = grid_positions()
+    vals = np.exp(-(pos[:, 0] ** 2 + pos[:, 1] ** 2) / 0.18)
+    yield "radial bump", spatial_autocorrelogram(rate_map(pos, vals, 0.05, (-1.3, 1.3, -1.3, 1.3))), (0.5, 1.5)
+    pos = grid_positions(extent=1.0, step=0.05)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        rm = rate_map(pos, rng.normal(size=pos.shape[0]), 0.1, (-1.0, 1.0, -1.0, 1.0))
+        yield f"white noise {seed}", spatial_autocorrelogram(rm), (0.3, 0.9)
+
+
+def test_gridness_equals_full_grid_score():
+    for name, ac, (inner, outer) in _gridness_test_maps():
+        assert gridness(ac, inner, outer) == _gridness_full_grid(ac, inner, outer), name
+
+
+def test_gridness_errors_match_full_grid():
+    # the annulus leaves the map; a 3-row lag grid loses the annulus on rotation
+    cases = [
+        (spatial_autocorrelogram(hex_rate_map()), 4.4, 13.2, "annulus has 0 defined bins"),
+        (Autocorrelogram(0.1, np.random.default_rng(5).normal(size=(3, 61))), 0.5, 2.0, "after 30-degree"),
+    ]
+    for ac, inner, outer, text in cases:
+        with pytest.raises(AnalysisError, match=text) as got:
+            gridness(ac, inner, outer)
+        with pytest.raises(AnalysisError) as want:
+            _gridness_full_grid(ac, inner, outer)
+        assert str(got.value) == str(want.value)
 
 
 def test_nearest_peak_angles_hexagonal():

@@ -212,6 +212,19 @@ def test_color_sample_wraps_heading_like_pose():
         assert color_sample(0.9, 0.1, h, arena, cam) == color_sample(0.9, 0.1, wrap_angle(h), arena, cam)
 
 
+@pytest.mark.parametrize("walls", [(), (WallArc(-0.5, 0.5, "red"),)])
+def test_color_sample_heading_magnitude_bound(walls):
+    # beyond MAX_ANGLE wrap_angle loses every digit: 1e17 + 48 would be
+    # read as heading 0
+    arena = Arena(radius=1.0, walls=walls)
+    cam = CameraParams()
+    for bad in (1e17 + 48, -(1e17 + 48), math.nextafter(MAX_ANGLE, math.inf), 1e300):
+        with pytest.raises(ConfigurationError, match=r"pose heading must be at most 1e\+06 rad"):
+            color_sample(0.5, 0.0, bad, arena, cam)
+    for h in (MAX_ANGLE, -MAX_ANGLE):
+        assert color_sample(0.5, 0.0, h, arena, cam) == color_sample(0.5, 0.0, wrap_angle(h), arena, cam)
+
+
 def test_wall_arc_extent_stays_out_of_repr():
     arc = WallArc(-1.0, 1.0, "red")
     assert "extent" not in repr(arc)

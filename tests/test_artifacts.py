@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from mazecells.analysis import Autocorrelogram, RateMap
+from mazecells.analysis import Autocorrelogram, RateMap, rate_map, spatial_autocorrelogram
 from mazecells.artifacts import (
     AUTOCORR_FORMAT,
     RATEMAP_FORMAT,
@@ -27,6 +27,7 @@ from mazecells.artifacts import (
 )
 from mazecells.config import episode_config, parse_config
 from mazecells.controller import EpisodeLog, run_episode
+from mazecells.spatialcells import FiringParams, GridCellParams, rates_at
 
 HOSTILE = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0, -2.5]
 
@@ -131,6 +132,51 @@ def test_matrix_csv_matches_per_value_fmt(tmp_path, layout):
     write_autocorr_csv(str(path), ac)
     meta = "rows=9 cols=7 bin_size=5e-324"
     assert path.read_bytes() == matrix_reference(f"# {AUTOCORR_FORMAT} {meta}", base)
+
+
+def _autocorrelograms():
+    """Autocorrelograms of random masked maps, a place-style field and a
+    hexagonal grid map, as the kernel writes them."""
+    rng = np.random.default_rng(17)
+    for ny, nx, p in ((14, 11, 0.75), (1, 9, 0.9), (9, 1, 0.9), (20, 20, 0.5)):
+        visited = rng.uniform(size=(ny, nx)) < p
+        iy, ix = np.nonzero(visited)
+        pos = np.column_stack([(ix + 0.5) * 0.1, (iy + 0.5) * 0.1])
+        yield spatial_autocorrelogram(rate_map(pos, rng.normal(size=iy.size), 0.1, (0.0, nx * 0.1, 0.0, ny * 0.1)))
+    xs = np.arange(-1.3, 1.3, 0.02)
+    pos = np.column_stack([a.ravel() for a in np.meshgrid(xs, xs)])
+    field = (np.hypot(pos[:, 0] - 0.3, pos[:, 1] + 0.2) < 0.4).astype(np.float64)
+    yield spatial_autocorrelogram(rate_map(pos, field, 0.05, (-1.3, 1.3, -1.3, 1.3)))
+    grid = rates_at(pos, GridCellParams(0.7, 0.4, 1.1, 2.9), FiringParams())
+    yield spatial_autocorrelogram(rate_map(pos, grid, 0.05, (-1.3, 1.3, -1.3, 1.3)))
+
+
+def test_autocorr_csv_matches_per_value_fmt_on_kernel_output(tmp_path):
+    path = tmp_path / "autocorr.csv"
+    for ac in _autocorrelograms():
+        assert np.array_equal(ac.values, ac.values[::-1, ::-1], equal_nan=True)
+        write_autocorr_csv(str(path), ac)
+        ny, nx = ac.values.shape
+        header = f"# {AUTOCORR_FORMAT} rows={ny} cols={nx} bin_size={_fmt(ac.bin_size)}"
+        assert path.read_bytes() == matrix_reference(header, ac.values)
+
+
+@pytest.mark.parametrize("rows", [7, 8])
+def test_autocorr_csv_formats_a_row_whose_mirror_differs_in_sign_of_zero(tmp_path, rows):
+    # a mirror image except for one 0.0 / -0.0 pair, which compare equal as
+    # floats but print differently
+    rng = np.random.default_rng(rows)
+    values = rng.normal(size=(rows, 5))
+    values[rng.uniform(size=values.shape) < 0.3] = math.nan
+    values = np.where(np.arange(rows)[:, None] < rows // 2, values[::-1, ::-1], values)
+    values[rows - 2, 1] = 0.0
+    values[1, 3] = -0.0
+    assert np.array_equal(values[1], values[rows - 2, ::-1], equal_nan=True)
+    path = tmp_path / "autocorr.csv"
+    write_autocorr_csv(str(path), Autocorrelogram(0.1, values))
+    want = matrix_reference(f"# {AUTOCORR_FORMAT} rows={rows} cols=5 bin_size=0.1", values)
+    assert path.read_bytes() == want
+    assert b"-0.0" in want.splitlines()[2]
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "strided view"])

@@ -9,10 +9,8 @@ section; names every subset of keys for each numbered kind; and covers
 the sweep value lists.  Any change to what a text parses to, or to the
 error it reports, fails here.
 
-One text is left out on purpose: ``[place] spacing_max = inf`` used to
-reach ``numpy.geomspace`` and fail with a RuntimeWarning and a message
-naming ``spacing``; it is now rejected in the parser, and
-``tests/test_cli.py::NON_FINITE_CASES`` pins the new message.
+The keys the battery sets are those of ``config.SCHEMA``, and a test
+holds the two in step.
 
 ``PYTHONPATH=src python tests/test_config_golden.py`` rewrites the JSON
 from the current code; run it only when a parse result changes on purpose.
@@ -24,7 +22,7 @@ import json
 import os
 import warnings
 
-from mazecells.config import config_hash, default_ini, parse_config
+from mazecells.config import NUMBERED_KINDS, SCHEMA, config_hash, default_ini, parse_config
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "config_golden.json")
 
@@ -70,9 +68,6 @@ EDGE_VALUES = {
     "neg": "-1",
     "huge": "1e300",
 }
-
-# Deliberately changed since the recording; see the module docstring.
-LEFT_OUT = {"inf/place.spacing_max"}
 
 SWEEP_LISTS = [
     "kappa = 1, 5, 20\nzeta = 0.1, 0.3\n",
@@ -149,8 +144,6 @@ def battery() -> dict[str, str]:
     texts["cross/zone-outside"] = _section("arena", {"radius": "0.5"}) + _section(
         "zone 1", NUMBERED_VALID["zone"] | {"center_x": "0.9"}
     )
-    for name in LEFT_OUT:
-        del texts[name]
     return texts
 
 
@@ -177,6 +170,16 @@ def test_parse_results_match_golden():
             if (got := outcome(entry["text"])) != entry["result"]
         }
     assert mismatches == {}
+
+
+def test_battery_covers_every_schema_key():
+    # a key added to the schema needs a valid value here, or no text of
+    # the battery would set it
+    def keys(sections):
+        return {name: set(section) for name, section in sections.items()}
+
+    assert keys(FIXED_VALID) == keys({k: v for k, v in SCHEMA.items() if k not in NUMBERED_KINDS})
+    assert keys(NUMBERED_VALID) == keys({k: SCHEMA[k] for k in NUMBERED_KINDS})
 
 
 def test_battery_matches_golden_texts():

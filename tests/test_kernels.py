@@ -12,7 +12,8 @@ place-cell cascade is checked against a plain left-to-right sum bit for
 bit, and its premise, that no computed rate exceeds the cell's rate at
 distance 0 plus a slack, over the whole parameter range.  The
 FFT autocorrelogram is checked at every lag against a per-lag, two-pass,
-long-double masked Pearson oracle, including which lags are NaN.
+long-double masked Pearson oracle, including which lags are NaN, and bit
+for bit against the Pearson step evaluated over the whole lag grid.
 """
 
 import itertools
@@ -28,8 +29,10 @@ from conftest import random_grid
 
 from mazecells._kernels import (
     BLOCK,
+    DEGENERATE_RTOL,
     RATE_CAP_SLACK,
     TWO_PI,
+    _fft_size,
     autocorr,
     brute_force,
     ensemble_batch,
@@ -645,3 +648,79 @@ def test_autocorr_property_matches_oracle(h, w, seed, visit_p, levels, min_overl
     visited = rng.uniform(size=(h, w)) < visit_p
     got, want = _autocorr_vs_oracle(vals, visited, min_overlap)
     _assert_matches(got, want, 1e-9)
+
+
+def _autocorr_full_grid(vals, visited, min_overlap):
+    """The kernel's Pearson step evaluated at every lag, both halves, before
+    the mirrored half is copied over: the reference for computing only the
+    rows the kernel keeps."""
+    h, w = vals.shape
+    nv = int(visited.sum())
+    m = visited.astype(np.float64)
+    mean = float(vals[visited].mean()) if nv else 0.0
+    a = np.where(visited, vals - mean, 0.0)
+    shape = (_fft_size(2 * h - 1), _fft_size(2 * w - 1))
+    fm, fa, fa2 = np.fft.rfft2(np.stack([m, a, a * a]), s=shape)
+    cm = np.conj(fm)
+    c = np.fft.irfft2(np.stack([fm * cm, fa * cm, fa2 * cm, fa * np.conj(fa)]), s=shape)
+    rows = np.arange(-(h - 1), h) % shape[0]
+    cols = np.arange(-(w - 1), w) % shape[1]
+    n, sa, saa, sab = c[:, rows[:, None], cols[None, :]]
+    n = np.rint(n)
+    sb = sa[::-1, ::-1]
+    sbb = saa[::-1, ::-1]
+    va = n * saa - sa * sa
+    vb = n * sbb - sb * sb
+    floor = DEGENERATE_RTOL * n * float((a * a).sum())
+    ok = (n >= min_overlap) & (va > floor) & (vb > floor)
+    r = (n * sab - sa * sb) / np.sqrt(np.where(ok, va * vb, 1.0))
+    out = np.empty((2 * h - 1, 2 * w - 1))
+    out[h - 1 :] = np.where(ok[h - 1 :], r[h - 1 :], np.nan)
+    out[h - 1, w - 1] = 1.0 if nv >= min_overlap else np.nan
+    out[: h - 1] = out[h:][::-1, ::-1]
+    out[h - 1, : w - 1] = out[h - 1, w:][::-1]
+    return out
+
+
+def _assert_autocorr_bits_equal_full_grid(vals, visited, min_overlap):
+    h, w = vals.shape
+    got = np.empty((2 * h - 1, 2 * w - 1))
+    autocorr(np.where(visited, vals, 0.0), visited, min_overlap, got)
+    want = _autocorr_full_grid(np.where(visited, vals, 0.0), visited, min_overlap)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_autocorr_bits_equal_full_grid_on_random_masked_maps():
+    # the maps of the oracle tests above
+    rng = np.random.default_rng(21)
+    for shape, min_overlap in (((14, 11), 20), ((1, 9), 3), ((9, 1), 3)):
+        vals = rng.normal(size=shape)
+        visited = rng.uniform(size=shape) > 0.25
+        _assert_autocorr_bits_equal_full_grid(vals, visited, min_overlap)
+    rng = np.random.default_rng(3)
+    yy, xx = np.mgrid[0:20, 0:20]
+    vals = (np.hypot(yy - 6.0, xx - 13.0) < 4.0).astype(np.float64)
+    _assert_autocorr_bits_equal_full_grid(vals, rng.uniform(size=vals.shape) > 0.1, 20)
+    rng = np.random.default_rng(8)
+    vals = 0.5 + 1e-4 * rng.normal(size=(20, 20))
+    _assert_autocorr_bits_equal_full_grid(vals, rng.uniform(size=vals.shape) > 0.2, 20)
+    rng = np.random.default_rng(2)
+    vals = rng.normal(size=(8, 10))
+    for min_overlap in (20, 21):
+        _assert_autocorr_bits_equal_full_grid(vals, np.ones(vals.shape, dtype=bool), min_overlap)
+
+
+@given(
+    h=st.integers(1, 16),
+    w=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    visit_p=st.floats(0.3, 1.0),
+    levels=st.integers(2, 10),
+    min_overlap=st.integers(1, 20),
+)
+@settings(max_examples=40, deadline=None)
+def test_autocorr_property_bits_equal_full_grid(h, w, seed, visit_p, levels, min_overlap):
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1.0, 1.0) + rng.uniform(0.1, 10.0) * rng.integers(0, levels, (h, w))
+    visited = rng.uniform(size=(h, w)) < visit_p
+    _assert_autocorr_bits_equal_full_grid(vals, visited, min_overlap)
