@@ -1,15 +1,19 @@
 """On-disk run artifacts: CSV tables, PGM images, summary files.
 
-All writes go through a temp file in the destination directory followed
-by an atomic rename, so rerunning a command never leaves partial files.
-Float formatting uses shortest round-trip repr, which keeps identical
-runs byte-identical.
+All writes go through ``atomic_write``: the text goes, piece by piece,
+into a temp file in the destination directory, which an atomic rename
+then puts in place, so rerunning a command never leaves partial files.
+A writer whose text grows with the tick count yields it in pieces of
+``ROWS_PER_PIECE`` rows, so its memory stays bounded.  Float formatting
+uses shortest round-trip repr, which keeps identical runs byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +28,11 @@ SUMMARY_FORMAT = "mazecells.summary.v1"
 
 TRAJECTORY_COLUMNS = "tick,x,y,heading,vibration,x_color,y_out,w_color"
 
+# Trajectory rows per written piece.  A piece is about 0.5 MB of text; it,
+# its row strings and its encoded copy, about 2 MB in all, are the writer's
+# whole transient memory, whatever the tick count.
+ROWS_PER_PIECE = 4096
+
 
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
@@ -35,13 +44,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write(path: str, pieces: Iterable[str]) -> None:
+    """Write the concatenated ``pieces`` to ``path``.  Each piece goes to a
+    temp file beside ``path`` as it arrives; ``path`` changes only by the
+    final rename, so an error from the iterable or the disk leaves it as it
+    was and removes the temp file."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -52,8 +66,13 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_trajectory_csv(path: str, log: EpisodeLog) -> None:
+    atomic_write(path, _trajectory_pieces(log))
+
+
+def _trajectory_pieces(log: EpisodeLog) -> Iterator[str]:
     # Whole columns at a time, read through memoryviews as Python ints and
     # floats; repr prints nan, inf and -0.0 of a float exactly as _fmt does.
+    # The rows are formatted lazily, ROWS_PER_PIECE at a time.
     cols = (
         map(str, memoryview(log.ticks)),
         map(repr, memoryview(log.xs)),
@@ -64,15 +83,15 @@ def write_trajectory_csv(path: str, log: EpisodeLog) -> None:
         map(str, memoryview(log.y_out)),
         map(repr, memoryview(log.w_color)),
     )
-    lines = [f"# {TRAJECTORY_FORMAT} {TRAJECTORY_COLUMNS}", TRAJECTORY_COLUMNS]
-    lines.extend(map(",".join, zip(*cols)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = map(",".join, zip(*cols))
+    yield f"# {TRAJECTORY_FORMAT} {TRAJECTORY_COLUMNS}\n{TRAJECTORY_COLUMNS}\n"
+    while block := list(itertools.islice(rows, ROWS_PER_PIECE)):
+        yield "\n".join(block + [""])
 
 
 def _write_matrix_csv(path: str, format_id: str, header_meta: str, values: np.ndarray) -> None:
-    lines = [f"# {format_id} {header_meta}"]
-    lines.extend(",".join(map(repr, memoryview(row))) for row in values)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (",".join(map(repr, memoryview(row))) + "\n" for row in values)
+    atomic_write(path, itertools.chain([f"# {format_id} {header_meta}\n"], rows))
 
 
 def write_ratemap_csv(path: str, rm: RateMap) -> None:
@@ -88,7 +107,8 @@ def write_autocorr_csv(path: str, ac: Autocorrelogram) -> None:
     # n-1-i reversed (see _kernels.autocorr).  Format the lower rows, and
     # give each upper row its mirror's cells reversed when their bits match
     # (0.0 against -0.0 would not), else format it on its own.  Only one
-    # row's cell list is alive at a time.
+    # row's cell list is alive at a time; the lines, bounded by the map
+    # side, are written one at a time.
     values = ac.values
     n = values.shape[0]
     bits = values.view(f"u{values.itemsize}")
@@ -105,7 +125,7 @@ def write_autocorr_csv(path: str, ac: Autocorrelogram) -> None:
             lines[1 + i] = ",".join(cells)
         else:
             lines[1 + i] = ",".join(map(repr, memoryview(values[i])))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, (line + "\n" for line in lines))
 
 
 def write_pgm(path: str, values: np.ndarray) -> None:
@@ -121,9 +141,8 @@ def write_pgm(path: str, values: np.ndarray) -> None:
             out[finite] = 255
         else:
             out[finite] = 1 + np.rint(254.0 * (v[finite] - lo) / span).astype(np.int64)
-    lines = ["P2", f"{v.shape[1]} {v.shape[0]}", "255"]
-    lines.extend(" ".join(map(str, memoryview(row))) for row in out)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (" ".join(map(str, memoryview(row))) + "\n" for row in out)
+    atomic_write(path, itertools.chain([f"P2\n{v.shape[1]} {v.shape[0]}\n255\n"], rows))
 
 
 def write_sweep_csv(path: str, param_names: list[str], rows: list[dict]) -> None:
@@ -132,14 +151,14 @@ def write_sweep_csv(path: str, param_names: list[str], rows: list[dict]) -> None
     lines = [f"# {SWEEP_FORMAT} {','.join(columns)}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def write_summary(path: str, entries: dict) -> None:
     lines = [f"# {SUMMARY_FORMAT}"]
     for k, v in entries.items():
         lines.append(f"{k} = {_fmt(v)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def read_summary(path: str) -> dict[str, str]:

@@ -68,14 +68,13 @@ def check_finite(v: float, name: str) -> None:
         raise ConfigurationError(f"{name} must be finite, got {v}")
 
 
-# Peak memory of a run grows by about 512 B per tick at most.  An episode,
-# the largest, holds per tick 7 float64 random draws (56 B); 6 float64 log
-# columns, the int8 motion output and the int64 tick index (57 B); the
-# positions it scores coverage on (16 B); and, while it writes
-# trajectory.csv, the row (~113 B of text, +57 B of str header and list
-# slot) and the joined file text (~113 B per copy).  Measured between 200k
-# and 1.4M ticks: 458 B per tick for `episode`, 64 B for `ratemap`.  The
-# bound caps a run near 2**26 ticks * 512 B = 32 GiB.
+# Peak memory of a run grows by about 128 B per tick at most.  An episode,
+# the largest, holds per tick 7 float64 random draws (56 B) beside its
+# 6 float64 log columns, the int8 motion output and the int64 tick index
+# (57 B).  trajectory.csv is formatted and written artifacts.ROWS_PER_PIECE
+# rows at a time, so its text adds no per-tick memory.  tracemalloc peaks
+# at 1M ticks: 113 B per tick for `episode` (the same at 400k), 56 B for
+# `ratemap`.  The bound caps a run near 2**26 ticks * 128 B = 8 GiB.
 MAX_TICK_COUNT = 2**26
 
 

@@ -5,10 +5,15 @@ time; each file must equal, byte for byte, a reference built here by
 formatting every value on its own with ``_fmt``, the formatter of the
 summaries.  The values cover NaN, both infinities, negative zero, the
 smallest subnormal, a huge finite value and a sum with a 17-digit repr.
+The writers stream their text into the temp file in pieces, so the tests
+also cover piece boundaries, a failure between pieces and the writer's
+memory.
 """
 
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +22,11 @@ from mazecells.analysis import Autocorrelogram, RateMap, rate_map, spatial_autoc
 from mazecells.artifacts import (
     AUTOCORR_FORMAT,
     RATEMAP_FORMAT,
+    ROWS_PER_PIECE,
     TRAJECTORY_COLUMNS,
     TRAJECTORY_FORMAT,
     _fmt,
+    atomic_write,
     write_autocorr_csv,
     write_pgm,
     write_ratemap_csv,
@@ -70,18 +77,99 @@ def matrix_reference(header, values):
     return ("\n".join(lines) + "\n").encode()
 
 
+def trajectory_rows(log):
+    columns = (log.ticks, log.xs, log.ys, log.headings, log.vibration, log.x_color, log.y_out, log.w_color)
+    return [",".join(_fmt(col[t]) for col in columns) for t in range(len(log))]
+
+
+def trajectory_reference(log):
+    lines = [f"# {TRAJECTORY_FORMAT} {TRAJECTORY_COLUMNS}", TRAJECTORY_COLUMNS] + trajectory_rows(log)
+    return ("\n".join(lines) + "\n").encode()
+
+
+FLOAT_FIELDS = ("xs", "ys", "headings", "vibration", "x_color", "w_color")
+
+
+def random_log(n, seed=0):
+    """An n-tick log of random values, most with 17-digit reprs."""
+    rng = np.random.default_rng(seed)
+    floats = {name: rng.normal(size=n) for name in FLOAT_FIELDS}
+    return EpisodeLog(
+        ticks=np.arange(n, dtype=np.int64),
+        y_out=rng.integers(-128, 128, size=n).astype(np.int8),
+        bumper_contacts=0,
+        avoidance_events=0,
+        **floats,
+    )
+
+
 def test_trajectory_csv_matches_per_value_fmt(tmp_path, log):
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(str(path), log)
-    columns = (log.ticks, log.xs, log.ys, log.headings, log.vibration, log.x_color, log.y_out, log.w_color)
-    rows = [",".join(_fmt(col[t]) for col in columns) for t in range(len(log))]
-    lines = [f"# {TRAJECTORY_FORMAT} {TRAJECTORY_COLUMNS}", TRAJECTORY_COLUMNS] + rows
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    rows = trajectory_rows(log)
+    assert path.read_bytes() == trajectory_reference(log)
     # spot-check the reference itself
     assert rows[1].split(",")[1] == "inf" and rows[3].split(",")[1] == "-0.0"
     assert rows[0].split(",")[0] == "0" and rows[1].split(",")[0] == "1000000000000"
     assert rows[6].split(",")[1] == "0.30000000000000004"
     assert rows[2].split(",")[6] == "-1"
+
+
+R = ROWS_PER_PIECE
+
+
+@pytest.mark.parametrize("ticks", [1, R - 1, R, R + 1, 2 * R + 1])
+def test_trajectory_csv_matches_per_value_fmt_across_piece_boundaries(tmp_path, ticks):
+    # hostile values on the rows on both sides of every piece boundary, and
+    # on the first and last rows
+    log = random_log(ticks, seed=ticks)
+    edges = sorted({t for b in range(0, ticks + R, R) for t in (b - 1, b) if 0 <= t < ticks} | {ticks - 1})
+    for k, t in enumerate(edges):
+        for c, name in enumerate(FLOAT_FIELDS):
+            getattr(log, name)[t] = HOSTILE[(k + c) % len(HOSTILE)]
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(str(path), log)
+    want = trajectory_reference(log)
+    assert path.read_bytes() == want
+    assert want.count(b"\n") == ticks + 2
+
+
+def _fail_after_first_piece():
+    yield "first piece\n"
+    raise RuntimeError("disk gone")
+
+
+@pytest.mark.parametrize("existing", [None, b"old bytes\n"])
+def test_atomic_write_failing_between_pieces_leaves_the_directory_as_it_was(tmp_path, existing):
+    path = tmp_path / "out.csv"
+    if existing is not None:
+        path.write_bytes(existing)
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(RuntimeError, match="disk gone"):
+        atomic_write(str(path), _fail_after_first_piece())
+    assert sorted(os.listdir(tmp_path)) == before  # no .tmp-*~ file left
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
+    atomic_write(str(path), iter(["a", "", "b\n"]))
+    assert path.read_bytes() == b"ab\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
+
+def test_trajectory_writer_memory_does_not_grow_with_ticks(tmp_path):
+    # tracemalloc peak of the writer alone, above the log it formats
+    path = str(tmp_path / "trajectory.csv")
+    peaks = []
+    for ticks in (10_000, 40_000):
+        log = random_log(ticks)
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(path, log)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_every_log_array_reaches_its_own_trajectory_column(tmp_path):
