@@ -427,12 +427,14 @@ def autocorr(vals, visited, min_overlap, out):
     # lag d sits at index d mod shape; gather the lags -(h-1)..h-1, -(w-1)..w-1
     rows = np.arange(-(h - 1), h) % shape[0]
     cols = np.arange(-(w - 1), w) % shape[1]
-    n, sa, saa, sab = c[:, rows[:, None], cols[None, :]]
-    # only the rows dy >= 0 (index h-1 on) are written from the sums; the
-    # unshifted side of lag d is the shifted side of -d, rows h-1 down to 0
+    # only the rows dy >= 0 (index h-1 on) are written from the sums; sa and
+    # saa also give the unshifted side of lag d: the shifted side of -d.
+    # Rows, then columns: two 1-d gathers run faster than one 2-d one.
+    n, sab = c[::3, rows[h - 1 :]][..., cols]
+    sa, saa = c[1:3, rows][..., cols]
     sb = sa[h - 1 :: -1, ::-1]
     sbb = saa[h - 1 :: -1, ::-1]
-    n, sa, saa, sab = np.rint(n[h - 1 :]), sa[h - 1 :], saa[h - 1 :], sab[h - 1 :]
+    n, sa, saa = np.rint(n), sa[h - 1 :], saa[h - 1 :]
     va = n * saa - sa * sa
     vb = n * sbb - sb * sb
     floor = DEGENERATE_RTOL * n * float((a * a).sum())

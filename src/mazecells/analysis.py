@@ -74,9 +74,7 @@ class Autocorrelogram:
         return (self.values.shape[0] - 1) // 2, (self.values.shape[1] - 1) // 2
 
 
-def check_map_side(
-    extent: float, bin_size: float, name: str = "bin_size", extent_source: str | None = None
-) -> None:
+def check_map_side(extent: float, bin_size: float, extent_source: str | None = None) -> None:
     """Reject a ``bin_size`` that splits ``extent`` into more than
     MAX_MAP_SIDE bins, before any map is allocated.  ``extent_source``, if
     given, says in the message where the extent comes from."""
@@ -84,26 +82,24 @@ def check_map_side(
     if extent / bin_size > MAX_MAP_SIDE:
         source = f" ({extent_source})" if extent_source else ""
         raise ConfigurationError(
-            f"{name} = {bin_size!r} splits {extent!r} m{source} into {extent / bin_size:.6g} bins; "
+            f"bin_size = {bin_size!r} splits {extent!r} m{source} into {extent / bin_size:.6g} bins; "
             f"at most {MAX_MAP_SIDE} fit (about 1 KiB of memory per map bin)"
         )
 
 
-def check_bin_size(
-    bin_size: float, radius: float, name: str = "bin_size", radius_name: str = "radius"
-) -> None:
+def check_bin_size(bin_size: float, radius: float, radius_name: str = "radius") -> None:
     """Reject a ``bin_size`` that is not positive and finite, is wider than
     the diameter of a disc of ``radius``, or splits it into more than
     MAX_MAP_SIDE bins."""
     if not (bin_size > 0.0 and math.isfinite(bin_size)):
-        raise ConfigurationError(f"{name} must be positive and finite, got {bin_size}")
+        raise ConfigurationError(f"bin_size must be positive and finite, got {bin_size}")
     diameter = 2.0 * radius
     source = f"twice {radius_name} = {radius!r}"
     # a wider bin puts bin centers outside the disc; near 1e154 their
     # squares overflow
     if bin_size > diameter:
-        raise ConfigurationError(f"{name} must be at most {diameter!r} m ({source}), got {bin_size}")
-    check_map_side(diameter, bin_size, name, source)
+        raise ConfigurationError(f"bin_size must be at most {diameter!r} m ({source}), got {bin_size}")
+    check_map_side(diameter, bin_size, source)
 
 
 def _bin_index(coords: np.ndarray, origin: float, bin_size: float, nbins: int) -> np.ndarray:

@@ -38,20 +38,14 @@ MAX_ANGLE = 1e6
 MAX_HEADING_SIGMA = 7e4
 
 
-def check_angle(a: float, name: str, nonfinite: str | None = None) -> None:
+def check_angle(a: float, name: str) -> None:
     """Raise ConfigurationError unless the angle ``a`` is finite and at most
-    MAX_ANGLE in magnitude; ``nonfinite`` replaces the message for NaN or inf."""
+    MAX_ANGLE in magnitude."""
     if not abs(a) <= MAX_ANGLE:
-        if not math.isfinite(a):
-            raise ConfigurationError(nonfinite or f"{name} must be finite, got {a}")
+        check_finite(a, name)
         raise ConfigurationError(
             f"{name} must be at most {MAX_ANGLE:g} rad in magnitude, got {a}"
         )
-
-
-def check_wall_angle(a: float, name: str) -> None:
-    """check_angle for a wall arc endpoint; a NaN or inf one fails the whole arc."""
-    check_angle(a, name, "wall arc angles must be finite")
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,7 @@ class WallArc:
 
     def __post_init__(self):
         for key in ("start_angle", "end_angle"):
-            check_wall_angle(getattr(self, key), f"wall arc {key}")
+            check_angle(getattr(self, key), f"wall arc {key}")
             object.__setattr__(self, key, wrap_angle(float(getattr(self, key))))
         object.__setattr__(self, "extent", (self.end_angle - self.start_angle) % TWO_PI)
         if self.extent <= 0.0:
@@ -238,14 +232,14 @@ def _check_sigma(v: float, name: str, bound: float, why: str) -> None:
         raise ConfigurationError(f"{name} must be >= 0, got {v}")
 
 
-def check_noise_sigma(v: float, name: str = "noise_sigma") -> None:
+def check_noise_sigma(v: float) -> None:
     """The accelerometer noise sigma rule: finite, >= 0, at most MAX_NOISE_SIGMA."""
-    _check_sigma(v, name, MAX_NOISE_SIGMA, "so that accelerometer readings stay finite")
+    _check_sigma(v, "noise_sigma", MAX_NOISE_SIGMA, "so that accelerometer readings stay finite")
 
 
-def check_jitter_sigma(v: float, name: str = "jitter_sigma") -> None:
+def check_jitter_sigma(v: float) -> None:
     """The escape-heading jitter sigma rule: finite, >= 0, at most MAX_HEADING_SIGMA."""
-    _check_sigma(v, name, MAX_HEADING_SIGMA, f"so that headings stay within {MAX_ANGLE:g} rad")
+    _check_sigma(v, "jitter_sigma", MAX_HEADING_SIGMA, f"so that headings stay within {MAX_ANGLE:g} rad")
 
 
 def _accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):

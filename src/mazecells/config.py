@@ -10,6 +10,7 @@ sections: ``[zone 1]``, ``[wall 1]``, ``[grid 1]`` ...
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -28,7 +29,7 @@ from .arena import (
     check_angle,
     check_jitter_sigma,
     check_noise_sigma,
-    check_wall_angle,
+    check_walk_step,
 )
 from .controller import EpisodeConfig
 from .learning import CircuitParams
@@ -164,7 +165,7 @@ def default_sections() -> dict[str, dict[str, object]]:
         if kind in NUMBERED_KINDS:
             for name, vals in DEFAULT_LAYOUT.items():
                 if name.split()[0] == kind:
-                    sections[name] = _read_section(name, kind, vals.items())
+                    sections[name] = _read_section(kind, vals.items())
         else:
             sections[kind] = {k: d for k, (_, d) in schema.items() if d is not None}
     return sections
@@ -188,17 +189,21 @@ def default_ini() -> str:
     return build_ini(default_sections())
 
 
-def _convert(section: str, key: str, raw, typ):
+def _convert(key: str, raw, typ):
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw.strip()
+        return raw.strip() if typ is str else typ(raw)
     except ValueError as exc:
-        raise ConfigurationError(
-            f"bad value for '{key}' in section [{section}]: {raw!r}"
-        ) from exc
+        raise ConfigurationError(f"bad value for '{key}': {raw!r}") from exc
+
+
+@contextlib.contextmanager
+def _section(name: str):
+    """Re-raise a ConfigurationError from the block as ``[name] <message>``,
+    so that every config error names the section it was found in."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[{name}] {exc}") from exc
 
 
 def _split_section(name: str) -> tuple[str, int | None]:
@@ -214,19 +219,19 @@ def _split_section(name: str) -> tuple[str, int | None]:
     raise ConfigurationError(f"unknown section [{name}]")
 
 
-def _read_section(name: str, kind: str, items) -> dict[str, object]:
-    """Typed values of section ``name``'s (key, raw) items, read against
+def _read_section(kind: str, items) -> dict[str, object]:
+    """Typed values of a section's (key, raw) items, read against
     ``SCHEMA[kind]``, with the defaults filled in."""
     schema = SCHEMA[kind]
     vals = {}
     for key, raw in items:
         if key not in schema:
-            raise ConfigurationError(f"unknown key '{key}' in section [{name}]")
-        vals[key] = _convert(name, key, raw, schema[key][0])
+            raise ConfigurationError(f"unknown key '{key}'")
+        vals[key] = _convert(key, raw, schema[key][0])
     for key, (_, default) in schema.items():
         if key not in vals:
             if default is _REQUIRED:
-                raise ConfigurationError(f"missing key '{key}' in section [{name}]")
+                raise ConfigurationError(f"missing key '{key}'")
             vals[key] = default
     return vals
 
@@ -255,33 +260,17 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigurationError(f"malformed config: {exc}") from exc
 
     sections: dict[str, dict[str, object]] = {}
-    numbered: dict[str, list[tuple[int, dict[str, object]]]] = {k: [] for k in NUMBERED_KINDS}
-    sweep: list[tuple[str, tuple[float, ...]]] = []
+    numbered: dict[str, list[tuple[int, str, dict[str, object]]]] = {k: [] for k in NUMBERED_KINDS}
     for name in cp.sections():
         if name == "sweep":
-            for key, raw in cp.items(name):
-                if key not in SWEEPABLE:
-                    raise ConfigurationError(
-                        f"unknown sweep parameter '{key}' (choices: {', '.join(SWEEPABLE)})"
-                    )
-                try:
-                    values = tuple(float(v) for v in raw.split(",") if v.strip() != "")
-                except ValueError as exc:
-                    raise ConfigurationError(
-                        f"bad value list for sweep parameter '{key}': {raw!r}"
-                    ) from exc
-                if not values:
-                    raise ConfigurationError(f"empty value list for sweep parameter '{key}'")
-                if not all(math.isfinite(v) for v in values):
-                    raise ConfigurationError(f"non-finite value for sweep parameter '{key}': {raw!r}")
-                sweep.append((key, values))
             continue
         kind, index = _split_section(name)
-        vals = _read_section(name, kind, cp.items(name))
+        with _section(name):
+            vals = _read_section(kind, cp.items(name))
         if index is None:
             sections[kind] = vals
         else:
-            numbered[kind].append((index, vals))
+            numbered[kind].append((index, name, vals))
     # A numbered kind the config names no section of takes the default
     # layout's (a minimal file still gets the full paired-cue arena); a fixed
     # section it leaves out takes its defaults.  Empty arenas are built
@@ -290,93 +279,89 @@ def parse_config(text: str) -> RunConfig:
     for name, vals in DEFAULT_LAYOUT.items():
         kind, index = _split_section(name)
         if kind in missing:
-            numbered[kind].append((index, _read_section(name, kind, vals.items())))
+            numbered[kind].append((index, name, _read_section(kind, vals.items())))
     for kind in SCHEMA:
         if kind not in NUMBERED_KINDS and kind not in sections:
-            sections[kind] = _read_section(kind, kind, ())
+            sections[kind] = _read_section(kind, ())
 
     def elements(kind: str, cls) -> tuple:
-        return tuple(cls(**vals) for _, vals in sorted(numbered[kind], key=lambda p: p[0]))
+        built = []
+        for _, name, vals in sorted(numbered[kind], key=lambda p: p[0]):
+            with _section(name):
+                built.append(cls(**vals))
+        return tuple(built)
 
     run, walk_keys, circuit_keys = sections["run"], sections["walk"], sections["circuit"]
+    place_keys, analysis = sections["place"], sections["analysis"]
     seed = run["seed"]
-    if seed is not None:
-        check_seed(seed, "[run] seed")
-    # WallArc checks the angles too, but cannot name the section
-    for index, vals in numbered["wall"]:
-        for key in ("start_angle", "end_angle"):
-            check_wall_angle(vals[key], f"[wall {index}] {key}")
-    arena = Arena(
-        radius=sections["arena"]["radius"],
-        zones=elements("zone", ZoneDisc),
-        walls=elements("wall", WallArc),
-    )
-    walk = WalkParams(
-        speed=walk_keys["speed"],
-        dt=walk_keys["dt"],
-        turn_sigma=walk_keys["turn_sigma"],
-        seed=seed or 0,
-    )
-    camera = CameraParams(**sections["camera"])
-    firing = FiringParams(**sections["firing"])
-    circuit = CircuitParams(
-        vibration_threshold=circuit_keys["vibration_threshold"],
-        color_activation_threshold=circuit_keys["color_activation_threshold"],
-        eta=circuit_keys["eta"],
-    )
+    with _section("run"):
+        if seed is not None:
+            check_seed(seed)
+        tick_count = check_tick_count(run["tick_count"])
+    zones, walls = elements("zone", ZoneDisc), elements("wall", WallArc)
+    with _section("arena"):
+        arena = Arena(radius=sections["arena"]["radius"], zones=zones, walls=walls)
+    # The sigma, heading and weight checks repeat EpisodeConfig's rules, so
+    # that ratemap and sweep runs, which never build one, reject them too.
+    with _section("walk"):
+        speed, dt, turn_sigma = walk_keys["speed"], walk_keys["dt"], walk_keys["turn_sigma"]
+        walk = WalkParams(speed=speed, dt=dt, turn_sigma=turn_sigma, seed=seed or 0)
+        check_walk_step(walk, arena)
+        check_angle(walk_keys["start_heading"], "start_heading")
+    with _section("sensors"):
+        check_noise_sigma(sections["sensors"]["noise_sigma"])
+    with _section("controller"):
+        check_jitter_sigma(sections["controller"]["jitter_sigma"])
+    with _section("camera"):
+        camera = CameraParams(**sections["camera"])
+    with _section("firing"):
+        firing = FiringParams(**sections["firing"])
+    with _section("circuit"):
+        circuit = CircuitParams(
+            vibration_threshold=circuit_keys["vibration_threshold"],
+            color_activation_threshold=circuit_keys["color_activation_threshold"],
+            eta=circuit_keys["eta"],
+        )
+        if circuit_keys["initial_w_color"] is not None:
+            check_finite(circuit_keys["initial_w_color"], "initial_w_color")
     grid_cells = elements("grid", GridCellParams)
-    place_keys = sections["place"]
-    count = place_keys["count"]
-    if count < 1:
-        raise ConfigurationError(f"place count must be >= 1, got {count}")
-    if count > MAX_PLACE_COUNT:
-        raise ConfigurationError(
-            f"[place] count must be at most {MAX_PLACE_COUNT} "
-            f"(one rates_at pass per input per run), got {count}"
-        )
-    smin, smax = place_keys["spacing_min"], place_keys["spacing_max"]
-    if not (0.0 < smin <= smax):
-        raise ConfigurationError("need 0 < spacing_min <= spacing_max")
-    # checked here, so that the error names the key and not a computed
-    # spacing
-    for key, v in (("spacing_min", smin), ("spacing_max", smax)):
-        if not MIN_SPACING <= v <= MAX_SPACING:
+    with _section("place"):
+        count = place_keys["count"]
+        if count < 1:
+            raise ConfigurationError(f"count must be >= 1, got {count}")
+        if count > MAX_PLACE_COUNT:
             raise ConfigurationError(
-                f"[place] {key} must lie in [{MIN_SPACING:g}, {MAX_SPACING:g}] m, got {v}"
+                f"count must be at most {MAX_PLACE_COUNT} "
+                f"(one rates_at pass per input per run), got {count}"
             )
-    frac = place_keys["threshold_fraction"]
-    if not (0.0 < frac <= 1.0):
-        raise ConfigurationError("threshold_fraction must lie in (0, 1]")
-    ensemble = anchored_ensemble(
-        _place_spacings(smin, smax, count), (place_keys["anchor_x"], place_keys["anchor_y"])
-    )
-    place = PlaceCellParams(inputs=ensemble, threshold=frac * count)
-
-    tick_count = check_tick_count(run["tick_count"])
-    analysis = sections["analysis"]
-    bin_size = analysis["bin_size"]
-    # the rate maps span the arena's diameter
-    check_bin_size(bin_size, arena.radius, "[analysis] bin_size", "[arena] radius")
-    inner = analysis["annulus_inner_scale"]
-    outer = analysis["annulus_outer_scale"]
-    if not (0.0 < inner < outer and math.isfinite(outer)):
-        raise ConfigurationError(
-            "[analysis] needs finite 0 < annulus_inner_scale < annulus_outer_scale, "
-            f"got {inner} and {outer}"
+        smin, smax = place_keys["spacing_min"], place_keys["spacing_max"]
+        if not (0.0 < smin <= smax):
+            raise ConfigurationError("need 0 < spacing_min <= spacing_max")
+        # checked here, so that the error names the key and not a computed
+        # spacing
+        for key, v in (("spacing_min", smin), ("spacing_max", smax)):
+            if not MIN_SPACING <= v <= MAX_SPACING:
+                raise ConfigurationError(
+                    f"{key} must lie in [{MIN_SPACING:g}, {MAX_SPACING:g}] m, got {v}"
+                )
+        frac = place_keys["threshold_fraction"]
+        if not (0.0 < frac <= 1.0):
+            raise ConfigurationError("threshold_fraction must lie in (0, 1]")
+        ensemble = anchored_ensemble(
+            _place_spacings(smin, smax, count), (place_keys["anchor_x"], place_keys["anchor_y"])
         )
-    # Checked here, by EpisodeConfig's rules, so that ratemap and sweep
-    # runs, which never build one, reject them too.
-    noise_sigma = sections["sensors"]["noise_sigma"]
-    jitter_sigma = sections["controller"]["jitter_sigma"]
-    start_heading = walk_keys["start_heading"]
-    initial_w_color = circuit_keys["initial_w_color"]
-    check_noise_sigma(noise_sigma, "[sensors] noise_sigma")
-    check_jitter_sigma(jitter_sigma, "[controller] jitter_sigma")
-    check_angle(start_heading, "[walk] start_heading")
-    if initial_w_color is not None:
-        check_finite(initial_w_color, "[circuit] initial_w_color")
+        place = PlaceCellParams(inputs=ensemble, threshold=frac * count)
+    with _section("analysis"):
+        # the rate maps span the arena's diameter
+        check_bin_size(analysis["bin_size"], arena.radius, "[arena] radius")
+        inner, outer = analysis["annulus_inner_scale"], analysis["annulus_outer_scale"]
+        if not (0.0 < inner < outer and math.isfinite(outer)):
+            raise ConfigurationError(
+                "needs finite 0 < annulus_inner_scale < annulus_outer_scale, "
+                f"got {inner} and {outer}"
+            )
 
-    return RunConfig(
+    rc = RunConfig(
         seed=seed,
         tick_count=tick_count,
         arena=arena,
@@ -386,16 +371,39 @@ def parse_config(text: str) -> RunConfig:
         circuit=circuit,
         grid_cells=grid_cells,
         place=place,
-        noise_sigma=noise_sigma,
-        jitter_sigma=jitter_sigma,
-        start_heading=start_heading,
-        initial_w_color=initial_w_color,
+        noise_sigma=sections["sensors"]["noise_sigma"],
+        jitter_sigma=sections["controller"]["jitter_sigma"],
+        start_heading=walk_keys["start_heading"],
+        initial_w_color=circuit_keys["initial_w_color"],
         train_summary=circuit_keys["train_summary"],
-        bin_size=bin_size,
+        bin_size=analysis["bin_size"],
         annulus_inner_scale=inner,
         annulus_outer_scale=outer,
-        sweep=tuple(sweep),
+        sweep=(),
     )
+    sweep = []
+    with _section("sweep"):
+        for key, raw in cp.items("sweep") if cp.has_section("sweep") else ():
+            if key not in SWEEPABLE:
+                raise ConfigurationError(
+                    f"unknown sweep parameter '{key}' (choices: {', '.join(SWEEPABLE)})"
+                )
+            try:
+                values = tuple(float(v) for v in raw.split(",") if v.strip() != "")
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"bad value list for sweep parameter '{key}': {raw!r}"
+                ) from exc
+            if not values:
+                raise ConfigurationError(f"empty value list for sweep parameter '{key}'")
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigurationError(f"non-finite value for sweep parameter '{key}': {raw!r}")
+            # each swept field has a rule of its own, so a sweep point is
+            # valid exactly when each of its values is
+            for v in values:
+                apply_sweep_point(rc, {key: v})
+            sweep.append((key, values))
+    return dataclasses.replace(rc, sweep=tuple(sweep))
 
 
 def load_config(path: str) -> RunConfig:

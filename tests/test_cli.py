@@ -223,11 +223,11 @@ MAGNITUDE_CASES = [
     ("spacing_min-1e-300", {"place": {"spacing_min": "1e-300"}}, "[place] spacing_min"),
     ("noise_sigma-negative", {"sensors": {"noise_sigma": "-1"}}, "[sensors] noise_sigma"),
     ("jitter_sigma-negative", {"controller": {"jitter_sigma": "-1"}}, "[controller] jitter_sigma"),
-    ("zone_amplitude-1e300", {"zone 1": dict(ZONE, amplitude="1e300")}, "zone amplitudes"),
-    ("turn_sigma-1e20", {"walk": {"turn_sigma": "1e20"}}, "turn_sigma"),
+    ("zone_amplitude-1e300", {"zone 1": dict(ZONE, amplitude="1e300")}, "[arena] zone amplitudes"),
+    ("turn_sigma-1e20", {"walk": {"turn_sigma": "1e20"}}, "[walk] turn_sigma"),
     ("jitter_sigma-1e20", {"controller": {"jitter_sigma": "1e20"}}, "[controller] jitter_sigma"),
     ("bin_size-1e155", {"analysis": {"bin_size": "1e155"}}, "[analysis] bin_size"),
-    ("anchor_x-1e17", {"place": {"anchor_x": "1e17"}}, "anchor"),
+    ("anchor_x-1e17", {"place": {"anchor_x": "1e17"}}, "[place] anchor"),
 ]
 
 
@@ -358,6 +358,18 @@ def test_sweep_without_sweep_section_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RUN)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bad_sweep_value_exits_2_before_any_point_runs(tmp_path, monkeypatch, capsys, jobs):
+    # every listed value is checked at parse time: point 0 (spacing 1.0)
+    # is valid, and must not be run and written before point 1 fails
+    cfg = write_cfg(tmp_path, FAST_RUN + "[sweep]\nspacing = 1.0, 1e9\n")
+    out = tmp_path / "o"
+    monkeypatch.setenv("MAZECELLS_JOBS", jobs)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: [sweep] spacing must ")
+    assert not out.exists()
 
 
 def test_episode_requires_mode_flag(tmp_path):

@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import warnings
 
 from mazecells.config import NUMBERED_KINDS, SCHEMA, config_hash, default_ini, parse_config
@@ -170,6 +171,35 @@ def test_parse_results_match_golden():
             if (got := outcome(entry["text"])) != entry["result"]
         }
     assert mismatches == {}
+
+
+# Errors about the file as a whole, which belong to no section.
+FILE_LEVEL = ("unknown section [", "malformed config: ")
+
+# A rule that reads two sections reports the section that owns it, which
+# need not be the one the text names: the zone-inside-the-arena and
+# amplitude-sum rules are [arena]'s, the map-side bound [analysis]'s.
+CROSS_SECTION = {
+    "huge/arena.radius": "analysis",
+    "huge/zone.center_x": "arena",
+    "huge/zone.center_y": "arena",
+    "huge/zone.amplitude": "arena",
+}
+
+
+def test_every_key_level_error_starts_with_its_section():
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)
+    unprefixed = {}
+    for name, entry in golden.items():
+        message = entry["result"].get("message")
+        if message is None or message.startswith(FILE_LEVEL):
+            continue
+        named = re.findall(r"^\[(.*)\]$", entry["text"], re.MULTILINE)
+        expected = [CROSS_SECTION[name]] if name in CROSS_SECTION else named
+        if not any(message.startswith(f"[{section}] ") for section in expected):
+            unprefixed[name] = message
+    assert unprefixed == {}
 
 
 def test_battery_covers_every_schema_key():
