@@ -1,23 +1,33 @@
-"""Byte pins for the files the ``episode`` command writes.
+"""Byte pins for the files the ``episode``, ``ratemap`` and ``sweep``
+commands write.
 
-``golden_trees.json`` holds, for seeds 1 and 2, the SHA-256 of
-``trajectory.csv`` and of ``summary.txt`` (without its ``duration_s``
-line) for a train run of ``golden_episode_train.ini`` and then a test run
-of ``golden_episode_test.ini``, which reads the train run's summary.  The
-tick counts cross the trajectory writer's piece boundaries.  Any change
-to a written byte fails here.
+``golden_trees.json`` holds, for seeds 1 and 2, the SHA-256 of every file
+(a ``summary.txt`` without its ``duration_s`` line) of:
+
+- a train run of ``golden_episode_train.ini`` and then a test run of
+  ``golden_episode_test.ini``, which reads the train run's summary; the
+  tick counts cross the trajectory writer's piece boundaries;
+- a ``ratemap`` run of ``golden_ratemap.ini``;
+- a ``sweep`` run of ``golden_sweep.ini``, which must give the same
+  digests with one worker process and with two.
+
+The grid cells' ``ratemap_grid*.csv`` and ``autocorr_grid*.csv`` are left
+out: their bits follow numpy's SIMD dispatch of ``np.arctan`` (ROADMAP
+item 1).  Any change to another written byte fails here.
 
 ``PYTHONPATH=src python tests/test_golden_trees.py`` rewrites the JSON
 from the current code; run it only when an output changes on purpose.
 """
 
 import configparser
+import fnmatch
 import hashlib
 import json
 import os
 import tempfile
+from unittest import mock
 
-from mazecells.cli import main
+from mazecells.cli import ENV_JOBS, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden_trees.json")
@@ -25,7 +35,11 @@ CONFIGS = {
     "train": os.path.join(HERE, "golden_episode_train.ini"),
     "test": os.path.join(HERE, "golden_episode_test.ini"),
 }
+RATEMAP_CONFIG = os.path.join(HERE, "golden_ratemap.ini")
+SWEEP_CONFIG = os.path.join(HERE, "golden_sweep.ini")
 SEEDS = (1, 2)
+# The files whose bytes depend on numpy's SIMD dispatch, by file name.
+DISPATCH_DEPENDENT = ("ratemap_grid*.csv", "autocorr_grid*.csv")
 
 
 def file_digest(path: str) -> str:
@@ -35,6 +49,44 @@ def file_digest(path: str) -> str:
     if os.path.basename(path) == "summary.txt":
         data = b"".join(line for line in data.splitlines(True) if not line.startswith(b"duration_s ="))
     return hashlib.sha256(data).hexdigest()
+
+
+def tree_digests(root: str, prefix: str) -> dict:
+    """Digests of every file under ``root`` but the dispatch-dependent
+    ones, keyed by ``prefix`` plus the file's path below ``root``."""
+    out = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if not any(fnmatch.fnmatch(name, pattern) for pattern in DISPATCH_DEPENDENT):
+                rel = os.path.relpath(os.path.join(dirpath, name), root).replace(os.sep, "/")
+                out[f"{prefix}/{rel}"] = file_digest(os.path.join(dirpath, name))
+    return out
+
+
+def command_digests(work: str, command: str, config: str) -> dict:
+    """Run ``command`` on ``config`` at every seed under ``work`` and
+    digest its output trees."""
+    out = {}
+    for seed in SEEDS:
+        run_dir = os.path.join(work, f"seed{seed}", command)
+        argv = [command, "--config", config, "--out", run_dir, "--seed", str(seed)]
+        assert main(argv) == 0, argv
+        out.update(tree_digests(run_dir, f"seed{seed}/{command}"))
+    return out
+
+
+def sweep_digests(work: str, jobs: int) -> dict:
+    with mock.patch.dict(os.environ, {ENV_JOBS: str(jobs)}):
+        return command_digests(work, "sweep", SWEEP_CONFIG)
+
+
+def load_golden(command: str) -> dict:
+    """The pinned digests of one command's runs (``train`` and ``test``
+    for the episode)."""
+    with open(GOLDEN_PATH) as fh:
+        golden = json.load(fh)
+    return {key: digest for key, digest in golden.items() if key.split("/")[1] == command}
 
 
 def episode_digests(work: str) -> dict:
@@ -59,10 +111,24 @@ def episode_digests(work: str) -> dict:
 
 
 def test_episode_trees_match_golden(tmp_path):
-    with open(GOLDEN_PATH) as fh:
-        golden = json.load(fh)
+    golden = load_golden("train") | load_golden("test")
     assert len(golden) == 4 * len(SEEDS)
     assert episode_digests(str(tmp_path)) == golden
+
+
+def test_ratemap_trees_match_golden(tmp_path):
+    golden = load_golden("ratemap")
+    # per seed: the place cell's three files, two grid PGMs, the summary
+    assert len(golden) == 6 * len(SEEDS)
+    assert command_digests(str(tmp_path), "ratemap", RATEMAP_CONFIG) == golden
+
+
+def test_sweep_trees_match_golden_at_one_and_two_workers(tmp_path):
+    golden = load_golden("sweep")
+    # per seed: sweep.csv, the summary and each of two points' six files
+    assert len(golden) == (2 + 2 * 6) * len(SEEDS)
+    assert sweep_digests(str(tmp_path / "jobs1"), 1) == golden
+    assert sweep_digests(str(tmp_path / "jobs2"), 2) == golden
 
 
 def test_tick_counts_cross_piece_boundaries():
@@ -78,7 +144,9 @@ def test_tick_counts_cross_piece_boundaries():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
-        record = episode_digests(work)
+        record = episode_digests(os.path.join(work, "episode"))
+        record.update(command_digests(work, "ratemap", RATEMAP_CONFIG))
+        record.update(sweep_digests(work, 1))
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -374,5 +374,5 @@ def test_check_tick_count_rejects_by_name(ticks):
 def test_check_tick_count_accepts_up_to_the_bound():
     assert check_tick_count(1) == 1
     assert check_tick_count(np.int64(MAX_TICK_COUNT)) == MAX_TICK_COUNT
-    # the bound is the documented budget: 512 B per tick, 32 GiB in all
-    assert MAX_TICK_COUNT * 512 == 32 * 2**30
+    # the bound is the documented budget: 128 B per tick, 8 GiB in all
+    assert MAX_TICK_COUNT * 128 == 8 * 2**30
