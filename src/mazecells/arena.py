@@ -160,13 +160,7 @@ class WalkParams:
         for name, v in (("speed", self.speed), ("dt", self.dt)):
             if not (v > 0.0 and math.isfinite(v)):
                 raise ConfigurationError(f"{name} must be positive and finite, got {v}")
-        if not (self.turn_sigma >= 0.0 and math.isfinite(self.turn_sigma)):
-            raise ConfigurationError(f"turn_sigma must be finite and >= 0, got {self.turn_sigma}")
-        if self.turn_sigma > MAX_HEADING_SIGMA:
-            raise ConfigurationError(
-                f"turn_sigma must be at most {MAX_HEADING_SIGMA:g} "
-                f"(so that headings stay within {MAX_ANGLE:g} rad), got {self.turn_sigma}"
-            )
+        check_heading_sigma(self.turn_sigma, "turn_sigma")
         check_seed(self.seed)
 
 
@@ -237,9 +231,9 @@ def check_noise_sigma(v: float) -> None:
     _check_sigma(v, "noise_sigma", MAX_NOISE_SIGMA, "so that accelerometer readings stay finite")
 
 
-def check_jitter_sigma(v: float) -> None:
-    """The escape-heading jitter sigma rule: finite, >= 0, at most MAX_HEADING_SIGMA."""
-    _check_sigma(v, "jitter_sigma", MAX_HEADING_SIGMA, f"so that headings stay within {MAX_ANGLE:g} rad")
+def check_heading_sigma(v: float, name: str) -> None:
+    """The turn and escape-jitter sigma rule: finite, >= 0, at most MAX_HEADING_SIGMA."""
+    _check_sigma(v, name, MAX_HEADING_SIGMA, f"so that headings stay within {MAX_ANGLE:g} rad")
 
 
 def _accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):

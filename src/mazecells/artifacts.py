@@ -145,9 +145,9 @@ def write_pgm(path: str, values: np.ndarray) -> None:
     atomic_write(path, itertools.chain([f"P2\n{v.shape[1]} {v.shape[0]}\n255\n"], rows))
 
 
-def write_sweep_csv(path: str, param_names: list[str], rows: list[dict]) -> None:
-    metric_names = ["gridness", "peak_to_mean", "halfmax_area_bins", "coverage"]
-    columns = ["index", "seed"] + list(param_names) + metric_names
+def write_sweep_csv(path: str, rows: list[dict]) -> None:
+    """One line per row; the columns are the first row's keys, in order."""
+    columns = list(rows[0]) if rows else []
     lines = [f"# {SWEEP_FORMAT} {','.join(columns)}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))

@@ -147,14 +147,14 @@ def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = No
 
 
 def _sweep_worker(args) -> dict:
+    """One sweep.csv row, in column order: the point's index and seed, its
+    swept values, then its first grid cell's metrics and the coverage."""
     rc, assignment, out_dir, seed, index = args
     point = apply_sweep_point(rc, assignment)
     metrics = _run_ratemap(point, out_dir, seed)
-    row = {"index": index, "seed": seed}
-    row.update(assignment)
-    row["gridness"] = metrics["gridness_grid1"]
-    row["peak_to_mean"] = metrics["peak_to_mean_grid1"]
-    row["halfmax_area_bins"] = metrics["halfmax_area_bins_grid1"]
+    row = {"index": index, "seed": seed, **assignment}
+    for name in ("gridness", "peak_to_mean", "halfmax_area_bins"):
+        row[name] = metrics[f"{name}_grid1"]
     row["coverage"] = metrics["coverage"]
     return row
 
@@ -176,7 +176,7 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None) -> int:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     os.makedirs(out_dir, exist_ok=True)
-    artifacts.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), param_names, rows)
+    artifacts.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)
     artifacts.write_summary(
         os.path.join(out_dir, "summary.txt"),
         {

@@ -27,15 +27,13 @@ from .arena import (
     WallArc,
     ZoneDisc,
     check_angle,
-    check_jitter_sigma,
+    check_heading_sigma,
     check_noise_sigma,
     check_walk_step,
 )
 from .controller import EpisodeConfig
 from .learning import CircuitParams
 from .spatialcells import (
-    MAX_SPACING,
-    MIN_SPACING,
     ConfigurationError,
     FiringParams,
     GridCellParams,
@@ -43,43 +41,43 @@ from .spatialcells import (
     anchored_ensemble,
     check_finite,
     check_seed,
+    check_spacing,
     check_tick_count,
 )
-
-SWEEPABLE = ("kappa", "zeta", "spacing", "orientation", "phase1", "phase2")
 
 # Marks a key that a numbered section must name.
 _REQUIRED = object()
 
 # Every section's keys, as key -> (type, default).  A default of None means
-# the key is unset unless the config names it.  The numbered kinds are read
-# from sections named "<kind> <index>" (``[zone 1]``, ``[grid 2]`` ...); the
-# table's order is the order of ``default_sections()``.
+# the key is unset unless the config names it; a key that sets a dataclass
+# field takes that field's default (the class attribute of its name).  The
+# numbered kinds are read from sections named "<kind> <index>" (``[zone 1]``,
+# ``[grid 2]`` ...); the table's order is the order of ``default_sections()``.
 SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     # ten thousand ticks give the color weight ample time to climb well past
     # the activation threshold on any seed
     "run": {"seed": (int, None), "tick_count": (int, 10000)},
-    "arena": {"radius": (float, 1.3)},
+    "arena": {"radius": (float, Arena.radius)},
     "zone": {
         "center_x": (float, _REQUIRED),
         "center_y": (float, _REQUIRED),
         "radius": (float, _REQUIRED),
-        "amplitude": (float, 8.0),
+        "amplitude": (float, ZoneDisc.amplitude),
     },
     "wall": {
         "start_angle": (float, _REQUIRED),
         "end_angle": (float, _REQUIRED),
-        "color": (str, "red"),
+        "color": (str, WallArc.color),
     },
     "walk": {
-        "speed": (float, 0.2),
-        "dt": (float, 0.1),
-        "turn_sigma": (float, 0.2),
-        "start_heading": (float, 0.0),
+        "speed": (float, WalkParams.speed),
+        "dt": (float, WalkParams.dt),
+        "turn_sigma": (float, WalkParams.turn_sigma),
+        "start_heading": (float, EpisodeConfig.start_heading),
     },
-    "sensors": {"noise_sigma": (float, 0.3)},
-    "camera": {"fov": (float, math.pi / 2.0), "max_range": (float, 1.5)},
-    "firing": {"kappa": (float, 5.0), "zeta": (float, 0.3)},
+    "sensors": {"noise_sigma": (float, EpisodeConfig.noise_sigma)},
+    "camera": {"fov": (float, CameraParams.fov), "max_range": (float, CameraParams.max_range)},
+    "firing": {"kappa": (float, FiringParams.kappa), "zeta": (float, FiringParams.zeta)},
     "grid": {
         "spacing": (float, _REQUIRED),
         "orientation": (float, 0.0),
@@ -95,13 +93,13 @@ SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "threshold_fraction": (float, 0.8),
     },
     "circuit": {
-        "vibration_threshold": (float, 5.0),
-        "color_activation_threshold": (float, 0.3),
-        "eta": (float, 0.05),
+        "vibration_threshold": (float, CircuitParams.vibration_threshold),
+        "color_activation_threshold": (float, CircuitParams.color_activation_threshold),
+        "eta": (float, CircuitParams.eta),
         "initial_w_color": (float, None),
         "train_summary": (str, None),
     },
-    "controller": {"jitter_sigma": (float, 0.3)},
+    "controller": {"jitter_sigma": (float, EpisodeConfig.jitter_sigma)},
     "analysis": {
         "bin_size": (float, 0.05),
         "annulus_inner_scale": (float, 0.5),
@@ -207,15 +205,14 @@ def _section(name: str):
 
 
 def _split_section(name: str) -> tuple[str, int | None]:
-    """A section name's schema kind and index: ``("walk", None)``, ``("zone", 2)``."""
+    """A section name's schema kind and index: ``("walk", None)``, ``("zone", 2)``.
+    An index >= 1 has one spelling (not ``01``), so that configparser's
+    duplicate-section check also rules out two sections of one kind and index."""
     if name in SCHEMA and name not in NUMBERED_KINDS:
         return name, None
-    parts = name.split()
-    if len(parts) == 2 and parts[0] in NUMBERED_KINDS:
-        try:
-            return parts[0], int(parts[1])
-        except ValueError:
-            pass
+    kind, _, index = name.partition(" ")
+    if kind in NUMBERED_KINDS and index.isdecimal() and str(int(index)) == index and index != "0":
+        return kind, int(index)
     raise ConfigurationError(f"unknown section [{name}]")
 
 
@@ -311,7 +308,7 @@ def parse_config(text: str) -> RunConfig:
     with _section("sensors"):
         check_noise_sigma(sections["sensors"]["noise_sigma"])
     with _section("controller"):
-        check_jitter_sigma(sections["controller"]["jitter_sigma"])
+        check_heading_sigma(sections["controller"]["jitter_sigma"], "jitter_sigma")
     with _section("camera"):
         camera = CameraParams(**sections["camera"])
     with _section("firing"):
@@ -339,11 +336,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigurationError("need 0 < spacing_min <= spacing_max")
         # checked here, so that the error names the key and not a computed
         # spacing
-        for key, v in (("spacing_min", smin), ("spacing_max", smax)):
-            if not MIN_SPACING <= v <= MAX_SPACING:
-                raise ConfigurationError(
-                    f"{key} must lie in [{MIN_SPACING:g}, {MAX_SPACING:g}] m, got {v}"
-                )
+        check_spacing(smin, "spacing_min")
+        check_spacing(smax, "spacing_max")
         frac = place_keys["threshold_fraction"]
         if not (0.0 < frac <= 1.0):
             raise ConfigurationError("threshold_fraction must lie in (0, 1]")
@@ -384,10 +378,7 @@ def parse_config(text: str) -> RunConfig:
     sweep = []
     with _section("sweep"):
         for key, raw in cp.items("sweep") if cp.has_section("sweep") else ():
-            if key not in SWEEPABLE:
-                raise ConfigurationError(
-                    f"unknown sweep parameter '{key}' (choices: {', '.join(SWEEPABLE)})"
-                )
+            _sweep_override(key)  # an unknown key fails before its values
             try:
                 values = tuple(float(v) for v in raw.split(",") if v.strip() != "")
             except ValueError as exc:
@@ -396,8 +387,6 @@ def parse_config(text: str) -> RunConfig:
                 ) from exc
             if not values:
                 raise ConfigurationError(f"empty value list for sweep parameter '{key}'")
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigurationError(f"non-finite value for sweep parameter '{key}': {raw!r}")
             # each swept field has a rule of its own, so a sweep point is
             # valid exactly when each of its values is
             for v in values:
@@ -423,21 +412,34 @@ def config_hash(rc: RunConfig) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()[:12]
 
 
+def _override_firing(rc: RunConfig, **values: float) -> RunConfig:
+    return dataclasses.replace(rc, firing=dataclasses.replace(rc.firing, **values))
+
+
+def _override_first_grid_cell(rc: RunConfig, **values: float) -> RunConfig:
+    first = dataclasses.replace(rc.grid_cells[0], **values)
+    return dataclasses.replace(rc, grid_cells=(first, *rc.grid_cells[1:]))
+
+
+# Each [sweep] key and what it overrides: the firing profile, or the first
+# grid cell (the one ratemap writes as grid1).
+SWEEPABLE = dict.fromkeys(("kappa", "zeta"), _override_firing) | dict.fromkeys(
+    ("spacing", "orientation", "phase1", "phase2"), _override_first_grid_cell
+)
+
+
+def _sweep_override(name: str):
+    if name not in SWEEPABLE:
+        raise ConfigurationError(f"unknown sweep parameter '{name}' (choices: {', '.join(SWEEPABLE)})")
+    return SWEEPABLE[name]
+
+
 def apply_sweep_point(rc: RunConfig, assignment: dict[str, float]) -> RunConfig:
-    """Override swept parameters: kappa/zeta on the firing profile, the
-    lattice parameters on the first grid cell."""
-    firing = rc.firing
-    cells = list(rc.grid_cells)
+    """Override the swept parameters, in the assignment's order; each new
+    value is checked by the rule of the field it sets."""
     for name, value in assignment.items():
-        if name == "kappa":
-            firing = dataclasses.replace(firing, kappa=value)
-        elif name == "zeta":
-            firing = dataclasses.replace(firing, zeta=value)
-        elif name in ("spacing", "orientation", "phase1", "phase2"):
-            cells[0] = dataclasses.replace(cells[0], **{name: value})
-        else:
-            raise ConfigurationError(f"unknown sweep parameter '{name}'")
-    return dataclasses.replace(rc, firing=firing, grid_cells=tuple(cells))
+        rc = _sweep_override(name)(rc, **{name: value})
+    return rc
 
 
 def sweep_points(rc: RunConfig) -> list[dict[str, float]]:

@@ -21,7 +21,7 @@ from .arena import (
     WalkParams,
     _accel_at,
     check_angle,
-    check_jitter_sigma,
+    check_heading_sigma,
     check_noise_sigma,
     check_walk_step,
     color_sample,
@@ -56,7 +56,7 @@ class EpisodeConfig:
         check_seed(self.seed)
         check_finite(self.initial_w_color, "initial_w_color")
         check_noise_sigma(self.noise_sigma)
-        check_jitter_sigma(self.jitter_sigma)
+        check_heading_sigma(self.jitter_sigma, "jitter_sigma")
         check_angle(self.start_heading, "start_heading")
         check_walk_step(self.walk, self.arena)
 

@@ -68,6 +68,12 @@ def check_finite(v: float, name: str) -> None:
         raise ConfigurationError(f"{name} must be finite, got {v}")
 
 
+def check_spacing(v: float, name: str) -> None:
+    """Raise ConfigurationError unless the lattice spacing ``v`` lies in [MIN_SPACING, MAX_SPACING]."""
+    if not MIN_SPACING <= v <= MAX_SPACING:
+        raise ConfigurationError(f"{name} must lie in [{MIN_SPACING:g}, {MAX_SPACING:g}] m, got {v}")
+
+
 # Peak memory of a run grows by about 128 B per tick at most.  An episode,
 # the largest, holds per tick 7 float64 random draws (56 B) beside its
 # 6 float64 log columns, the int8 motion output and the int64 tick index
@@ -117,10 +123,7 @@ class GridCellParams:
     phase2: float
 
     def __post_init__(self):
-        if not (MIN_SPACING <= self.spacing <= MAX_SPACING):
-            raise ConfigurationError(
-                f"spacing must lie in [{MIN_SPACING:g}, {MAX_SPACING:g}] m, got {self.spacing}"
-            )
+        check_spacing(self.spacing, "spacing")
         if not (0.0 <= self.orientation <= math.pi / 3.0):
             raise ConfigurationError(
                 f"orientation must lie in [0, pi/3], got {self.orientation}"

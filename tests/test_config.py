@@ -260,7 +260,7 @@ def test_sweep_validation():
         parse_config("[sweep]\nkappa = ,\n")
     with pytest.raises(ConfigurationError, match="kappa"):
         parse_config("[sweep]\nkappa = 1, fast\n")
-    with pytest.raises(ConfigurationError, match="non-finite.*spacing"):
+    with pytest.raises(ConfigurationError, match=r"^\[sweep\] spacing must lie in .*, got nan$"):
         parse_config("[sweep]\nspacing = 1.0, nan\n")
     with pytest.raises(ConfigurationError, match="sweep"):
         sweep_points(parse_config(default_ini()))

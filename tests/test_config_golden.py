@@ -116,7 +116,7 @@ def battery() -> dict[str, str]:
         texts[f"order/{kind}"] = _section(f"{kind} 3", keys) + _section(f"{kind} 1", keys)
         texts[f"missing-second/{kind}"] = _section(f"{kind} 2", {}) + _section(f"{kind} 1", keys)
         texts[f"leading-zero/{kind}"] = _section(f"{kind} 01", keys) + _section(f"{kind} 1", keys)
-        for name in (kind, f"{kind} x", f"{kind} 1 2", f"{kind.title()} 1", f"{kind} -1"):
+        for name in (kind, f"{kind} x", f"{kind} 1 2", f"{kind.title()} 1", f"{kind} -1", f"{kind} 0"):
             texts[f"section-name/{name}"] = _section(name, keys)
     for i, body in enumerate(SWEEP_LISTS):
         texts[f"sweep/{i}"] = "[sweep]\n" + body
