@@ -147,7 +147,7 @@ def write_pgm(path: str, values: np.ndarray) -> None:
 
 def write_sweep_csv(path: str, rows: list[dict]) -> None:
     """One line per row; the columns are the first row's keys, in order."""
-    columns = list(rows[0]) if rows else []
+    columns = list(rows[0])
     lines = [f"# {SWEEP_FORMAT} {','.join(columns)}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
