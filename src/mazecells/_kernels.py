@@ -448,12 +448,5 @@ def autocorr(vals, visited, min_overlap, out):
 
 # Read by the benchmark manifest, which records the kernel backend.
 def get_kernels() -> SimpleNamespace:
-    """The single kernel set, tagged ``backend="numpy"``."""
-    return SimpleNamespace(
-        backend="numpy",
-        walk_loop=walk_loop,
-        nearest_batch=nearest_batch,
-        rates_batch=rates_batch,
-        brute_force=brute_force,
-        autocorr=autocorr,
-    )
+    """The kernel backend, ``backend="numpy"``: there is only one."""
+    return SimpleNamespace(backend="numpy")

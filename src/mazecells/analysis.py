@@ -107,11 +107,12 @@ def _bin_index(coords: np.ndarray, origin: float, bin_size: float, nbins: int) -
     return np.clip(idx, 0, nbins - 1)
 
 
-def rate_map(positions, values, bin_size: float, bounds=None) -> RateMap:
+def rate_map(positions, values, bin_size: float, bounds) -> RateMap:
     """Mean of ``values`` per square spatial bin.
 
-    ``bounds`` is (xmin, xmax, ymin, ymax), with xmin <= xmax and ymin <=
-    ymax; by default it is taken from the data.  Samples on the top edges fall into the last bin.
+    ``bounds`` is (xmin, xmax, ymin, ymax), finite, with xmin <= xmax and
+    ymin <= ymax.  Every position and value must be finite.  Samples on
+    the top edges fall into the last bin.
     """
     positions = np.asarray(positions, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -121,11 +122,13 @@ def rate_map(positions, values, bin_size: float, bounds=None) -> RateMap:
         raise ConfigurationError("positions must be a non-empty (N, 2) array")
     if values.shape != (positions.shape[0],):
         raise ConfigurationError("values must match positions in length")
-    if bounds is None:
-        bounds = (
-            positions[:, 0].min(), positions[:, 0].max(),
-            positions[:, 1].min(), positions[:, 1].max(),
-        )
+    # a non-finite sample would land in an edge bin (inf) or poison one
+    # (nan); checked per column, twice as fast on a strided (N, 2) view
+    xs, ys = positions[:, 0], positions[:, 1]
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ConfigurationError("positions must be finite")
+    if not np.isfinite(values).all():
+        raise ConfigurationError("values must be finite")
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     if not all(math.isfinite(b) for b in (xmin, xmax, ymin, ymax)):
         raise ConfigurationError(f"bounds must be finite, got {(xmin, xmax, ymin, ymax)}")
@@ -135,8 +138,8 @@ def rate_map(positions, values, bin_size: float, bounds=None) -> RateMap:
     check_map_side(ymax - ymin, bin_size)
     nx = max(1, int(math.ceil((xmax - xmin) / bin_size - 1e-9)))
     ny = max(1, int(math.ceil((ymax - ymin) / bin_size - 1e-9)))
-    ix = _bin_index(positions[:, 0], xmin, bin_size, nx)
-    iy = _bin_index(positions[:, 1], ymin, bin_size, ny)
+    ix = _bin_index(xs, xmin, bin_size, nx)
+    iy = _bin_index(ys, ymin, bin_size, ny)
     flat = iy * nx + ix
     counts = np.bincount(flat, minlength=ny * nx).reshape(ny, nx)
     sums = np.bincount(flat, weights=values, minlength=ny * nx).reshape(ny, nx)
@@ -145,12 +148,12 @@ def rate_map(positions, values, bin_size: float, bounds=None) -> RateMap:
     return RateMap(bin_size, xmin, ymin, means, counts)
 
 
-def spatial_autocorrelogram(rm: RateMap, min_overlap: int = MIN_OVERLAP_BINS) -> Autocorrelogram:
+def spatial_autocorrelogram(rm: RateMap) -> Autocorrelogram:
     """Pearson autocorrelation at every integer-bin lag.
 
-    Lags with fewer than ``min_overlap`` mutually visited bins, or with a
+    Lags with fewer than MIN_OVERLAP_BINS mutually visited bins, or with a
     degenerate (constant) overlap, carry NaN.  The zero lag is 1 whenever
-    the map has at least ``min_overlap`` visited bins.
+    the map has at least MIN_OVERLAP_BINS visited bins.
     """
     visited = rm.visited
     if int(visited.sum()) < 2:
@@ -161,7 +164,7 @@ def spatial_autocorrelogram(rm: RateMap, min_overlap: int = MIN_OVERLAP_BINS) ->
     autocorr(
         np.ascontiguousarray(vals),
         np.ascontiguousarray(visited),
-        int(min_overlap),
+        MIN_OVERLAP_BINS,
         out,
     )
     return Autocorrelogram(rm.bin_size, out)
@@ -218,17 +221,14 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float((n * (a * b).sum() - sa * sb) / math.sqrt(va * vb))
 
 
-def gridness(
-    ac: Autocorrelogram,
-    inner_radius: float,
-    outer_radius: float,
-    min_bins: int = MIN_OVERLAP_BINS,
-) -> float:
+def gridness(ac: Autocorrelogram, inner_radius: float, outer_radius: float) -> float:
     """Hexagonality score of an autocorrelogram.
 
     Correlate the annulus between the two radii (meters, lag space) with
     itself rotated by 30/60/90/120/150 degrees:
-    min(corr60, corr120) - max(corr30, corr90, corr150).
+    min(corr60, corr120) - max(corr30, corr90, corr150).  The annulus,
+    and its overlap with each rotation, needs MIN_OVERLAP_BINS defined
+    bins.
     """
     if not (0.0 < inner_radius < outer_radius):
         raise ConfigurationError("need 0 < inner_radius < outer_radius")
@@ -238,9 +238,9 @@ def gridness(
     jj, ii = np.meshgrid(np.arange(nx), np.arange(ny))
     dist = np.hypot(jj - cx, ii - cy) * ac.bin_size
     annulus = (dist >= inner_radius) & (dist <= outer_radius) & np.isfinite(vals)
-    if int(annulus.sum()) < min_bins:
+    if int(annulus.sum()) < MIN_OVERLAP_BINS:
         raise AnalysisError(
-            f"annulus has {int(annulus.sum())} defined bins, need {min_bins}"
+            f"annulus has {int(annulus.sum())} defined bins, need {MIN_OVERLAP_BINS}"
         )
     # resample only the annulus; np.nonzero is row-major, the order in
     # which a boolean mask over the whole grid would gather the same lags
@@ -250,7 +250,7 @@ def gridness(
     for ang in (30, 60, 90, 120, 150):
         rot = _rotated_samples(ac, ang, lags)
         pair = np.isfinite(rot)
-        if int(pair.sum()) < min_bins:
+        if int(pair.sum()) < MIN_OVERLAP_BINS:
             raise AnalysisError(f"too few defined bins after {ang}-degree rotation")
         corr[ang] = _pearson(ring[pair], rot[pair])
     return min(corr[60], corr[120]) - max(corr[30], corr[90], corr[150])
@@ -284,12 +284,14 @@ def coverage(positions, bin_size: float, radius: float) -> float:
     return float((rm.visited & inside).sum() / total)
 
 
-def nearest_peak_angles(ac: Autocorrelogram, count: int = 6, min_lag: float = 0.0) -> np.ndarray:
-    """Angles (degrees, sorted) of the ``count`` nearest autocorrelogram peaks.
+def nearest_peak_angles(ac: Autocorrelogram) -> np.ndarray:
+    """Angles (degrees, sorted) of the six nearest autocorrelogram peaks,
+    one per vertex of a hexagonal lattice's inner ring.
 
-    A peak is a defined bin strictly greater than its defined neighbors
-    with positive correlation, at lag distance > ``min_lag`` meters.
+    A peak is a defined bin at a nonzero lag, strictly greater than its
+    defined neighbors and with positive correlation.
     """
+    count = 6
     vals = ac.values
     ny, nx = vals.shape
     cy, cx = ac.center
@@ -302,7 +304,7 @@ def nearest_peak_angles(ac: Autocorrelogram, count: int = 6, min_lag: float = 0.
             lx = (j - cx) * ac.bin_size
             ly = (i - cy) * ac.bin_size
             d = math.hypot(lx, ly)
-            if d <= min_lag:
+            if d == 0.0:
                 continue
             neigh = np.delete(vals[i - 1 : i + 2, j - 1 : j + 2].ravel(), 4)
             neigh = neigh[np.isfinite(neigh)]

@@ -88,7 +88,10 @@ class ZoneDisc:
 
 @dataclass(frozen=True)
 class WallArc:
-    """A colored arc of the boundary circle, start -> end counterclockwise."""
+    """A colored arc of the boundary circle, start -> end counterclockwise.
+
+    The camera senses one color, so ``color`` must be ``"red"``.
+    """
 
     start_angle: float
     end_angle: float
@@ -98,6 +101,10 @@ class WallArc:
     extent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.color != "red":
+            raise ConfigurationError(
+                f"wall arc color must be 'red', the one color the camera senses, got {self.color!r}"
+            )
         for key in ("start_angle", "end_angle"):
             check_angle(getattr(self, key), f"wall arc {key}")
             object.__setattr__(self, key, wrap_angle(float(getattr(self, key))))

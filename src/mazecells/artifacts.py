@@ -72,9 +72,10 @@ def write_trajectory_csv(path: str, log: EpisodeLog) -> None:
 def _trajectory_pieces(log: EpisodeLog) -> Iterator[str]:
     # Whole columns at a time, read through memoryviews as Python ints and
     # floats; repr prints nan, inf and -0.0 of a float exactly as _fmt does.
-    # The rows are formatted lazily, ROWS_PER_PIECE at a time.
+    # The tick column is the row index.  The rows are formatted lazily,
+    # ROWS_PER_PIECE at a time.
     cols = (
-        map(str, memoryview(log.ticks)),
+        map(str, range(len(log))),
         map(repr, memoryview(log.xs)),
         map(repr, memoryview(log.ys)),
         map(repr, memoryview(log.headings)),

@@ -63,9 +63,9 @@ class EpisodeConfig:
 
 @dataclass
 class EpisodeLog:
-    """Per-tick record arrays of one episode plus event counters."""
+    """Per-tick record arrays of one episode plus event counters; row t
+    of each array is tick t."""
 
-    ticks: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     headings: np.ndarray
@@ -81,7 +81,7 @@ class EpisodeLog:
         return np.column_stack([self.xs, self.ys])
 
     def __len__(self) -> int:
-        return int(self.ticks.shape[0])
+        return int(self.xs.shape[0])
 
 
 def _trigger_bearing(x, y, heading, arena: Arena, vib_active: bool, color_active: bool) -> float:
@@ -140,7 +140,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     eta = circuit.eta
     vibration_threshold = circuit.vibration_threshold
     color_threshold = circuit.color_activation_threshold
-    zone_index_at = arena.zone_index_at
     last = T - 1
 
     xs = np.empty(T)
@@ -165,16 +164,13 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     events = 0
 
     for t in range(T):
-        if vibration_on:
-            ax, ay, az, in_zone = _accel_at(
-                x, y, arena, noise_sigma,
-                g_ax[t], g_ay[t], g_az[t], u[t],
-            )
-            vib = vibration_magnitude((ax, ay, az))
-        else:
-            # the magnitude of the rest reading (0, 0, g), exactly
-            vib = 0.0
-            in_zone = zone_index_at(x, y) >= 0
+        # one zone scan gives both the reading and the bumper contact; with
+        # vibration off the sensor reads rest (0, 0, g), of magnitude 0.0
+        ax, ay, az, in_zone = _accel_at(
+            x, y, arena, noise_sigma,
+            g_ax[t], g_ay[t], g_az[t], u[t],
+        )
+        vib = vibration_magnitude((ax, ay, az)) if vibration_on else 0.0
         xc = color_sample(x, y, h, arena, cam)
         # The escape below reads the weight from before this tick's update.
         w_prev = w
@@ -216,7 +212,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         y_prev = yt
 
     return EpisodeLog(
-        ticks=np.arange(T, dtype=np.int64),
         xs=xs,
         ys=ys,
         headings=headings,

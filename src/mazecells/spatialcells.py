@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (
+    TWO_PI,
     brute_force,
     ensemble_batch,
     firing_normalized,
@@ -23,8 +24,6 @@ from ._kernels import (
     nearest_batch,
     rates_batch,
 )
-
-TWO_PI = 2.0 * math.pi
 
 # Lattice spacings outside this range (m) are rejected: at 1e200 m the
 # basis determinant already overflows.
@@ -76,11 +75,13 @@ def check_spacing(v: float, name: str) -> None:
 
 # Peak memory of a run grows by about 128 B per tick at most.  An episode,
 # the largest, holds per tick 7 float64 random draws (56 B) beside its
-# 6 float64 log columns, the int8 motion output and the int64 tick index
-# (57 B).  trajectory.csv is formatted and written artifacts.ROWS_PER_PIECE
-# rows at a time, so its text adds no per-tick memory.  tracemalloc peaks
-# at 1M ticks: 113 B per tick for `episode` (the same at 400k), 56 B for
-# `ratemap`.  The bound caps a run near 2**26 ticks * 128 B = 8 GiB.
+# 6 float64 log columns and the int8 motion output (49 B).  trajectory.csv
+# is formatted and written artifacts.ROWS_PER_PIECE rows at a time, so its
+# text adds no per-tick memory.  tracemalloc peaks at 1M ticks: 105 B per
+# tick for `episode` (the same at 400k), 56 B for `ratemap`; `ratemap`
+# peaks near 80 B at 400k ticks with a place threshold_fraction of 0.4,
+# where most ticks survive the place-cell cascade's first inputs.  The
+# bound caps a run near 2**26 ticks * 128 B = 8 GiB.
 MAX_TICK_COUNT = 2**26
 
 
@@ -358,16 +359,12 @@ def place_activity_at(positions: np.ndarray, pc: PlaceCellParams, fp: FiringPara
     return out
 
 
-def anchored_ensemble(
-    spacings,
-    anchor=(0.0, 0.0),
-    orientations=None,
-) -> tuple[GridCellParams, ...]:
+def anchored_ensemble(spacings, anchor=(0.0, 0.0)) -> tuple[GridCellParams, ...]:
     """Grid cells whose lattices all share a node at ``anchor``.
 
-    Orientations default to an even spread over [0, pi/3).  Phases are
-    solved so that the anchor is a lattice node of every cell, which makes
-    the thresholded ensemble sum a compact bump around the anchor.  Each
+    Orientations spread evenly over [0, pi/3).  Phases are solved so that
+    the anchor is a lattice node of every cell, which makes the
+    thresholded ensemble sum a compact bump around the anchor.  Each
     anchor coordinate may be at most MAX_ANCHOR in magnitude.
     """
     spacings = [float(s) for s in spacings]
@@ -379,10 +376,9 @@ def anchored_ensemble(
             f"anchor must lie within {MAX_ANCHOR:g} m of the origin in x and y, got ({ax}, {ay})"
         )
     n = len(spacings)
-    if orientations is None:
-        orientations = [(i * math.pi / 3.0) / n for i in range(n)]
     cells = []
-    for s, orient in zip(spacings, orientations):
+    for i, s in enumerate(spacings):
+        orient = (i * math.pi / 3.0) / n
         base = GridCellParams(s, orient, 0.0, 0.0)
         b = lattice_basis(base)
         det = b[0, 0] * b[1, 1] - b[1, 0] * b[0, 1]

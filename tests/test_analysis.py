@@ -66,14 +66,15 @@ def test_rate_map_top_edge_falls_into_last_bin():
 
 
 def test_rate_map_rejects_bad_inputs():
+    unit = (0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ConfigurationError):
-        rate_map(np.zeros((0, 2)), np.zeros(0), 0.1)
+        rate_map(np.zeros((0, 2)), np.zeros(0), 0.1, unit)
     with pytest.raises(ConfigurationError):
-        rate_map(np.zeros((3, 2)), np.zeros(2), 0.1)
+        rate_map(np.zeros((3, 2)), np.zeros(2), 0.1, unit)
     with pytest.raises(ConfigurationError):
-        rate_map(np.zeros((3, 2)), np.zeros(3), 0.0)
+        rate_map(np.zeros((3, 2)), np.zeros(3), 0.0, unit)
     with pytest.raises(ConfigurationError):
-        rate_map(np.zeros((3, 2)), np.zeros(3), math.nan)
+        rate_map(np.zeros((3, 2)), np.zeros(3), math.nan, unit)
     with pytest.raises(ConfigurationError):
         coverage(np.zeros((3, 2)), math.inf, 1.3)
 
@@ -85,9 +86,28 @@ def test_non_finite_bounds_rejected(bad):
         coverage(pos, 0.05, bad)
     with pytest.raises(ConfigurationError, match="bounds must be finite"):
         rate_map(pos, np.zeros(3), 0.05, (-1.0, 1.0, bad, 1.0))
-    # bounds taken from the data meet the same check
-    with pytest.raises(ConfigurationError, match="bounds must be finite"):
-        rate_map(np.array([[0.0, 0.0], [bad, 0.5]]), np.zeros(2), 0.05)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_map_rejects_non_finite_position(bad):
+    # clipped into an edge bin, an inf sample would carry its value there
+    for pos in ([[0.05, 0.05], [bad, 0.5]], [[0.05, 0.05], [0.5, bad]]):
+        with pytest.raises(ConfigurationError, match="^positions must be finite$"):
+            rate_map(pos, [1.0, 7.0], 0.1, (0.0, 1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rate_map_rejects_non_finite_value(bad):
+    # a NaN value would make peak_to_mean nan and halfmax_area_bins 0
+    with pytest.raises(ConfigurationError, match="^values must be finite$"):
+        rate_map([[0.05, 0.05], [0.5, 0.5]], [1.0, bad], 0.1, (0.0, 1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coverage_rejects_non_finite_position(bad):
+    # an inf sample would count as a visit to an edge bin
+    with pytest.raises(ConfigurationError, match="^positions must be finite$"):
+        coverage(np.array([[0.0, 0.0], [bad, 0.5]]), 0.1, 1.0)
 
 
 def test_rate_map_rejects_inverted_bounds():
@@ -200,9 +220,9 @@ def test_autocorr_zero_lag_is_one_and_symmetry_exact():
 def test_autocorr_sparse_overlap_is_nan():
     pos = np.array([[0.05 * i + 0.025, 0.025] for i in range(30)])
     rm = rate_map(pos, np.sin(np.arange(30.0)), 0.05, (0.0, 1.5, 0.0, 0.05))
-    ac = spatial_autocorrelogram(rm, min_overlap=20)
+    ac = spatial_autocorrelogram(rm)
     cy, cx = ac.center
-    # lag 15 leaves only 15 overlapping bins < 20 -> undefined
+    # lag 15 leaves only 15 overlapping bins < MIN_OVERLAP_BINS = 20 -> undefined
     assert math.isnan(ac.values[cy, cx + 15])
     assert np.isfinite(ac.values[cy, cx + 5])
 
@@ -336,7 +356,7 @@ def test_gridness_errors_match_full_grid():
 
 def test_nearest_peak_angles_hexagonal():
     ac = spatial_autocorrelogram(hex_rate_map())
-    angles = nearest_peak_angles(ac, count=6, min_lag=0.5)
+    angles = nearest_peak_angles(ac)
     assert angles.shape == (6,)
     diffs = np.diff(np.concatenate([angles, [angles[0] + 360.0]]))
     assert np.all(np.abs(diffs - 60.0) < 10.0)
@@ -347,7 +367,7 @@ def test_nearest_peak_angles_needs_enough_peaks():
     vals = np.exp(-(pos[:, 0] ** 2 + pos[:, 1] ** 2) / 0.18)
     rm = rate_map(pos, vals, 0.05, (-1.0, 1.0, -1.0, 1.0))
     with pytest.raises(AnalysisError):
-        nearest_peak_angles(spatial_autocorrelogram(rm), count=6, min_lag=0.3)
+        nearest_peak_angles(spatial_autocorrelogram(rm))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ def rotated(k):
 def log():
     n = len(HOSTILE)
     return EpisodeLog(
-        ticks=np.arange(n, dtype=np.int64) * 10**12,
         xs=rotated(0),
         ys=rotated(1),
         headings=rotated(2),
@@ -78,8 +77,8 @@ def matrix_reference(header, values):
 
 
 def trajectory_rows(log):
-    columns = (log.ticks, log.xs, log.ys, log.headings, log.vibration, log.x_color, log.y_out, log.w_color)
-    return [",".join(_fmt(col[t]) for col in columns) for t in range(len(log))]
+    columns = (log.xs, log.ys, log.headings, log.vibration, log.x_color, log.y_out, log.w_color)
+    return [",".join([_fmt(t)] + [_fmt(col[t]) for col in columns]) for t in range(len(log))]
 
 
 def trajectory_reference(log):
@@ -95,7 +94,6 @@ def random_log(n, seed=0):
     rng = np.random.default_rng(seed)
     floats = {name: rng.normal(size=n) for name in FLOAT_FIELDS}
     return EpisodeLog(
-        ticks=np.arange(n, dtype=np.int64),
         y_out=rng.integers(-128, 128, size=n).astype(np.int8),
         bumper_contacts=0,
         avoidance_events=0,
@@ -110,7 +108,7 @@ def test_trajectory_csv_matches_per_value_fmt(tmp_path, log):
     assert path.read_bytes() == trajectory_reference(log)
     # spot-check the reference itself
     assert rows[1].split(",")[1] == "inf" and rows[3].split(",")[1] == "-0.0"
-    assert rows[0].split(",")[0] == "0" and rows[1].split(",")[0] == "1000000000000"
+    assert rows[0].split(",")[0] == "0" and rows[8].split(",")[0] == "8"
     assert rows[6].split(",")[1] == "0.30000000000000004"
     assert rows[2].split(",")[6] == "-1"
 

@@ -7,6 +7,7 @@ disk, not parsed values, since identical reruns must match exactly.
 import math
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -399,6 +400,23 @@ def test_huge_tick_count_exits_2_before_any_output(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error:") and "tick_count" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_ratemap_memory_per_tick_stays_within_budget_at_a_low_place_threshold(tmp_path):
+    # MAX_TICK_COUNT rests on at most 128 B of memory per tick.  At a place
+    # threshold_fraction of 0.4 most ticks survive the place-cell cascade's
+    # first inputs, and its survivor arrays grow with them: about 82 B per
+    # tick at 200k ticks, against 57 B at the default 0.8.
+    ticks = 200_000
+    text = f"[run]\nseed = 1\ntick_count = {ticks}\n\n[place]\nthreshold_fraction = 0.4\n"
+    argv = ["ratemap", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "rm")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * ticks
 
 
 @pytest.mark.parametrize("command", ["ratemap", "episode", "sweep"])

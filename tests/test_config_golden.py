@@ -56,7 +56,7 @@ FIXED_VALID = {
 
 NUMBERED_VALID = {
     "zone": {"center_x": "0.5", "center_y": "-0.3", "radius": "0.15", "amplitude": "6.0"},
-    "wall": {"start_angle": "0.5", "end_angle": "2.0", "color": "blue"},
+    "wall": {"start_angle": "0.5", "end_angle": "2.0", "color": "red"},
     "grid": {"spacing": "0.7", "orientation": "0.3", "phase1": "1.1", "phase2": "2.9"},
 }
 
