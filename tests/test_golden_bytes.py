@@ -1,10 +1,13 @@
-"""Byte pins for the closed loop and the color channel.
+"""Byte pins for the closed loop, the color channel and the random walk.
 
 The SHA-256 digests in ``golden_bytes.json`` were recorded before the
 per-tick loop was rewritten: every ``EpisodeLog`` array and both event
 counters for five episode configs, and ``color_sample`` over 5,000
-seeded random (arena, camera, pose) triples.  Any change to the bits of
-an output fails here, not only a change beyond a tolerance.
+seeded random (arena, camera, pose) triples.  The x, y and heading
+columns of ``walk_trajectory`` for the five walks of ``conftest.walk_cases``
+were recorded before ``walk_loop`` stopped calling ``walk_step`` on every
+tick.  Any change to the bits of an output fails here, not only a change
+beyond a tolerance.
 """
 
 import dataclasses
@@ -16,7 +19,9 @@ import os
 import numpy as np
 import pytest
 
-from mazecells.arena import Arena, CameraParams, WallArc, color_sample
+from conftest import walk_cases
+
+from mazecells.arena import Arena, CameraParams, WallArc, color_sample, walk_trajectory
 from mazecells.config import episode_config, parse_config
 from mazecells.controller import run_episode
 
@@ -118,3 +123,12 @@ def test_color_sample_bytes():
     )
     assert vals.shape == (5000,)
     assert array_digest(vals) == GOLDEN["color_sample"]
+
+
+def walk_digests(poses: np.ndarray) -> dict:
+    return {name: array_digest(poses[:, i]) for i, name in enumerate(("x", "y", "heading"))}
+
+
+@pytest.mark.parametrize("name", sorted(walk_cases()))
+def test_walk_trajectory_bytes(name):
+    assert walk_digests(walk_trajectory(*walk_cases()[name])) == GOLDEN["walks"][name]
