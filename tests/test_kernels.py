@@ -1,8 +1,10 @@
 """Batch kernels against their scalar oracles.
 
 The sequential walk matches the scalar ``walk_step`` bitwise (identical
-floating-point operation order), and the firing rate matches the scalar
-formula bitwise at the brute-force node distances.  The 4-corner decode is
+floating-point operation order) on walks that wrap, leave the disk, land
+exactly on its edge and fall back to the noise-free move, and the firing
+rate matches the scalar formula bitwise at the brute-force node
+distances.  The 4-corner decode is
 checked bitwise against the exhaustive ``brute_force`` scan at exact
 nodes, edge midpoints and triangle circumcentres (2- and 3-way ties) and
 at points a few ulps off them.  The blocked firing-rate scan equals the
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grid
+from conftest import random_grid, walk_cases
 
 from mazecells._kernels import (
     BLOCK,
@@ -46,6 +48,7 @@ from mazecells._kernels import (
     walk_step,
     wrap_angle,
 )
+from mazecells.arena import MAX_HEADING_SIGMA, Pose, check_walk_step
 from mazecells.spatialcells import (
     MAX_SPACING,
     MIN_SPACING,
@@ -117,6 +120,39 @@ def test_walk_loop_bitwise_deterministic():
     assert np.array_equal(a, b)
 
 
+def _replay(x, y, h, step, turn_sigma, radius, z_turn, z_retry):
+    """The poses ``walk_step`` gives tick by tick, as ``walk_loop``'s ``out``,
+    and how many ticks wrapped the heading, left the disk and fell back to
+    the noise-free move after the retry also left it."""
+    out = np.empty((z_turn.shape[0] + 1, 3))
+    out[0] = x, y, h
+    wraps = exits = fallbacks = 0
+    r2 = radius * radius
+    for t, (zt, zr) in enumerate(zip(z_turn.tolist(), z_retry.tolist()), 1):
+        hn = h + turn_sigma * zt
+        wraps += not -math.pi <= hn < math.pi
+        hn = wrap_angle(hn)
+        cx, cy = x + step * math.cos(hn), y + step * math.sin(hn)
+        if cx * cx + cy * cy >= r2:
+            exits += 1
+            hr = wrap_angle(math.atan2(-y, -x) + turn_sigma * zr)
+            cx, cy = x + step * math.cos(hr), y + step * math.sin(hr)
+            fallbacks += cx * cx + cy * cy >= r2
+        x, y, h = walk_step(x, y, h, step, turn_sigma, radius, zt, zr)
+        out[t] = x, y, h
+    return out, (wraps, exits, fallbacks)
+
+
+def _check_walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry):
+    """Run ``walk_loop``, assert its bits equal the scalar replay's and
+    return the replay's branch counts."""
+    out = np.full((z_turn.shape[0] + 1, 3), np.nan)
+    walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out)
+    ref, counts = _replay(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry)
+    assert out.tobytes() == ref.tobytes()
+    return counts
+
+
 def test_walk_loop_matches_scalar_walk_step():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((200, 2))
@@ -128,14 +164,40 @@ def test_walk_loop_matches_scalar_walk_step():
         "ticks == 1": (z[:0, 0], z[:0, 1]),
     }
     for name, (z_turn, z_retry) in layouts.items():
-        n = z_turn.shape[0]
-        out = np.full((n + 1, 3), np.nan)
-        walk_loop(0.1, -0.2, 0.3, 0.02, 0.2, 1.3, z_turn, z_retry, out)
-        assert out[0].tolist() == [0.1, -0.2, 0.3], name
-        x, y, h = 0.1, -0.2, 0.3
-        for t in range(n):
-            x, y, h = walk_step(x, y, h, 0.02, 0.2, 1.3, z_turn[t], z_retry[t])
-            assert out[t + 1, 0] == x and out[t + 1, 1] == y and out[t + 1, 2] == h, name
+        _check_walk_loop(0.1, -0.2, 0.3, 0.02, 0.2, 1.3, z_turn, z_retry)
+    # the first move lands exactly on the wall, (1.0, 0.0) with radius 1.0,
+    # which counts as leaving the disk
+    assert _check_walk_loop(0.5, 0.0, 0.0, 0.5, 0.0, 1.0, z[:1, 0], z[:1, 1])[1] == 1
+    # the walks of golden_bytes.json, on walk_trajectory's draws
+    totals = np.zeros(3, dtype=int)
+    for arena, walk, ticks, start in walk_cases().values():
+        z = np.random.default_rng(walk.seed).standard_normal((ticks - 1, 2))
+        start = start or Pose(0.0, 0.0, 0.0)
+        totals += _check_walk_loop(
+            start.x, start.y, start.heading, check_walk_step(walk, arena), walk.turn_sigma,
+            arena.radius, z[:, 0], z[:, 1],
+        )
+    wraps, exits, fallbacks = totals
+    assert wraps > 0 and exits > 0 and fallbacks > 0
+
+
+@given(
+    radius=st.floats(1e-3, 1e3),
+    step_frac=st.floats(1e-3, 0.999),
+    turn_sigma=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, MAX_HEADING_SIGMA)),
+    r_frac=st.floats(0.0, 0.999),
+    angle=st.floats(-math.pi, math.pi),
+    h0=st.floats(-math.pi, math.pi, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_walk_loop_matches_walk_step_property(radius, step_frac, turn_sigma, r_frac, angle, h0, seed):
+    z = np.random.default_rng(seed).standard_normal((64, 2))
+    r = radius * r_frac
+    _check_walk_loop(
+        r * math.cos(angle), r * math.sin(angle), h0, radius * step_frac, turn_sigma, radius,
+        z[:, 0], z[:, 1],
+    )
 
 
 def _lattice(spacing, t, f1, f2):
