@@ -2,9 +2,12 @@
 ensemble, brute-force scan, autocorrelogram.
 
 Each computation has exactly one implementation.  The scalar helpers
-(:func:`wrap_angle`, :func:`walk_step`) serve the per-tick controller; the
-batch kernels write into caller-provided output arrays and are vectorized
-with numpy wherever the computation is not inherently sequential.  The
+(:func:`wrap_angle`, :func:`walk_step`) serve the per-tick controller, and
+:func:`walk_step` is the reference for :func:`walk_loop`, which computes a
+tick that stays inside the disk itself and hands every tick that leaves
+it to :func:`walk_step`.  The batch kernels write into caller-provided
+output arrays and are vectorized with numpy wherever the computation is
+not inherently sequential.  The
 scalar spatial-cell API (``nearest_center``, ``firing_rate``) runs the
 batch kernels on one-point arrays, and the firing formula is written once,
 in :func:`firing_raw` and :func:`firing_normalized`.
@@ -94,8 +97,15 @@ def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
     the pose at tick t; ``z_turn`` / ``z_retry`` have length ticks - 1 and
     may be strided views.
 
-    The draws are read and the poses written through memoryviews, which
-    hand out and take plain Python floats and copy nothing.
+    :func:`walk_step` is the reference.  A tick whose move stays inside
+    the disk (about 99% of them at the defaults) is computed here, with
+    no function call unless the heading needs wrapping, by the operations
+    :func:`walk_step` performs in the same order.  A tick whose move
+    leaves the disk is handed to :func:`walk_step` from the previous
+    pose, which recomputes it bit for bit and is the only code for the
+    retry and the fallback.  The draws are read and the poses written
+    through memoryviews, which hand out and take plain Python floats and
+    copy nothing.
     """
     xs = memoryview(out[:, 0])
     ys = memoryview(out[:, 1])
@@ -103,11 +113,23 @@ def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
     x = xs[0] = x0
     y = ys[0] = y0
     h = hs[0] = h0
-    for t, (zt, zr) in enumerate(zip(memoryview(z_turn), memoryview(z_retry)), 1):
-        x, y, h = walk_step(x, y, h, step, turn_sigma, radius, zt, zr)
-        xs[t] = x
-        ys[t] = y
-        hs[t] = h
+    cos, sin, pi = math.cos, math.sin, math.pi
+    neg_pi = -pi
+    r2 = radius * radius
+    retry = memoryview(z_retry)
+    t = 0
+    for zt in memoryview(z_turn):
+        hn = h + turn_sigma * zt
+        if not neg_pi <= hn < pi:
+            hn = wrap_angle(hn)
+        cx = x + step * cos(hn)
+        cy = y + step * sin(hn)
+        if cx * cx + cy * cy >= r2:
+            cx, cy, hn = walk_step(x, y, h, step, turn_sigma, radius, zt, retry[t])
+        t += 1
+        x = xs[t] = cx
+        y = ys[t] = cy
+        h = hs[t] = hn
 
 
 # Rows of the scratch array _corners works in.
