@@ -103,8 +103,16 @@ def check_bin_size(bin_size: float, radius: float, radius_name: str = "radius") 
 
 
 def _bin_index(coords: np.ndarray, origin: float, bin_size: float, nbins: int) -> np.ndarray:
-    idx = np.floor((coords - origin) / bin_size).astype(np.int64)
-    return np.clip(idx, 0, nbins - 1)
+    """Bin of each coordinate; one outside the bounds goes to the nearer
+    edge bin.
+
+    Clipped while still float: a scaled coordinate beyond the int64 range
+    would cast to INT64_MIN, the low edge.  One whose scaling overflows
+    to +-inf clips to its edge like any other.
+    """
+    with np.errstate(over="ignore"):
+        idx = np.floor((coords - origin) / bin_size)
+    return np.clip(idx, 0, nbins - 1, out=idx).astype(np.int64)
 
 
 def rate_map(positions, values, bin_size: float, bounds) -> RateMap:

@@ -7,6 +7,7 @@ bit for bit against resampling every lag of the grid at each rotation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ def test_rate_map_top_edge_falls_into_last_bin():
     rm = rate_map(np.array([[1.0, 1.0]]), np.array([2.0]), 0.5, (0.0, 1.0, 0.0, 1.0))
     assert rm.values.shape == (2, 2)
     assert rm.values[1, 1] == 2.0
+
+
+def test_rate_map_sends_far_samples_to_the_nearer_edge_bin():
+    # +-1e300 scale beyond the int64 range, and over a 1e-10 m bin to inf
+    pos = [[0.05, 0.05], [1e300, 0.5], [-1e300, 0.35], [-5.0, 0.95], [1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rm = rate_map(pos, [1.0, 5.0, 3.0, 7.0, 9.0], 0.1, (0.0, 1.0, 0.0, 1.0))
+        tiny = rate_map([[1e300, -1e300]], [2.0], 1e-10, (0.0, 1e-9, 0.0, 1e-9))
+    visited = {(int(i), int(j)): rm.values[i, j] for i, j in zip(*np.nonzero(rm.visited))}
+    assert visited == {(0, 0): 1.0, (5, 9): 5.0, (3, 0): 3.0, (9, 0): 7.0, (9, 9): 9.0}
+    assert rm.occupancy.sum() == 5
+    assert tiny.values[0, -1] == 2.0 and tiny.occupancy.sum() == 1
 
 
 def test_rate_map_rejects_bad_inputs():

@@ -34,7 +34,8 @@ def tree_bytes(root):
             if fn == "summary.txt":
                 continue
             full = os.path.join(dirpath, fn)
-            out[os.path.relpath(full, root)] = open(full, "rb").read()
+            with open(full, "rb") as fh:
+                out[os.path.relpath(full, root)] = fh.read()
     return out
 
 
