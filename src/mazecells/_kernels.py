@@ -7,10 +7,10 @@ Each computation has exactly one implementation.  The scalar helpers
 tick that stays inside the disk itself and hands every tick that leaves
 it to :func:`walk_step`.  The batch kernels write into caller-provided
 output arrays and are vectorized with numpy wherever the computation is
-not inherently sequential.  The
-scalar spatial-cell API (``nearest_center``, ``firing_rate``) runs the
-batch kernels on one-point arrays, and the firing formula is written once,
-in :func:`firing_raw` and :func:`firing_normalized`.
+not inherently sequential.  The scalar spatial-cell API
+(``nearest_center``, ``firing_rate``) runs the batch kernels on one-point
+arrays, and the firing formula is written once, in :func:`firing_raw` and
+:func:`firing_normalized`.
 
 The lattice decode checks the 4 corners of the basis parallelogram that
 holds a point (Conway & Sloane, IEEE Trans. IT 1982); the exhaustive

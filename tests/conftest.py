@@ -51,9 +51,9 @@ def walk_cases() -> dict:
     that between them reach every branch of the walk step.
 
     ``default`` exits the disk on 182 of its 20k ticks; ``turn_sigma_3``
-    wraps the heading on most ticks and retries its exits; ``fallback``, a
-    0.09 m step in a 0.1 m disk, falls back to the noise-free move on
-    about a quarter of its ticks; ``turn_sigma_0`` turns by ``0.0 * z``,
+    wraps the heading on 38% of its ticks and falls back on 46 of its 145
+    exits; ``fallback``, a 0.09 m step in a 0.1 m disk, falls back to the
+    noise-free move on about a quarter of its ticks; ``turn_sigma_0`` turns by ``0.0 * z``,
     which is -0.0 for a negative draw; ``start_near_wall`` starts 1 mm
     from the wall facing out, at the double just below pi.
     """
