@@ -1,6 +1,7 @@
 """Spatial analysis: occupancy-normalized maps, autocorrelograms, gridness.
 
-Maps are square-binned with unvisited bins carried as NaN sentinels.  The
+A run bins its positions once (``bin_positions``): every rate map and the
+coverage read that one binning, and a map carries unvisited bins as NaN.  The
 autocorrelogram is the Pearson correlation of a map with itself at every
 integer-bin lag over mutually visited bins, computed for all lags at once
 from FFT cross-correlations of the visited mask and the centred map (the
@@ -115,28 +116,58 @@ def _bin_index(coords: np.ndarray, origin: float, bin_size: float, nbins: int) -
     return np.clip(idx, 0, nbins - 1, out=idx).astype(np.int64)
 
 
-def rate_map(positions, values, bin_size: float, bounds) -> RateMap:
-    """Mean of ``values`` per square spatial bin.
+@dataclass(frozen=True)
+class Binning:
+    """Each position's square bin, validated and counted once; a run's maps and coverage read it."""
+
+    bin_size: float
+    origin_x: float
+    origin_y: float
+    flat: np.ndarray  # (N,) bin of each position, iy * nx + ix
+    occupancy: np.ndarray  # (ny, nx) visit counts, read-only
+
+    def mean_map(self, values) -> RateMap:
+        """Mean of ``values``, one finite value per position, per bin."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != self.flat.shape:
+            raise ConfigurationError("values must match positions in length")
+        if not np.isfinite(values).all():
+            raise ConfigurationError("values must be finite")
+        counts = self.occupancy
+        sums = np.bincount(self.flat, weights=values, minlength=counts.size).reshape(counts.shape)
+        with np.errstate(invalid="ignore"):
+            means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        return RateMap(self.bin_size, self.origin_x, self.origin_y, means, counts)
+
+    def disc_coverage(self, radius: float) -> float:
+        """Fraction of the bins centred inside the disk of ``radius`` about (0, 0) holding a position."""
+        ny, nx = self.occupancy.shape
+        cxs = self.origin_x + (np.arange(nx) + 0.5) * self.bin_size
+        cys = self.origin_y + (np.arange(ny) + 0.5) * self.bin_size
+        inside = (cxs[None, :] ** 2 + cys[:, None] ** 2) < radius * radius
+        total = int(inside.sum())
+        if total == 0:
+            return 0.0
+        return float(((self.occupancy > 0) & inside).sum() / total)
+
+
+def bin_positions(positions, bin_size: float, bounds) -> Binning:
+    """Square bins of ``bin_size`` over ``bounds`` and the bin of each position.
 
     ``bounds`` is (xmin, xmax, ymin, ymax), finite, with xmin <= xmax and
-    ymin <= ymax.  Every position and value must be finite.  Samples on
-    the top edges fall into the last bin.
+    ymin <= ymax.  Every position must be finite.  Samples on the top
+    edges fall into the last bin.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
     if not (bin_size > 0.0 and math.isfinite(bin_size)):
         raise ConfigurationError(f"bin_size must be positive and finite, got {bin_size}")
     if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
         raise ConfigurationError("positions must be a non-empty (N, 2) array")
-    if values.shape != (positions.shape[0],):
-        raise ConfigurationError("values must match positions in length")
     # a non-finite sample would land in an edge bin (inf) or poison one
     # (nan); checked per column, twice as fast on a strided (N, 2) view
     xs, ys = positions[:, 0], positions[:, 1]
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ConfigurationError("positions must be finite")
-    if not np.isfinite(values).all():
-        raise ConfigurationError("values must be finite")
     xmin, xmax, ymin, ymax = (float(b) for b in bounds)
     if not all(math.isfinite(b) for b in (xmin, xmax, ymin, ymax)):
         raise ConfigurationError(f"bounds must be finite, got {(xmin, xmax, ymin, ymax)}")
@@ -146,14 +177,15 @@ def rate_map(positions, values, bin_size: float, bounds) -> RateMap:
     check_map_side(ymax - ymin, bin_size)
     nx = max(1, int(math.ceil((xmax - xmin) / bin_size - 1e-9)))
     ny = max(1, int(math.ceil((ymax - ymin) / bin_size - 1e-9)))
-    ix = _bin_index(xs, xmin, bin_size, nx)
-    iy = _bin_index(ys, ymin, bin_size, ny)
-    flat = iy * nx + ix
+    flat = _bin_index(ys, ymin, bin_size, ny) * nx + _bin_index(xs, xmin, bin_size, nx)
     counts = np.bincount(flat, minlength=ny * nx).reshape(ny, nx)
-    sums = np.bincount(flat, weights=values, minlength=ny * nx).reshape(ny, nx)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return RateMap(bin_size, xmin, ymin, means, counts)
+    counts.flags.writeable = False  # shared by every map of the binning
+    return Binning(bin_size, xmin, ymin, flat, counts)
+
+
+def rate_map(positions, values, bin_size: float, bounds) -> RateMap:
+    """Mean of ``values`` per square bin, binned by ``bin_positions``."""
+    return bin_positions(positions, bin_size, bounds).mean_map(values)
 
 
 def spatial_autocorrelogram(rm: RateMap) -> Autocorrelogram:
@@ -270,26 +302,10 @@ def coverage(positions, bin_size: float, radius: float) -> float:
     Counts square bins whose centers lie inside the disk of ``radius``;
     the numerator is those of them with at least one sample.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
-        raise ConfigurationError("positions must be a non-empty (N, 2) array")
     if not (radius > 0.0 and math.isfinite(radius)):
         raise ConfigurationError(f"radius must be positive and finite, got {radius}")
     check_bin_size(bin_size, radius)
-    rm = rate_map(
-        positions,
-        np.zeros(positions.shape[0]),
-        bin_size,
-        bounds=(-radius, radius, -radius, radius),
-    )
-    ny, nx = rm.occupancy.shape
-    cxs = rm.origin_x + (np.arange(nx) + 0.5) * bin_size
-    cys = rm.origin_y + (np.arange(ny) + 0.5) * bin_size
-    inside = (cxs[None, :] ** 2 + cys[:, None] ** 2) < radius * radius
-    total = int(inside.sum())
-    if total == 0:
-        return 0.0
-    return float((rm.visited & inside).sum() / total)
+    return bin_positions(positions, bin_size, (-radius, radius, -radius, radius)).disc_coverage(radius)
 
 
 def nearest_peak_angles(ac: Autocorrelogram) -> np.ndarray:

