@@ -5,6 +5,7 @@ dense ray-casting oracle; the walk against containment and determinism
 properties.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -223,6 +224,32 @@ def test_color_sample_heading_magnitude_bound(walls):
             color_sample(0.5, 0.0, bad, arena, cam)
     for h in (MAX_ANGLE, -MAX_ANGLE):
         assert color_sample(0.5, 0.0, h, arena, cam) == color_sample(0.5, 0.0, wrap_angle(h), arena, cam)
+
+
+@pytest.mark.parametrize(
+    "walls, cam",
+    [
+        ((), CameraParams()),
+        ((WallArc(-math.pi / 3, math.pi / 3, "red"),), CameraParams()),
+        # one arc straddles the +-pi seam; the range gate is partial
+        ((WallArc(2.7, -2.9, "red"), WallArc(-0.6, 0.9, "red")), CameraParams(fov=1.9, max_range=0.8)),
+    ],
+)
+def test_color_sample_int_and_numpy_inputs_match_floats(walls, cam):
+    # int and np.float64 coordinates and headings, inside and outside
+    # [-pi, pi), give a Python float with the bits of the float inputs
+    arena = Arena(radius=1.3, walls=walls)
+    poses = [(0, 0, 0), (1, 0, 2), (0, -1, -3), (1, 0, 4), (0, 1, -7), (-1, 0, 10)]
+    poses += [(0.4, -0.7, h) for h in (0.3, -math.pi, math.pi, 3.5, -20.25, 1e3)]
+    poses += [(0.01, 1.2995, h) for h in (-1.5, 7.25)]  # inside the wall clearance
+    for pose in poses:
+        want = color_sample(*map(float, pose), arena, cam)
+        assert type(want) is float
+        variants = [[float(v), np.float64(v)] + ([int(v)] if v == int(v) else []) for v in pose]
+        for args in itertools.product(*variants):
+            got = color_sample(*args, arena, cam)
+            assert type(got) is float, (pose, args)
+            assert got.hex() == want.hex(), (pose, args)
 
 
 def test_wall_arc_extent_stays_out_of_repr():

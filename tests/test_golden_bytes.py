@@ -3,7 +3,10 @@
 The SHA-256 digests in ``golden_bytes.json`` were recorded before the
 per-tick loop was rewritten: every ``EpisodeLog`` array and both event
 counters for five episode configs, and ``color_sample`` over 5,000
-seeded random (arena, camera, pose) triples.  The x, y and heading
+seeded random (arena, camera, pose) triples.  Three more episode configs
+(overlapping zones over the start pose, an empty arena, noise-free
+vibration) were recorded before the zone scan moved into
+``run_episode``'s loop.  The x, y and heading
 columns of ``walk_trajectory`` for the five walks of ``conftest.walk_cases``
 were recorded before ``walk_loop`` stopped calling ``walk_step`` on every
 tick.  Any change to the bits of an output fails here, not only a change
@@ -21,7 +24,7 @@ import pytest
 
 from conftest import walk_cases
 
-from mazecells.arena import Arena, CameraParams, WallArc, color_sample, walk_trajectory
+from mazecells.arena import Arena, CameraParams, WallArc, ZoneDisc, color_sample, walk_trajectory
 from mazecells.config import episode_config, parse_config
 from mazecells.controller import run_episode
 
@@ -70,6 +73,24 @@ def episode_configs() -> dict:
             ),
             camera=CameraParams(fov=1.9, max_range=0.8),
         ),
+        # zones of unequal amplitude overlap, the first over the start
+        # pose: the bits of the reading depend on the order the impulses
+        # of the zones containing a point are summed in
+        "overlapping_zones_at_start": dataclasses.replace(
+            _train(6),
+            arena=Arena(
+                radius=train.arena.radius,
+                zones=(
+                    ZoneDisc(0.0, 0.0, 0.35, 8.0),
+                    ZoneDisc(0.25, 0.1, 0.3, 5.5),
+                    ZoneDisc(-0.2, 0.15, 0.3, 3.25),
+                    ZoneDisc(0.9, -0.5, 0.3, 7.0),
+                ),
+                walls=train.arena.walls,
+            ),
+        ),
+        "no_zones_no_walls": dataclasses.replace(_train(7), arena=Arena(radius=train.arena.radius)),
+        "noise_free_vibration": dataclasses.replace(_train(8), noise_sigma=0.0),
     }
 
 
