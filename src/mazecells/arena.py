@@ -243,26 +243,6 @@ def check_heading_sigma(v: float, name: str) -> None:
     _check_sigma(v, name, MAX_HEADING_SIGMA, f"so that headings stay within {MAX_ANGLE:g} rad")
 
 
-def _accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):
-    """Accelerometer reading at (x, y) and whether any zone contains it.
-
-    The reading is rest (0, 0, g) plus ``noise_sigma`` times the normal
-    draws (zx, zy, zz) on each axis; every zone containing the point adds
-    a horizontal impulse of its amplitude in the one shared direction
-    ``u``.  Returns ``(ax, ay, az, in_zone)``.
-    """
-    ax = noise_sigma * zx
-    ay = noise_sigma * zy
-    az = GRAVITY + noise_sigma * zz
-    in_zone = False
-    for z in arena.zones:
-        if z.contains(x, y):
-            ax += z.amplitude * math.cos(u)
-            ay += z.amplitude * math.sin(u)
-            in_zone = True
-    return ax, ay, az, in_zone
-
-
 # ---------------------------------------------------------------------------
 # color channel: exact angular-interval geometry
 # ---------------------------------------------------------------------------
@@ -292,7 +272,10 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
         raise ConfigurationError("pose lies outside the arena")
     if not abs(heading) <= MAX_ANGLE:
         check_angle(heading, "pose heading")
-    heading = wrap_angle(float(heading))
+    heading = float(heading)
+    # wrap_angle returns an angle already in [-pi, pi) unchanged
+    if not -math.pi <= heading < math.pi:
+        heading = wrap_angle(heading)
     walls = arena.walls
     if not walls:
         return 0.0
@@ -319,42 +302,54 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
             half = math.acos(c)
             g0 = math.atan2(y, x) - half
             glen = 2.0 * half
-
-    # in-range pieces (start, length) of every arc, not merged across the seam
-    if glen >= TWO_PI - 1e-15:
-        pieces = [(arc.start_angle, arc.extent) for arc in walls]
-    else:
-        pieces = []
-        for arc in walls:
-            s1 = arc.start_angle
-            l1 = arc.extent
-            d = (g0 - s1) % TWO_PI
-            for base in (d, d - TWO_PI):
-                lo = base if base > 0.0 else 0.0
-                hi = base + glen
-                if hi > l1:
-                    hi = l1
-                if hi > lo:
-                    pieces.append((s1 + lo, hi - lo))
+    in_range = glen >= TWO_PI - 1e-15
 
     fov = cam.fov
     fov_start = heading - 0.5 * fov
     covered: list[tuple[float, float]] = []
-    for a0, alen in pieces:
-        if alen <= _MIN_ARC:
-            continue
-        b0, b1 = [math.atan2(radius * math.sin(a) - y, radius * math.cos(a) - x) for a in (a0, a0 + alen)]
-        # map into FOV-relative coordinates [t0, t0 + blen] and clip to
-        # [0, fov]; the part past 2*pi wraps round to [0, end - 2*pi]
-        t0 = (b0 - fov_start) % TWO_PI
-        end = t0 + (b1 - b0) % TWO_PI
-        if t0 < fov and end > t0:
-            covered.append((t0, end if end < fov else fov))
-        end -= TWO_PI
-        if end > 0.0:
-            covered.append((0.0, end if end < fov else fov))
+    for arc in walls:
+        # the arc's in-range pieces (start, length), not merged across the
+        # seam: the whole arc, or up to two pieces cut by the range interval
+        s1 = arc.start_angle
+        l1 = arc.extent
+        if in_range:
+            bases = (None,)  # one piece, the whole arc
+        else:
+            d = (g0 - s1) % TWO_PI
+            bases = (d, d - TWO_PI)
+        for base in bases:
+            if in_range:
+                a0 = s1
+                alen = l1
+            else:
+                lo = base if base > 0.0 else 0.0
+                hi = base + glen
+                if hi > l1:
+                    hi = l1
+                if not hi > lo:
+                    continue
+                a0 = s1 + lo
+                alen = hi - lo
+            if alen <= _MIN_ARC:
+                continue
+            a1 = a0 + alen
+            b0 = math.atan2(radius * math.sin(a0) - y, radius * math.cos(a0) - x)
+            b1 = math.atan2(radius * math.sin(a1) - y, radius * math.cos(a1) - x)
+            # map into FOV-relative coordinates [t0, t0 + blen] and clip to
+            # [0, fov]; the part past 2*pi wraps round to [0, end - 2*pi]
+            t0 = (b0 - fov_start) % TWO_PI
+            end = t0 + (b1 - b0) % TWO_PI
+            if t0 < fov and end > t0:
+                covered.append((t0, end if end < fov else fov))
+            end -= TWO_PI
+            if end > 0.0:
+                covered.append((0.0, end if end < fov else fov))
     if not covered:
         return 0.0
+    if len(covered) == 1:
+        # every covered interval has hi > lo, so 0.0 + (hi - lo) == hi - lo
+        lo, hi = covered[0]
+        return min(1.0, (hi - lo) / fov)
     covered.sort()
     total = 0.0
     cur_lo, cur_hi = covered[0]

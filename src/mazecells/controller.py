@@ -4,7 +4,9 @@ Each tick the agent senses at its current pose, evaluates the motion
 circuit, learns (in train mode), then acts: a rising edge of the motion
 output triggers a turn-in-place away from the nearest active cue, the
 following tick steps straight along the escape heading, and any other
-tick takes a bounded random-walk step.
+tick takes a bounded random-walk step.  The accelerometer and the bumper
+contact come from one scan per tick over a tuple of plain-float zones
+(see :func:`run_episode`).
 """
 
 from __future__ import annotations
@@ -16,16 +18,15 @@ import numpy as np
 
 from ._kernels import wrap_angle, walk_step
 from .arena import (
+    GRAVITY,
     Arena,
     CameraParams,
     WalkParams,
-    _accel_at,
     check_angle,
     check_heading_sigma,
     check_noise_sigma,
     check_walk_step,
     color_sample,
-    vibration_magnitude,
 )
 from .learning import CircuitParams, motion_output, oja_update
 from .spatialcells import check_finite, check_seed, check_tick_count
@@ -120,6 +121,15 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     The loop reads the draws and writes the log columns through
     memoryviews of the numpy arrays: they hand out and take plain Python
     floats, so no per-tick value is a numpy scalar, and they copy nothing.
+
+    The accelerometer is read inline, from a tuple of plain-float zones
+    ``(cx, cy, r**2, amplitude)`` built once per episode: each tick scans
+    it once, by the operations ``ZoneDisc.contains``, the impulse sum in
+    zone order and :func:`~mazecells.arena.vibration_magnitude` perform,
+    in the same order, so the readings keep their bits.  With vibration
+    off only the bumper contact is computed.  ``color_sample``,
+    ``motion_output`` and ``oja_update`` stay one call per tick through
+    this module's globals, which perfbench's tracer rebinds to time them.
     """
     T = cfg.tick_count
     rng = np.random.default_rng(int(cfg.seed))
@@ -156,6 +166,10 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     log_vib, log_xc = memoryview(vibration), memoryview(x_color)
     log_yt, log_w = memoryview(y_out), memoryview(w_trace)
 
+    # the operands of ZoneDisc.contains and of the impulse, in zone order
+    zones = tuple((z.center_x, z.center_y, z.radius * z.radius, z.amplitude) for z in arena.zones)
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+
     x, y, h = 0.0, 0.0, wrap_angle(cfg.start_heading)
     w = float(cfg.initial_w_color)
     y_prev = 0
@@ -164,13 +178,32 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     events = 0
 
     for t in range(T):
-        # one zone scan gives both the reading and the bumper contact; with
-        # vibration off the sensor reads rest (0, 0, g), of magnitude 0.0
-        ax, ay, az, in_zone = _accel_at(
-            x, y, arena, noise_sigma,
-            g_ax[t], g_ay[t], g_az[t], u[t],
-        )
-        vib = vibration_magnitude((ax, ay, az)) if vibration_on else 0.0
+        # One zone scan gives both the reading and the bumper contact: rest
+        # (0, 0, g) plus noise, and every zone containing the point adds its
+        # impulse in the tick's one direction.  With vibration off the
+        # sensor reads rest, of magnitude 0.0.
+        in_zone = False
+        if vibration_on:
+            ax = noise_sigma * g_ax[t]
+            ay = noise_sigma * g_ay[t]
+            az = GRAVITY + noise_sigma * g_az[t]
+            for cx, cy, r2, amplitude in zones:
+                dx = x - cx
+                dy = y - cy
+                if dx * dx + dy * dy <= r2:
+                    ax += amplitude * cos(u[t])
+                    ay += amplitude * sin(u[t])
+                    in_zone = True
+            dz = az - GRAVITY
+            vib = sqrt(ax * ax + ay * ay + dz * dz)
+        else:
+            for cx, cy, r2, _ in zones:
+                dx = x - cx
+                dy = y - cy
+                if dx * dx + dy * dy <= r2:
+                    in_zone = True
+                    break
+            vib = 0.0
         xc = color_sample(x, y, h, arena, cam)
         # The escape below reads the weight from before this tick's update.
         w_prev = w

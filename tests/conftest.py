@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mazecells.arena import Arena, Pose, WallArc, WalkParams, ZoneDisc
+from mazecells.arena import GRAVITY, Arena, Pose, WallArc, WalkParams, ZoneDisc
 from mazecells.spatialcells import FiringParams, GridCellParams
 
 
@@ -35,6 +35,27 @@ def paired_cue_arena():
         ),
         walls=(WallArc(-math.pi / 3.0, math.pi / 3.0, "red"),),
     )
+
+
+def accel_at(x, y, arena: Arena, noise_sigma, zx, zy, zz, u):
+    """Reference accelerometer reading at (x, y) and whether any zone
+    contains it, which ``run_episode``'s zone scan must match bit for bit.
+
+    The reading is rest (0, 0, g) plus ``noise_sigma`` times the normal
+    draws (zx, zy, zz) on each axis; every zone containing the point adds
+    a horizontal impulse of its amplitude in the one shared direction
+    ``u``, in the arena's zone order.  Returns ``(ax, ay, az, in_zone)``.
+    """
+    ax = noise_sigma * zx
+    ay = noise_sigma * zy
+    az = GRAVITY + noise_sigma * zz
+    in_zone = False
+    for z in arena.zones:
+        if z.contains(x, y):
+            ax += z.amplitude * math.cos(u)
+            ay += z.amplitude * math.sin(u)
+            in_zone = True
+    return ax, ay, az, in_zone
 
 
 def random_grid(rng) -> GridCellParams:

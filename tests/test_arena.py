@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import accel_at
+
 from mazecells.arena import (
     GRAVITY,
     MAX_ANGLE,
@@ -23,7 +25,6 @@ from mazecells.arena import (
     WalkParams,
     WallArc,
     ZoneDisc,
-    _accel_at,
     color_sample,
     vibration_magnitude,
     walk_trajectory,
@@ -58,8 +59,8 @@ def test_noise_free_zone_impulse_has_zone_amplitude():
     rng = np.random.default_rng(0)
     for u in rng.uniform(-math.pi, math.pi, 20):
         z = rng.standard_normal(3)
-        *inside, inside_hit = _accel_at(0.5, 0.0, arena, 0.0, *z, u)
-        *outside, outside_hit = _accel_at(-0.5, 0.0, arena, 0.0, *z, u)
+        *inside, inside_hit = accel_at(0.5, 0.0, arena, 0.0, *z, u)
+        *outside, outside_hit = accel_at(-0.5, 0.0, arena, 0.0, *z, u)
         assert abs(vibration_magnitude(inside) - 8.0) < 1e-12
         assert outside == [0.0, 0.0, GRAVITY]
         assert inside_hit and not outside_hit
@@ -73,7 +74,7 @@ def test_overlapping_zones_share_one_impulse_direction():
         zones=(ZoneDisc(0.0, 0.0, 0.5, 3.0), ZoneDisc(0.0, 0.0, 0.5, 4.0)),
     )
     for u in np.random.default_rng(1).uniform(-math.pi, math.pi, 20):
-        *a, hit = _accel_at(0.0, 0.0, arena, 0.0, 0.0, 0.0, 0.0, u)
+        *a, hit = accel_at(0.0, 0.0, arena, 0.0, 0.0, 0.0, 0.0, u)
         assert abs(vibration_magnitude(a) - 7.0) < 1e-12
         assert hit
 

@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import accel_at
 
 from mazecells import controller
 from mazecells.arena import (
@@ -17,7 +21,7 @@ from mazecells.arena import (
     WalkParams,
     WallArc,
     ZoneDisc,
-    _accel_at,
+    color_sample,
     vibration_magnitude,
 )
 from mazecells.config import episode_config, parse_config
@@ -245,7 +249,7 @@ def test_noise_sigma_bound_keeps_readings_finite(quiet_arena):
     zones = tuple(ZoneDisc(0.0, 0.0, 0.5, 1e150) for _ in range(3))
     arena = Arena(radius=1.3, zones=zones)
     for z in (14.0, -14.0):
-        ax, ay, az, in_zone = _accel_at(0.0, 0.0, arena, MAX_NOISE_SIGMA, z, z, z, math.pi / 4)
+        ax, ay, az, in_zone = accel_at(0.0, 0.0, arena, MAX_NOISE_SIGMA, z, z, z, math.pi / 4)
         assert in_zone
         assert math.isfinite(vibration_magnitude((ax, ay, az)))
 
@@ -266,9 +270,71 @@ def test_zone_amplitude_sum_bound_keeps_readings_finite():
     widest = arena(half, half)
     for z in (14.0, -14.0):
         for u in (0.0, math.pi / 4, -3 * math.pi / 4):
-            ax, ay, az, in_zone = _accel_at(0.0, 0.0, widest, MAX_NOISE_SIGMA, z, z, z, u)
+            ax, ay, az, in_zone = accel_at(0.0, 0.0, widest, MAX_NOISE_SIGMA, z, z, z, u)
             assert in_zone
             assert math.isfinite(vibration_magnitude((ax, ay, az)))
+
+
+_zones = st.lists(
+    st.tuples(
+        st.floats(0.0, 0.9), st.floats(-math.pi, math.pi), st.floats(0.05, 0.8), st.floats(0.0, 20.0)
+    ),
+    max_size=4,
+)
+_arcs = st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.05, 6.2)), max_size=3)
+
+
+@given(
+    zones=_zones,
+    arcs=_arcs,
+    fov=st.floats(0.1, 2 * math.pi - 0.1),
+    max_range=st.floats(0.2, 3.0),
+    noise_sigma=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    vibration=st.booleans(),
+    learning=st.booleans(),
+    seed=st.integers(0, 2**32),
+    ticks=st.integers(1, 300),
+)
+@settings(max_examples=60, deadline=None)
+def test_logged_sensor_columns_replay_through_reference_sensors(
+    zones, arcs, fov, max_range, noise_sigma, vibration, learning, seed, ticks
+):
+    """Regenerate the documented draw layout and replay every logged pose
+    through the reference sensors: the accelerometer oracle plus
+    vibration_magnitude, and color_sample.  The vibration and x_color
+    columns must match bit for bit, and the in-zone ticks must number
+    bumper_contacts.  Zones may overlap and may cover the start pose."""
+    arena = Arena(
+        radius=1.3,
+        zones=tuple(ZoneDisc(r * math.cos(a), r * math.sin(a), zr, amp) for r, a, zr, amp in zones),
+        walls=tuple(WallArc(s, s + e, "red") for s, e in arcs),
+    )
+    cfg = make_config(
+        arena,
+        camera=CameraParams(fov=fov, max_range=max_range),
+        tick_count=ticks,
+        seed=seed,
+        vibration_enabled=vibration,
+        learning_enabled=learning,
+        initial_w_color=0.6,
+        noise_sigma=noise_sigma,
+    )
+    log = run_episode(cfg)
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((ticks, 6)).tolist()
+    u_dir = rng.uniform(-math.pi, math.pi, ticks).tolist()
+    vib = np.empty(ticks)
+    xc = np.empty(ticks)
+    contacts = 0
+    for t, (x, y, h) in enumerate(zip(log.xs.tolist(), log.ys.tolist(), log.headings.tolist())):
+        _, _, g_ax, g_ay, g_az, _ = gauss[t]
+        ax, ay, az, in_zone = accel_at(x, y, arena, noise_sigma, g_ax, g_ay, g_az, u_dir[t])
+        vib[t] = vibration_magnitude((ax, ay, az)) if vibration else 0.0
+        xc[t] = color_sample(x, y, h, arena, cfg.camera)
+        contacts += in_zone
+    assert vib.tobytes() == log.vibration.tobytes()
+    assert xc.tobytes() == log.x_color.tobytes()
+    assert contacts == log.bumper_contacts
 
 
 @pytest.mark.parametrize("learning", [True, False])
