@@ -302,7 +302,7 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
             half = math.acos(c)
             g0 = math.atan2(y, x) - half
             glen = 2.0 * half
-    in_range = glen >= TWO_PI - 1e-15
+    all_in_range = glen >= TWO_PI - 1e-15
 
     fov = cam.fov
     fov_start = heading - 0.5 * fov
@@ -312,13 +312,13 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
         # seam: the whole arc, or up to two pieces cut by the range interval
         s1 = arc.start_angle
         l1 = arc.extent
-        if in_range:
+        if all_in_range:
             bases = (None,)  # one piece, the whole arc
         else:
             d = (g0 - s1) % TWO_PI
             bases = (d, d - TWO_PI)
         for base in bases:
-            if in_range:
+            if all_in_range:
                 a0 = s1
                 alen = l1
             else:

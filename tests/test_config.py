@@ -354,6 +354,18 @@ def test_episode_config_test_mode_reads_train_summary(tmp_path):
         episode_config(missing, "test", seed=1)
 
 
+def test_relative_train_summary_resolves_against_working_directory(tmp_path, monkeypatch):
+    # a decoy beside the config file would be read if the path resolved
+    # against the config file's directory
+    for where, w in ((tmp_path, "0.4375"), (tmp_path / "cfg", "0.125")):
+        (where / "run").mkdir(parents=True)
+        (where / "run" / "summary.txt").write_text(f"final_w_color = {w}\n")
+    cfg = tmp_path / "cfg" / "test.ini"
+    cfg.write_text("[circuit]\ntrain_summary = run/summary.txt\n")
+    monkeypatch.chdir(tmp_path)
+    assert episode_config(load_config(str(cfg)), "test", seed=1).initial_w_color == 0.4375
+
+
 def test_episode_config_mode_and_seed_errors():
     rc = parse_config(default_ini())
     with pytest.raises(ConfigurationError, match="mode"):
