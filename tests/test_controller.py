@@ -275,18 +275,16 @@ def test_zone_amplitude_sum_bound_keeps_readings_finite():
             assert math.isfinite(vibration_magnitude((ax, ay, az)))
 
 
-_zones = st.lists(
-    st.tuples(
-        st.floats(0.0, 0.9), st.floats(-math.pi, math.pi), st.floats(0.05, 0.8), st.floats(0.0, 20.0)
-    ),
-    max_size=4,
-)
-_arcs = st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.05, 6.2)), max_size=3)
-
-
 @given(
-    zones=_zones,
-    arcs=_arcs,
+    # (center distance, center bearing, radius, amplitude)
+    zones=st.lists(
+        st.tuples(
+            st.floats(0.0, 0.9), st.floats(-math.pi, math.pi), st.floats(0.05, 0.8), st.floats(0.0, 20.0)
+        ),
+        max_size=4,
+    ),
+    # (start angle, extent)
+    arcs=st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.05, 6.2)), max_size=3),
     fov=st.floats(0.1, 2 * math.pi - 0.1),
     max_range=st.floats(0.2, 3.0),
     noise_sigma=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
