@@ -6,7 +6,8 @@ counters for five episode configs, and ``color_sample`` over 5,000
 seeded random (arena, camera, pose) triples.  Three more episode configs
 (overlapping zones over the start pose, an empty arena, noise-free
 vibration) were recorded before the zone scan moved into
-``run_episode``'s loop.  The x, y and heading
+``run_episode``'s loop, and the reflex tests' noise-free shuttle before
+the episode's two switches became one mode.  The x, y and heading
 columns of ``walk_trajectory`` for the five walks of ``conftest.walk_cases``
 were recorded before ``walk_loop`` stopped calling ``walk_step`` on every
 tick.  Any change to the bits of an output fails here, not only a change
@@ -24,9 +25,10 @@ import pytest
 
 from conftest import walk_cases
 
-from mazecells.arena import Arena, CameraParams, WallArc, ZoneDisc, color_sample, walk_trajectory
+from mazecells.arena import Arena, CameraParams, WalkParams, WallArc, ZoneDisc, color_sample, walk_trajectory
 from mazecells.config import episode_config, parse_config
-from mazecells.controller import run_episode
+from mazecells.controller import EpisodeConfig, run_episode
+from mazecells.learning import CircuitParams
 
 with open(os.path.join(os.path.dirname(__file__), "golden_bytes.json")) as fh:
     GOLDEN = json.load(fh)
@@ -91,6 +93,19 @@ def episode_configs() -> dict:
         ),
         "no_zones_no_walls": dataclasses.replace(_train(7), arena=Arena(radius=train.arena.radius)),
         "noise_free_vibration": dataclasses.replace(_train(8), noise_sigma=0.0),
+        # the reflex tests' shuttle: one zone on the +x axis, no walls, no
+        # noise; with no wall x_color is 0.0, so the weight stays 0.0
+        "reflex_noise_free": EpisodeConfig(
+            arena=Arena(radius=1.3, zones=(ZoneDisc(0.8, 0.0, 0.25, 8.0),)),
+            walk=WalkParams(speed=0.2, dt=0.1, turn_sigma=0.0),
+            camera=CameraParams(),
+            circuit=CircuitParams(),
+            tick_count=4000,
+            seed=0,
+            learning_enabled=False,
+            noise_sigma=0.0,
+            jitter_sigma=0.0,
+        ),
     }
 
 
