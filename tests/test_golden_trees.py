@@ -9,7 +9,8 @@ commands write.
   tick counts cross the trajectory writer's piece boundaries;
 - a ``ratemap`` run of ``golden_ratemap.ini``;
 - a ``sweep`` run of ``golden_sweep.ini``, which must give the same
-  digests with one worker process and with two.
+  digests with one worker process and with two, and with two under each
+  process start method.
 
 The grid cells' ``ratemap_grid*.csv`` and ``autocorr_grid*.csv`` are left
 out: their bits follow numpy's SIMD dispatch of ``np.arctan`` (ROADMAP
@@ -19,13 +20,18 @@ item 1).  Any change to another written byte fails here.
 from the current code; run it only when an output changes on purpose.
 """
 
+import concurrent.futures
 import configparser
 import fnmatch
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import tempfile
 from unittest import mock
+
+import pytest
 
 from mazecells.cli import ENV_JOBS, main
 
@@ -129,6 +135,19 @@ def test_sweep_trees_match_golden_at_one_and_two_workers(tmp_path):
     assert len(golden) == (2 + 2 * 6) * len(SEEDS)
     assert sweep_digests(str(tmp_path / "jobs1"), 1) == golden
     assert sweep_digests(str(tmp_path / "jobs2"), 2) == golden
+
+
+# Python 3.14 makes forkserver the default on Linux; spawn is the default
+# on macOS and Windows.  Workers started without fork import the package
+# afresh, so no state the parent holds may reach their bytes.
+@pytest.mark.parametrize(
+    "method", [m for m in ("fork", "forkserver", "spawn") if m in multiprocessing.get_all_start_methods()]
+)
+def test_sweep_trees_match_golden_under_every_start_method(tmp_path, method):
+    pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", side_effect=pool) as made:
+        assert sweep_digests(str(tmp_path), 2) == load_golden("sweep")
+    assert made.call_count == len(SEEDS)
 
 
 def test_tick_counts_cross_piece_boundaries():
