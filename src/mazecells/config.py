@@ -466,10 +466,11 @@ def episode_config(
 ) -> EpisodeConfig:
     """Build an EpisodeConfig for 'train' or 'test' mode.
 
-    Train mode enables vibration and learning; test mode disables both.
-    The starting weight is the first of: ``initial_w``, ``[circuit]
-    initial_w_color``, in test mode the ``final_w_color`` of the
-    ``[circuit] train_summary`` file, and in train mode 0.
+    The mode sets :class:`EpisodeConfig`'s ``train`` switch, whose
+    docstring says what each mode does.  The starting weight is the
+    first of: ``initial_w``, ``[circuit] initial_w_color``, in test mode
+    the ``final_w_color`` of the ``[circuit] train_summary`` file, and in
+    train mode 0.
     """
     if mode not in ("train", "test"):
         raise ConfigurationError(f"mode must be 'train' or 'test', got {mode!r}")
@@ -496,8 +497,7 @@ def episode_config(
         circuit=rc.circuit,
         tick_count=rc.tick_count,
         seed=int(seed),
-        vibration_enabled=(mode == "train"),
-        learning_enabled=(mode == "train"),
+        train=(mode == "train"),
         initial_w_color=float(initial_w),
         noise_sigma=rc.noise_sigma,
         jitter_sigma=rc.jitter_sigma,

@@ -1,5 +1,10 @@
 """Closed-loop episode controller.
 
+An episode runs in one of the paper's two phases.  In train mode the
+vibration reflex co-occurs with the color cue and the color synapse
+learns; in test mode the accelerometer is not sensed and the weight is
+fixed, so the learned color pathway alone can drive avoidance.
+
 Each tick the agent senses at its current pose, evaluates the motion
 circuit, learns (in train mode), then acts: a rising edge of the motion
 output triggers a turn-in-place away from the nearest active cue, the
@@ -37,7 +42,14 @@ from .spatialcells import place_activity_at, rates_at
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Everything one seeded episode depends on."""
+    """Everything one seeded episode depends on.
+
+    ``train`` selects the phase.  True (train): the accelerometer is
+    sensed and the color weight follows Oja's rule every tick.  False
+    (test): the vibration reading is exactly 0.0, so only the color
+    pathway can fire, and the weight stays ``initial_w_color``.  The
+    bumper contact is counted in both.
+    """
 
     arena: Arena
     walk: WalkParams
@@ -45,8 +57,7 @@ class EpisodeConfig:
     circuit: CircuitParams
     tick_count: int
     seed: int
-    vibration_enabled: bool = True
-    learning_enabled: bool = True
+    train: bool = True
     initial_w_color: float = 0.0
     noise_sigma: float = 0.3
     jitter_sigma: float = 0.3
@@ -126,8 +137,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     ``(cx, cy, r**2, amplitude)`` built once per episode: each tick scans
     it once, by the operations ``ZoneDisc.contains``, the impulse sum in
     zone order and :func:`~mazecells.arena.vibration_magnitude` perform,
-    in the same order, so the readings keep their bits.  With vibration
-    off only the bumper contact is computed.  ``color_sample``,
+    in the same order, so the readings keep their bits.  In test mode
+    only the bumper contact is computed.  ``color_sample``,
     ``motion_output`` and ``oja_update`` stay one call per tick through
     this module's globals, which perfbench's tracer rebinds to time them.
     """
@@ -143,8 +154,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     step = cfg.walk.speed * cfg.walk.dt
     turn_sigma = cfg.walk.turn_sigma
     radius = arena.radius
-    vibration_on = cfg.vibration_enabled
-    learning_on = cfg.learning_enabled
+    train = cfg.train
     noise_sigma = cfg.noise_sigma
     jitter_sigma = cfg.jitter_sigma
     eta = circuit.eta
@@ -180,10 +190,10 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     for t in range(T):
         # One zone scan gives both the reading and the bumper contact: rest
         # (0, 0, g) plus noise, and every zone containing the point adds its
-        # impulse in the tick's one direction.  With vibration off the
-        # sensor reads rest, of magnitude 0.0.
+        # impulse in the tick's one direction.  In test mode the sensor
+        # reads rest, of magnitude 0.0.
         in_zone = False
-        if vibration_on:
+        if train:
             ax = noise_sigma * g_ax[t]
             ay = noise_sigma * g_ay[t]
             az = GRAVITY + noise_sigma * g_az[t]
@@ -222,7 +232,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         log_xc[t] = xc
         log_yt[t] = yt
 
-        if learning_on:
+        if train:
             w = oja_update(w_prev, xc, yt, eta)
         log_w[t] = w
 

@@ -26,8 +26,10 @@ class CircuitParams:
     eta: float = 0.05
 
     def __post_init__(self):
-        if not (self.vibration_threshold >= 0.0 and math.isfinite(self.vibration_threshold)):
-            raise ConfigurationError("vibration_threshold must be finite and >= 0")
+        # Positive, so that test mode's rest reading of exactly 0.0 never
+        # fires the reflex: avoidance there can come only from color.
+        if not (self.vibration_threshold > 0.0 and math.isfinite(self.vibration_threshold)):
+            raise ConfigurationError("vibration_threshold must be positive and finite")
         if not (self.color_activation_threshold > 0.0 and math.isfinite(self.color_activation_threshold)):
             raise ConfigurationError("color_activation_threshold must be positive and finite")
         if not (0.0 < self.eta < 1.0):

@@ -43,6 +43,14 @@ MAX_SPACINGS_FROM_ORIGIN = 2.0**52
 # 1.9e-4 m at 1e12 m and 0.2 m at 1e15 m.  From about 1e17 m nearly every
 # phase is 0.0, whatever the anchor.
 MAX_ANCHOR = 1e6
+# The largest firing sharpness.  No point lies farther from its nearest
+# node than a Voronoi vertex, at spacing / sqrt(3), so with zeta > 0 the
+# arctan argument is below kappa / sqrt(3), and the least normalized rate,
+# 0.5 - arctan(a) / pi, is about 1 / (pi * a): 5.5e-7 at the bound.  It
+# rounds to exactly 0.0 once 1 / (pi * a) falls under half an ulp of 0.5
+# (2**-54), from a = 5.8e15 or kappa = 1e16; a map of such zeros has no
+# positive mean, and its peak-to-mean ratio is undefined.
+MAX_KAPPA = 1e6
 
 
 class ConfigurationError(ValueError):
@@ -142,8 +150,8 @@ class FiringParams:
     zeta: float = 0.3
 
     def __post_init__(self):
-        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise ConfigurationError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa <= MAX_KAPPA:
+            raise ConfigurationError(f"kappa must lie in (0, {MAX_KAPPA:g}], got {self.kappa}")
         if not (0.0 < self.zeta < 1.0):
             raise ConfigurationError(f"zeta must lie in (0, 1), got {self.zeta}")
 

@@ -230,6 +230,14 @@ MAGNITUDE_CASES = [
     ("jitter_sigma-1e20", {"controller": {"jitter_sigma": "1e20"}}, "[controller] jitter_sigma"),
     ("bin_size-1e155", {"analysis": {"bin_size": "1e155"}}, "[analysis] bin_size"),
     ("anchor_x-1e17", {"place": {"anchor_x": "1e17"}}, "[place] anchor"),
+    # every rate away from a node rounds to 0.0, so no map has a positive mean
+    ("kappa-1e300", {"firing": {"kappa": "1e300", "zeta": "0.01"}}, "[firing] kappa"),
+    # a test-mode reading of 0.0 would fire the reflex on every tick
+    (
+        "vibration_threshold-zero",
+        {"circuit": {"initial_w_color": 0.5, "vibration_threshold": "0"}},
+        "[circuit] vibration_threshold",
+    ),
 ]
 
 

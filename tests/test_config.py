@@ -262,6 +262,8 @@ def test_sweep_validation():
         parse_config("[sweep]\nkappa = 1, fast\n")
     with pytest.raises(ConfigurationError, match=r"^\[sweep\] spacing must lie in .*, got nan$"):
         parse_config("[sweep]\nspacing = 1.0, nan\n")
+    with pytest.raises(ConfigurationError, match=r"^\[sweep\] kappa must lie in \(0, 1e\+06\], got 1e\+300$"):
+        parse_config("[sweep]\nkappa = 5, 1e300\n")
     with pytest.raises(ConfigurationError, match="sweep"):
         sweep_points(parse_config(default_ini()))
 
@@ -317,7 +319,7 @@ def test_build_ini_round_trip():
 def test_episode_config_train_mode():
     rc = parse_config(default_ini())
     ec = episode_config(rc, "train", seed=3)
-    assert ec.vibration_enabled and ec.learning_enabled
+    assert ec.train
     assert ec.initial_w_color == 0.0
     assert ec.seed == 3
     assert ec.tick_count == rc.tick_count
@@ -326,7 +328,7 @@ def test_episode_config_train_mode():
 def test_episode_config_test_mode():
     rc = parse_config(default_ini())
     ec = episode_config(rc, "test", seed=3, initial_w=0.55)
-    assert not ec.vibration_enabled and not ec.learning_enabled
+    assert not ec.train
     assert ec.initial_w_color == 0.55
     # an explicit zero weight is a valid source, not a missing one
     ec0 = episode_config(rc, "test", seed=3, initial_w=0.0)

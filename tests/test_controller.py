@@ -38,8 +38,7 @@ def make_config(arena, **kw):
         circuit=CircuitParams(),
         tick_count=500,
         seed=0,
-        vibration_enabled=True,
-        learning_enabled=True,
+        train=True,
         initial_w_color=0.0,
         noise_sigma=0.3,
         jitter_sigma=0.3,
@@ -57,6 +56,23 @@ def quiet_arena():
 def reflex_arena():
     # noise-free shuttle: zone on the +x axis, no walls, all noise zero
     return Arena(radius=1.3, zones=(ZoneDisc(0.8, 0.0, 0.25, 8.0),))
+
+
+@pytest.fixture
+def reflex_log(reflex_arena):
+    """The noise-free shuttle in train mode.  With no wall x_color is 0.0,
+    so the weight stays 0.0 and only the reflex fires; the log is pinned
+    as ``reflex_noise_free`` in golden_bytes.json."""
+    return run_episode(
+        make_config(
+            reflex_arena,
+            tick_count=4000,
+            seed=0,
+            walk=WalkParams(speed=0.2, dt=0.1, turn_sigma=0.0),
+            noise_sigma=0.0,
+            jitter_sigma=0.0,
+        )
+    )
 
 
 def test_episode_bitwise_deterministic(quiet_arena):
@@ -85,52 +101,36 @@ def test_no_stimuli_keeps_weight_at_zero(quiet_arena):
 
 
 def test_learning_disabled_freezes_weight(quiet_arena):
+    """Test mode does not learn."""
     arena = Arena(
         radius=1.3,
         zones=(ZoneDisc(0.8, 0.0, 0.25, 8.0),),
         walls=(WallArc(-0.8, 0.8, "red"),),
     )
     log = run_episode(
-        make_config(arena, tick_count=600, seed=5, learning_enabled=False, initial_w_color=0.7)
+        make_config(arena, tick_count=600, seed=5, train=False, initial_w_color=0.7)
     )
     assert np.all(log.w_color == 0.7)
 
 
 def test_vibration_disabled_forces_exact_zero(quiet_arena):
+    """Test mode does not sense the accelerometer."""
     arena = Arena(radius=1.3, zones=(ZoneDisc(0.3, 0.0, 0.4, 8.0),))
     log = run_episode(
-        make_config(arena, tick_count=300, seed=2, vibration_enabled=False, noise_sigma=0.3)
+        make_config(arena, tick_count=300, seed=2, train=False, noise_sigma=0.3)
     )
     assert np.all(log.vibration == 0.0)
 
 
-def test_reflex_every_vibration_spike_fires_output(reflex_arena):
-    cfg = make_config(
-        reflex_arena,
-        tick_count=4000,
-        seed=0,
-        walk=WalkParams(speed=0.2, dt=0.1, turn_sigma=0.0),
-        noise_sigma=0.0,
-        jitter_sigma=0.0,
-        learning_enabled=False,
-    )
-    log = run_episode(cfg)
+def test_reflex_every_vibration_spike_fires_output(reflex_log):
+    log = reflex_log
     spikes = log.vibration >= 5.0
     assert spikes.any()
     assert np.all(log.y_out[spikes] == 1)
 
 
-def test_reflex_never_more_than_two_consecutive_zone_ticks(reflex_arena):
-    cfg = make_config(
-        reflex_arena,
-        tick_count=4000,
-        seed=0,
-        walk=WalkParams(speed=0.2, dt=0.1, turn_sigma=0.0),
-        noise_sigma=0.0,
-        jitter_sigma=0.0,
-        learning_enabled=False,
-    )
-    log = run_episode(cfg)
+def test_reflex_never_more_than_two_consecutive_zone_ticks(reflex_arena, reflex_log):
+    log = reflex_log
     inside = np.array(
         [reflex_arena.zone_index_at(x, y) >= 0 for x, y in zip(log.xs, log.ys)]
     )
@@ -142,33 +142,15 @@ def test_reflex_never_more_than_two_consecutive_zone_ticks(reflex_arena):
     assert 0 < best <= 2
 
 
-def test_avoidance_event_counts_rising_edges(reflex_arena):
-    cfg = make_config(
-        reflex_arena,
-        tick_count=4000,
-        seed=0,
-        walk=WalkParams(speed=0.2, dt=0.1, turn_sigma=0.0),
-        noise_sigma=0.0,
-        jitter_sigma=0.0,
-        learning_enabled=False,
-    )
-    log = run_episode(cfg)
+def test_avoidance_event_counts_rising_edges(reflex_log):
+    log = reflex_log
     y = log.y_out.astype(int)
     edges = int(y[0] == 1) + int(((y[1:] == 1) & (y[:-1] == 0)).sum())
     assert log.avoidance_events == edges > 0
 
 
-def test_turn_tick_keeps_position(reflex_arena):
-    cfg = make_config(
-        reflex_arena,
-        tick_count=4000,
-        seed=0,
-        walk=WalkParams(speed=0.2, dt=0.1, turn_sigma=0.0),
-        noise_sigma=0.0,
-        jitter_sigma=0.0,
-        learning_enabled=False,
-    )
-    log = run_episode(cfg)
+def test_turn_tick_keeps_position(reflex_log):
+    log = reflex_log
     y = log.y_out.astype(int)
     rising = np.where((y[1:] == 1) & (y[:-1] == 0))[0] + 1
     for t in rising:
@@ -198,8 +180,7 @@ def test_transfer_round_trip(paired_cue_arena):
             paired_cue_arena,
             tick_count=10000,
             seed=200,
-            vibration_enabled=False,
-            learning_enabled=False,
+            train=False,
             initial_w_color=w,
         )
     )
@@ -288,14 +269,13 @@ def test_zone_amplitude_sum_bound_keeps_readings_finite():
     fov=st.floats(0.1, 2 * math.pi - 0.1),
     max_range=st.floats(0.2, 3.0),
     noise_sigma=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
-    vibration=st.booleans(),
-    learning=st.booleans(),
+    train=st.booleans(),
     seed=st.integers(0, 2**32),
     ticks=st.integers(1, 300),
 )
 @settings(max_examples=60, deadline=None)
 def test_logged_sensor_columns_replay_through_reference_sensors(
-    zones, arcs, fov, max_range, noise_sigma, vibration, learning, seed, ticks
+    zones, arcs, fov, max_range, noise_sigma, train, seed, ticks
 ):
     """Regenerate the documented draw layout and replay every logged pose
     through the reference sensors: the accelerometer oracle plus
@@ -312,8 +292,7 @@ def test_logged_sensor_columns_replay_through_reference_sensors(
         camera=CameraParams(fov=fov, max_range=max_range),
         tick_count=ticks,
         seed=seed,
-        vibration_enabled=vibration,
-        learning_enabled=learning,
+        train=train,
         initial_w_color=0.6,
         noise_sigma=noise_sigma,
     )
@@ -327,7 +306,7 @@ def test_logged_sensor_columns_replay_through_reference_sensors(
     for t, (x, y, h) in enumerate(zip(log.xs.tolist(), log.ys.tolist(), log.headings.tolist())):
         _, _, g_ax, g_ay, g_az, _ = gauss[t]
         ax, ay, az, in_zone = accel_at(x, y, arena, noise_sigma, g_ax, g_ay, g_az, u_dir[t])
-        vib[t] = vibration_magnitude((ax, ay, az)) if vibration else 0.0
+        vib[t] = vibration_magnitude((ax, ay, az)) if train else 0.0
         xc[t] = color_sample(x, y, h, arena, cfg.camera)
         contacts += in_zone
     assert vib.tobytes() == log.vibration.tobytes()
@@ -335,10 +314,11 @@ def test_logged_sensor_columns_replay_through_reference_sensors(
     assert contacts == log.bumper_contacts
 
 
-@pytest.mark.parametrize("learning", [True, False])
-def test_per_tick_callees_run_once_per_tick(monkeypatch, paired_cue_arena, learning):
+@pytest.mark.parametrize("train", [True, False])
+def test_per_tick_callees_run_once_per_tick(monkeypatch, paired_cue_arena, train):
     """perfbench's tracer counts these calls by rebinding the controller's
-    module globals; inlining one would zero its per-layer metrics."""
+    module globals; inlining one would zero its per-layer metrics.  Test
+    mode starts from a learned weight, so that the color pathway fires."""
     counts = collections.Counter()
 
     def counting(name):
@@ -353,11 +333,14 @@ def test_per_tick_callees_run_once_per_tick(monkeypatch, paired_cue_arena, learn
     for name in ("color_sample", "motion_output", "oja_update"):
         monkeypatch.setattr(controller, name, counting(name))
     ticks = 700
-    log = run_episode(make_config(paired_cue_arena, tick_count=ticks, seed=9, learning_enabled=learning))
+    cfg = make_config(
+        paired_cue_arena, tick_count=ticks, seed=9, train=train, initial_w_color=0.0 if train else 0.6
+    )
+    log = run_episode(cfg)
     assert log.avoidance_events > 0
     assert counts["color_sample"] == ticks
     assert counts["motion_output"] == ticks
-    assert counts["oja_update"] == (ticks if learning else 0)
+    assert counts["oja_update"] == (ticks if train else 0)
 
 
 def test_default_train_episode_golden():

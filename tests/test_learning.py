@@ -80,8 +80,9 @@ def test_oja_single_step_decrease_bounded_by_eta(w, x, eta):
 
 
 def test_circuit_params_validation():
-    with pytest.raises(ConfigurationError):
-        CircuitParams(vibration_threshold=-1.0)
+    for bad in (-1.0, 0.0):
+        with pytest.raises(ConfigurationError, match="vibration_threshold must be positive"):
+            CircuitParams(vibration_threshold=bad)
     with pytest.raises(ConfigurationError):
         CircuitParams(color_activation_threshold=0.0)
     with pytest.raises(ConfigurationError):

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mazecells._kernels import firing_normalized, firing_raw
 from mazecells.spatialcells import (
+    MAX_KAPPA,
     MAX_SPACING,
     MAX_SPACINGS_FROM_ORIGIN,
     MAX_TICK_COUNT,
@@ -89,6 +91,25 @@ def test_full_parameter_validation():
         FiringParams(kappa=0.0, zeta=0.3)
     with pytest.raises(ConfigurationError):
         FiringParams(kappa=5.0, zeta=1.0)
+
+
+def test_kappa_bound_keeps_every_rate_positive():
+    with pytest.raises(ConfigurationError, match=r"^kappa must lie in \(0, 1e\+06\], got 1e\+300$"):
+        FiringParams(kappa=1e300, zeta=0.01)
+    with pytest.raises(ConfigurationError, match="kappa must lie in"):
+        FiringParams(kappa=math.nextafter(MAX_KAPPA, math.inf), zeta=0.3)
+    # A Voronoi vertex, at spacing / sqrt(3) from its nodes, is the farthest
+    # a point gets from the lattice; with zeta -> 0 its rate is the least.
+    fp = FiringParams(kappa=MAX_KAPPA, zeta=5e-324)
+    for spacing in (MIN_SPACING, 0.7, MAX_SPACING):
+        g = GridCellParams(spacing=spacing, orientation=0.0, phase1=0.0, phase2=0.0)
+        vertex = (0.5 * spacing, spacing / (2.0 * math.sqrt(3.0)))
+        assert nearest_center(vertex, g)[1] == pytest.approx(spacing / math.sqrt(3.0), rel=1e-12)
+        least = firing_rate(vertex, g, fp)
+        assert least > 5e-7
+        assert least == normalized_rate(raw_firing(spacing / math.sqrt(3.0), g, fp))
+    # far past the bound the vertex rate rounds to exactly 0.0
+    assert firing_normalized(firing_raw(1.0 / math.sqrt(3.0), 1.0, 1.01e16, 5e-324)) == 0.0
 
 
 def test_lattice_invariant_under_60_degree_rotation():
