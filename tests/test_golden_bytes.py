@@ -10,7 +10,8 @@ vibration) were recorded before the zone scan moved into
 the episode's two switches became one mode.  The x, y and heading
 columns of ``walk_trajectory`` for the five walks of ``conftest.walk_cases``
 were recorded before ``walk_loop`` stopped calling ``walk_step`` on every
-tick.  Any change to the bits of an output fails here, not only a change
+tick, and those of a noisy walk at lengths around ``_kernels.BLOCK`` before
+the ratemap pipeline walked in blocks of that many ticks.  Any change to the bits of an output fails here, not only a change
 beyond a tolerance.
 """
 
@@ -25,7 +26,8 @@ import pytest
 
 from conftest import walk_cases
 
-from mazecells.arena import Arena, CameraParams, WalkParams, WallArc, ZoneDisc, color_sample, walk_trajectory
+from mazecells._kernels import BLOCK
+from mazecells.arena import Arena, CameraParams, Pose, WalkParams, WallArc, ZoneDisc, color_sample, walk_trajectory
 from mazecells.config import episode_config, parse_config
 from mazecells.controller import EpisodeConfig, run_episode
 from mazecells.learning import CircuitParams
@@ -166,3 +168,18 @@ def walk_digests(poses: np.ndarray) -> dict:
 @pytest.mark.parametrize("name", sorted(walk_cases()))
 def test_walk_trajectory_bytes(name):
     assert walk_digests(walk_trajectory(*walk_cases()[name])) == GOLDEN["walks"][name]
+
+
+# Walk lengths on both sides of one and two block seams.
+SEAM_TICKS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)
+
+
+def seam_walk(ticks: int) -> tuple:
+    """A noisy walk from off the center, as ``walk_trajectory``'s (arena,
+    walk, ticks, start): it wraps its heading and leaves the disk often."""
+    return Arena(), WalkParams(turn_sigma=3.0, seed=12), ticks, Pose(0.3, -0.2, 1.0)
+
+
+@pytest.mark.parametrize("ticks", SEAM_TICKS)
+def test_walk_bytes_around_block_seams(ticks):
+    assert walk_digests(walk_trajectory(*seam_walk(ticks))) == GOLDEN["seam_walks"][str(ticks)]

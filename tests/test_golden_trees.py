@@ -7,7 +7,9 @@ commands write.
 - a train run of ``golden_episode_train.ini`` and then a test run of
   ``golden_episode_test.ini``, which reads the train run's summary; the
   tick counts cross the trajectory writer's piece boundaries;
-- a ``ratemap`` run of ``golden_ratemap.ini``;
+- a ``ratemap`` run of ``golden_ratemap.ini``, and one of
+  ``golden_ratemap_seams.ini``, whose walk crosses two block seams
+  (``_kernels.BLOCK`` ticks) at a low place threshold;
 - a ``sweep`` run of ``golden_sweep.ini``, which must give the same
   digests with one worker process and with two, and with two under each
   process start method.
@@ -42,6 +44,7 @@ CONFIGS = {
     "test": os.path.join(HERE, "golden_episode_test.ini"),
 }
 RATEMAP_CONFIG = os.path.join(HERE, "golden_ratemap.ini")
+SEAMS_CONFIG = os.path.join(HERE, "golden_ratemap_seams.ini")
 SWEEP_CONFIG = os.path.join(HERE, "golden_sweep.ini")
 SEEDS = (1, 2)
 # The files whose bytes depend on numpy's SIMD dispatch, by file name.
@@ -70,15 +73,16 @@ def tree_digests(root: str, prefix: str) -> dict:
     return out
 
 
-def command_digests(work: str, command: str, config: str) -> dict:
+def command_digests(work: str, command: str, config: str, label: str | None = None) -> dict:
     """Run ``command`` on ``config`` at every seed under ``work`` and
-    digest its output trees."""
+    digest its output trees, keyed under ``label`` (default: the command)."""
+    label = label or command
     out = {}
     for seed in SEEDS:
-        run_dir = os.path.join(work, f"seed{seed}", command)
+        run_dir = os.path.join(work, f"seed{seed}", label)
         argv = [command, "--config", config, "--out", run_dir, "--seed", str(seed)]
         assert main(argv) == 0, argv
-        out.update(tree_digests(run_dir, f"seed{seed}/{command}"))
+        out.update(tree_digests(run_dir, f"seed{seed}/{label}"))
     return out
 
 
@@ -87,12 +91,12 @@ def sweep_digests(work: str, jobs: int) -> dict:
         return command_digests(work, "sweep", SWEEP_CONFIG)
 
 
-def load_golden(command: str) -> dict:
-    """The pinned digests of one command's runs (``train`` and ``test``
-    for the episode)."""
+def load_golden(label: str) -> dict:
+    """The pinned digests of one command's runs, by label (``train`` and
+    ``test`` for the episode, ``ratemap_seams`` for the seam run)."""
     with open(GOLDEN_PATH) as fh:
         golden = json.load(fh)
-    return {key: digest for key, digest in golden.items() if key.split("/")[1] == command}
+    return {key: digest for key, digest in golden.items() if key.split("/")[1] == label}
 
 
 def episode_digests(work: str) -> dict:
@@ -129,6 +133,12 @@ def test_ratemap_trees_match_golden(tmp_path):
     assert command_digests(str(tmp_path), "ratemap", RATEMAP_CONFIG) == golden
 
 
+def test_ratemap_trees_across_block_seams_match_golden(tmp_path):
+    golden = load_golden("ratemap_seams")
+    assert len(golden) == 6 * len(SEEDS)
+    assert command_digests(str(tmp_path), "ratemap", SEAMS_CONFIG, "ratemap_seams") == golden
+
+
 def test_sweep_trees_match_golden_at_one_and_two_workers(tmp_path):
     golden = load_golden("sweep")
     # per seed: sweep.csv, the summary and each of two points' six files
@@ -161,10 +171,20 @@ def test_tick_counts_cross_piece_boundaries():
     assert ticks == {"train": 2 * ROWS_PER_PIECE + 1, "test": ROWS_PER_PIECE + 1}
 
 
+def test_seam_run_crosses_two_block_seams():
+    from mazecells._kernels import BLOCK
+
+    cp = configparser.ConfigParser()
+    cp.read(SEAMS_CONFIG)
+    assert cp.getint("run", "tick_count") == 2 * BLOCK + 1
+    assert cp.getfloat("place", "threshold_fraction") == 0.4
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         record = episode_digests(os.path.join(work, "episode"))
         record.update(command_digests(work, "ratemap", RATEMAP_CONFIG))
+        record.update(command_digests(work, "ratemap", SEAMS_CONFIG, "ratemap_seams"))
         record.update(sweep_digests(work, 1))
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(record, fh, indent=1)
