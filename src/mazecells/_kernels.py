@@ -21,7 +21,8 @@ point; :func:`rates_batch` keeps only the smallest squared distance and
 walks the points in blocks of :data:`BLOCK`, sized so that the scratch
 rows of one block stay in a 2 MiB per-core L2 cache (16384 points ran
 fastest of 2k to 32k and unblocked on such a host; every block size gives
-the same bits); it is the only loop over blocks.
+the same bits).  The ``ratemap`` pipeline walks, decodes and bins a run in
+blocks of the same size, so a run's memory does not grow with its ticks.
 
 The place-cell ensemble, :func:`ensemble_batch`, is an exact attentional
 cascade: each grid input is decoded, through :func:`rates_batch`, only on
@@ -135,8 +136,9 @@ def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
 # Rows of the scratch array _corners works in.
 SCRATCH_ROWS = 14
 
-# Points per block of rates_batch: the SCRATCH_ROWS rows of a block of
-# 16384 points (1.75 MiB) fit a 2 MiB per-core L2 cache.
+# Points per block of rates_batch, and ticks per block of the ratemap
+# pipeline: the SCRATCH_ROWS rows of a block of 16384 points (1.75 MiB)
+# fit a 2 MiB per-core L2 cache.
 BLOCK = 16384
 
 
@@ -317,14 +319,16 @@ def survival_thresholds(caps, threshold) -> list[float]:
     return out[::-1]
 
 
-def ensemble_batch(px, py, cells, threshold, total, out):
-    """1 where the summed normalized rates of ``cells`` reach ``threshold``.
+def ensemble_batch(px, py, cells, thresholds, total, out):
+    """1 where the summed normalized rates of ``cells`` reach a threshold.
 
     ``cells`` lists each grid input as ``(b1x, b1y, b2x, b2y, offx, offy,
-    spacing, kappa, zeta)``; ``total`` is a scratch array of len(px)
-    floats; ``out`` (int8, zeroed here) gets 1 at each point whose total,
-    the rates added left to right from 0.0 in the given order, is
-    ``>= threshold``.
+    spacing, kappa, zeta)``; ``thresholds`` is
+    ``survival_thresholds([rate_cap(*cell[6:]) for cell in cells],
+    threshold)``, which depends on no point and so is computed once per
+    run by the caller; ``total`` is a scratch array of len(px) floats;
+    ``out`` (int8, zeroed here) gets 1 at each point whose total, the rates
+    added left to right from 0.0 in the given order, is ``>= threshold``.
 
     An attentional cascade with an exact reject rule (Viola & Jones,
     CVPR 2001).  Input j is decoded with :func:`rates_batch` only on the
@@ -332,8 +336,8 @@ def ensemble_batch(px, py, cells, threshold, total, out):
     dropped once its partial total plus the caps (:func:`rate_cap`) of
     the remaining inputs, added one float add at a time in input order,
     falls below ``threshold``; that test is one compare against a
-    per-input bound from :func:`survival_thresholds`, and the survivors'
-    coordinates and totals are then compacted over the whole array.  IEEE
+    per-input bound from ``thresholds``, and the survivors' coordinates
+    and totals are then compacted over the whole array.  IEEE
     addition is monotone in each operand and every rate is at most its
     cap, so that sum bounds the final total from above: a dropped point
     cannot fire.  The survivors get the same adds in the same order as a
@@ -342,7 +346,7 @@ def ensemble_batch(px, py, cells, threshold, total, out):
     inputs: the rounding of the sum depends on their order.
     """
     out.fill(0)
-    start, *least = survival_thresholds([rate_cap(*cell[6:]) for cell in cells], threshold)
+    start, *least = thresholds
     if px.shape[0] == 0 or start > 0.0:  # no point can fire
         return
     idx = None  # the survivors' indices into px, once one is dropped

@@ -1,7 +1,8 @@
 """Spatial analysis: occupancy-normalized maps, autocorrelograms, gridness.
 
-A run bins its positions once (``bin_positions``): every rate map and the
-coverage read that one binning, and a map carries unvisited bins as NaN.  The
+A run adds its positions, block by block, to one ``Binning``, which counts
+them per bin and sums each map's values per bin as they arrive; every rate
+map and the coverage read it, and a map carries unvisited bins as NaN.  The
 autocorrelogram is the Pearson correlation of a map with itself at every
 integer-bin lag over mutually visited bins, computed for all lags at once
 from FFT cross-correlations of the visited mask and the centred map (the
@@ -37,7 +38,8 @@ MIN_OVERLAP_BINS = 20
 # gathered lag sums, the half-grid Pearson step and the output), gridness
 # near 280 B (the lag-grid distance and annulus masks; its per-rotation
 # temporaries are annulus-sized) and the rate map itself near 40 B
-# (tracemalloc peaks on a 128 x 128 map).  A whole `ratemap` run at 100k
+# (tracemalloc peaks on a 128 x 128 map).  A run's Binning adds 8 B per bin
+# for the counts and for each map's sums.  A whole `ratemap` run at 100k
 # ticks peaks about 800 B per bin higher at 256 x 256 than at 128 x 128
 # (resident set size).  The bound caps a map near 2**24 bins * 1 KiB =
 # 16 GiB.
@@ -116,76 +118,100 @@ def _bin_index(coords: np.ndarray, origin: float, bin_size: float, nbins: int) -
     return np.clip(idx, 0, nbins - 1, out=idx).astype(np.int64)
 
 
-@dataclass(frozen=True)
 class Binning:
-    """Each position's square bin, validated and counted once; a run's maps and coverage read it."""
+    """Square bins of ``bin_size`` over ``bounds`` that count positions and
+    sum ``maps`` per-position values, one block of positions at a time.
 
-    bin_size: float
-    origin_x: float
-    origin_y: float
-    flat: np.ndarray  # (N,) bin of each position, iy * nx + ix
-    occupancy: np.ndarray  # (ny, nx) visit counts, read-only
+    ``bounds`` is (xmin, xmax, ymin, ymax), finite, with xmin <= xmax and
+    ymin <= ymax.  Samples on the top edges fall into the last bin.  Each
+    bin's sum adds its values in position order from 0.0, block after
+    block (``np.add.at`` adds in element order, as ``np.bincount`` with
+    weights does), so a map has the same bits however its positions are
+    split into blocks.
+    """
 
-    def mean_map(self, values) -> RateMap:
-        """Mean of ``values``, one finite value per position, per bin."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.flat.shape:
-            raise ConfigurationError("values must match positions in length")
-        if not np.isfinite(values).all():
-            raise ConfigurationError("values must be finite")
+    def __init__(self, bin_size: float, bounds, maps: int = 0):
+        if not (bin_size > 0.0 and math.isfinite(bin_size)):
+            raise ConfigurationError(f"bin_size must be positive and finite, got {bin_size}")
+        xmin, xmax, ymin, ymax = (float(b) for b in bounds)
+        if not all(math.isfinite(b) for b in (xmin, xmax, ymin, ymax)):
+            raise ConfigurationError(f"bounds must be finite, got {(xmin, xmax, ymin, ymax)}")
+        if xmax < xmin or ymax < ymin:
+            raise ConfigurationError(f"bounds must not be inverted, got {(xmin, xmax, ymin, ymax)}")
+        check_map_side(xmax - xmin, bin_size)
+        check_map_side(ymax - ymin, bin_size)
+        self.bin_size = bin_size
+        self.origin_x = xmin
+        self.origin_y = ymin
+        nx = max(1, int(math.ceil((xmax - xmin) / bin_size - 1e-9)))
+        ny = max(1, int(math.ceil((ymax - ymin) / bin_size - 1e-9)))
+        self._shape = (ny, nx)
+        self._counts = np.zeros(ny * nx, dtype=np.int64)
+        self._sums = np.zeros((maps, ny * nx), dtype=np.float64)
+
+    def add(self, positions, *values) -> None:
+        """Add a non-empty (N, 2) block of finite ``positions`` and, for each
+        map, one finite value per position.  A rejected block adds nothing."""
+        positions = np.asarray(positions, dtype=np.float64)
+        if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
+            raise ConfigurationError("positions must be a non-empty (N, 2) array")
+        # a non-finite sample would land in an edge bin (inf) or poison one
+        # (nan); checked per column, twice as fast on a strided (N, 2) view
+        xs, ys = positions[:, 0], positions[:, 1]
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ConfigurationError("positions must be finite")
+        maps = self._sums.shape[0]
+        if len(values) != maps:
+            raise ConfigurationError(f"need {maps} value arrays, one per map, got {len(values)}")
+        values = [np.asarray(v, dtype=np.float64) for v in values]
+        for v in values:
+            if v.shape != xs.shape:
+                raise ConfigurationError("values must match positions in length")
+            if not np.isfinite(v).all():
+                raise ConfigurationError("values must be finite")
+        ny, nx = self._shape
+        flat = _bin_index(ys, self.origin_y, self.bin_size, ny) * nx
+        flat += _bin_index(xs, self.origin_x, self.bin_size, nx)
+        np.add.at(self._counts, flat, 1)
+        for sums, v in zip(self._sums, values):
+            np.add.at(sums, flat, v)
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        """(ny, nx) visit counts so far, as a copy."""
+        return self._counts.reshape(self._shape).copy()
+
+    def mean_map(self, index: int = 0) -> RateMap:
+        """Mean per bin of the values added for map ``index``."""
         counts = self.occupancy
-        sums = np.bincount(self.flat, weights=values, minlength=counts.size).reshape(counts.shape)
+        sums = self._sums[index].reshape(self._shape)
         with np.errstate(invalid="ignore"):
             means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
         return RateMap(self.bin_size, self.origin_x, self.origin_y, means, counts)
 
     def disc_coverage(self, radius: float) -> float:
         """Fraction of the bins centred inside the disk of ``radius`` about (0, 0) holding a position."""
-        ny, nx = self.occupancy.shape
+        ny, nx = self._shape
         cxs = self.origin_x + (np.arange(nx) + 0.5) * self.bin_size
         cys = self.origin_y + (np.arange(ny) + 0.5) * self.bin_size
         inside = (cxs[None, :] ** 2 + cys[:, None] ** 2) < radius * radius
         total = int(inside.sum())
         if total == 0:
             return 0.0
-        return float(((self.occupancy > 0) & inside).sum() / total)
+        return float(((self._counts.reshape(self._shape) > 0) & inside).sum() / total)
 
 
-def bin_positions(positions, bin_size: float, bounds) -> Binning:
-    """Square bins of ``bin_size`` over ``bounds`` and the bin of each position.
-
-    ``bounds`` is (xmin, xmax, ymin, ymax), finite, with xmin <= xmax and
-    ymin <= ymax.  Every position must be finite.  Samples on the top
-    edges fall into the last bin.
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    if not (bin_size > 0.0 and math.isfinite(bin_size)):
-        raise ConfigurationError(f"bin_size must be positive and finite, got {bin_size}")
-    if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
-        raise ConfigurationError("positions must be a non-empty (N, 2) array")
-    # a non-finite sample would land in an edge bin (inf) or poison one
-    # (nan); checked per column, twice as fast on a strided (N, 2) view
-    xs, ys = positions[:, 0], positions[:, 1]
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ConfigurationError("positions must be finite")
-    xmin, xmax, ymin, ymax = (float(b) for b in bounds)
-    if not all(math.isfinite(b) for b in (xmin, xmax, ymin, ymax)):
-        raise ConfigurationError(f"bounds must be finite, got {(xmin, xmax, ymin, ymax)}")
-    if xmax < xmin or ymax < ymin:
-        raise ConfigurationError(f"bounds must not be inverted, got {(xmin, xmax, ymin, ymax)}")
-    check_map_side(xmax - xmin, bin_size)
-    check_map_side(ymax - ymin, bin_size)
-    nx = max(1, int(math.ceil((xmax - xmin) / bin_size - 1e-9)))
-    ny = max(1, int(math.ceil((ymax - ymin) / bin_size - 1e-9)))
-    flat = _bin_index(ys, ymin, bin_size, ny) * nx + _bin_index(xs, xmin, bin_size, nx)
-    counts = np.bincount(flat, minlength=ny * nx).reshape(ny, nx)
-    counts.flags.writeable = False  # shared by every map of the binning
-    return Binning(bin_size, xmin, ymin, flat, counts)
+def bin_positions(positions, bin_size: float, bounds, *values) -> Binning:
+    """A :class:`Binning` of one block: ``positions`` and, for each map, one
+    value per position."""
+    binning = Binning(bin_size, bounds, len(values))
+    binning.add(positions, *values)
+    return binning
 
 
 def rate_map(positions, values, bin_size: float, bounds) -> RateMap:
-    """Mean of ``values`` per square bin, binned by ``bin_positions``."""
-    return bin_positions(positions, bin_size, bounds).mean_map(values)
+    """Mean of ``values`` per square bin: the one map of a one-block :class:`Binning`."""
+    return bin_positions(positions, bin_size, bounds, values).mean_map()
 
 
 def spatial_autocorrelogram(rm: RateMap) -> Autocorrelogram:

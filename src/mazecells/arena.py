@@ -10,11 +10,12 @@ exactly through angular-interval intersection.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import TWO_PI, walk_loop, wrap_angle
+from ._kernels import BLOCK, TWO_PI, walk_loop, wrap_angle
 from .spatialcells import ConfigurationError, Position2, check_finite, check_seed, check_tick_count
 
 GRAVITY = 9.81
@@ -368,6 +369,54 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
 # ---------------------------------------------------------------------------
 
 
+def walk_blocks(
+    arena: Arena,
+    walk: WalkParams,
+    ticks: int,
+    start: Pose | None = None,
+    seed: int | None = None,
+    block: int = BLOCK,
+) -> Iterator[np.ndarray]:
+    """The poses of a bounded random walk in consecutive blocks of at most
+    ``block`` ticks, each a (rows, 3) array of x, y, heading.
+
+    Row 0 of the first block is the start pose (arena center, heading 0 by
+    default); the blocks together are the rows of
+    :func:`walk_trajectory`, bit for bit.  Seed defaults to ``walk.seed``.
+    Every block is a view of one buffer that the next block overwrites, so
+    a caller keeps only what it copies.  The arguments are checked here,
+    before the first block is asked for.
+
+    Each block draws its normals from where the previous one stopped,
+    which gives the values of one whole-walk draw, and continues
+    ``walk_loop`` from the previous block's last pose.
+    """
+    check_tick_count(ticks, "ticks")
+    step = check_walk_step(walk, arena)
+    if start is None:
+        start = Pose(0.0, 0.0, 0.0)
+    if math.hypot(start.x, start.y) >= arena.radius:
+        raise ConfigurationError("start pose must lie strictly inside the arena")
+    rng = np.random.default_rng(check_seed(walk.seed if seed is None else seed))
+    return _walk_blocks(rng, start, step, walk.turn_sigma, arena.radius, ticks, block)
+
+
+def _walk_blocks(rng, start: Pose, step, turn_sigma, radius, ticks, block):
+    rows = min(block, ticks)
+    # row 0 holds the pose a block starts from, rows 1.. the block's poses
+    poses = np.empty((rows + 1, 3), dtype=np.float64)
+    z = np.empty((rows, 2), dtype=np.float64)
+    x, y, h = start.x, start.y, start.heading
+    for lo in range(0, ticks, block):
+        n = min(block, ticks - lo)
+        # the first block's row 0 is the start pose itself, which takes no draw
+        first = 1 if lo == 0 else 0
+        zs = rng.standard_normal(out=z[: n - first])
+        walk_loop(x, y, h, step, turn_sigma, radius, zs[:, 0], zs[:, 1], poses[first : n + 1])
+        x, y, h = poses[n].tolist()
+        yield poses[1 : n + 1]
+
+
 def walk_trajectory(
     arena: Arena,
     walk: WalkParams,
@@ -378,19 +427,7 @@ def walk_trajectory(
     """Poses of a bounded random walk, shape (ticks, 3): x, y, heading.
 
     Row 0 is the start pose (arena center, heading 0 by default); row t the
-    pose at tick t.  Seed defaults to ``walk.seed``.
+    pose at tick t.  Seed defaults to ``walk.seed``.  The whole walk is the
+    one block of :func:`walk_blocks`.
     """
-    check_tick_count(ticks, "ticks")
-    step = check_walk_step(walk, arena)
-    if start is None:
-        start = Pose(0.0, 0.0, 0.0)
-    if math.hypot(start.x, start.y) >= arena.radius:
-        raise ConfigurationError("start pose must lie strictly inside the arena")
-    rng = np.random.default_rng(check_seed(walk.seed if seed is None else seed))
-    z = rng.standard_normal((max(ticks - 1, 0), 2))
-    out = np.empty((ticks, 3), dtype=np.float64)
-    walk_loop(
-        start.x, start.y, start.heading, step, walk.turn_sigma, arena.radius,
-        z[:, 0], z[:, 1], out,
-    )
-    return out
+    return next(walk_blocks(arena, walk, ticks, start, seed, block=ticks))

@@ -14,17 +14,20 @@ import sys
 import time
 
 from . import artifacts
+# Not called here, but kept bound on this module, where perfbench's tracer
+# and the CLI tests patch them: rate_map, bin_positions, walk_trajectory.
 from .analysis import (
     AnalysisError,
+    Binning,
     bin_positions,
     coverage,
     gridness,
     halfmax_area_bins,
     peak_to_mean,
-    rate_map,  # not called here: perfbench's tracer patches this name on this module
+    rate_map,
     spatial_autocorrelogram,
 )
-from .arena import Pose, walk_trajectory
+from .arena import Pose, walk_blocks, walk_trajectory
 from .config import (
     RunConfig,
     apply_sweep_point,
@@ -59,12 +62,21 @@ def _resolve_seed(rc: RunConfig, seed: int | None) -> int:
 
 
 def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
-    """Shared ratemap pipeline; returns the per-cell metrics."""
+    """Shared ratemap pipeline; returns the per-cell metrics.
+
+    The walk is decoded and binned one block of ``_kernels.BLOCK`` ticks at
+    a time, so no array grows with the tick count: each grid cell's rates
+    and the place cell's outputs go into one ``Binning`` as map 0..G-1 and
+    map G, and the maps are read from it after the walk.
+    """
     t0 = time.perf_counter()
     arena = rc.arena
-    poses = walk_trajectory(arena, rc.walk, rc.tick_count, Pose(0.0, 0.0, rc.start_heading), seed=seed)
-    positions = poses[:, :2]
-    binning = bin_positions(positions, rc.bin_size, (-arena.radius, arena.radius, -arena.radius, arena.radius))
+    r = arena.radius
+    binning = Binning(rc.bin_size, (-r, r, -r, r), len(rc.grid_cells) + 1)
+    for poses in walk_blocks(arena, rc.walk, rc.tick_count, Pose(0.0, 0.0, rc.start_heading), seed=seed):
+        positions = poses[:, :2]
+        rates = [rates_at(positions, cell, rc.firing) for cell in rc.grid_cells]
+        binning.add(positions, *rates, place_activity_at(positions, rc.place, rc.firing))
 
     metrics: dict = {
         "command": "ratemap",
@@ -72,11 +84,11 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
         "seed": seed,
         "tick_count": rc.tick_count,
         "bin_size": rc.bin_size,
-        "coverage": binning.disc_coverage(arena.radius),
+        "coverage": binning.disc_coverage(r),
     }
-    named_cells = [(f"grid{i + 1}", cell) for i, cell in enumerate(rc.grid_cells)]
-    for name, cell in named_cells:
-        rm = binning.mean_map(rates_at(positions, cell, rc.firing))
+    for i, cell in enumerate(rc.grid_cells):
+        name = f"grid{i + 1}"
+        rm = binning.mean_map(i)
         ac = spatial_autocorrelogram(rm)
         artifacts.write_ratemap_csv(os.path.join(out_dir, f"ratemap_{name}.csv"), rm)
         artifacts.write_pgm(os.path.join(out_dir, f"ratemap_{name}.pgm"), rm.values)
@@ -93,7 +105,7 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
         metrics[f"peak_to_mean_{name}"] = peak_to_mean(rm)
         metrics[f"halfmax_area_bins_{name}"] = halfmax_area_bins(rm)
 
-    pm = binning.mean_map(place_activity_at(positions, rc.place, rc.firing))
+    pm = binning.mean_map(len(rc.grid_cells))
     artifacts.write_ratemap_csv(os.path.join(out_dir, "ratemap_place.csv"), pm)
     artifacts.write_pgm(os.path.join(out_dir, "ratemap_place.pgm"), pm.values)
     artifacts.write_autocorr_csv(

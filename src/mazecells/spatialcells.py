@@ -10,8 +10,9 @@ run the same batch kernels as their array counterparts.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from ._kernels import (
     firing_normalized,
     firing_raw,
     nearest_batch,
+    rate_cap,
     rates_batch,
+    survival_thresholds,
 )
 
 # Lattice spacings outside this range (m) are rejected: at 1e200 m the
@@ -51,6 +54,15 @@ MAX_ANCHOR = 1e6
 # (2**-54), from a = 5.8e15 or kappa = 1e16; a map of such zeros has no
 # positive mean, and its peak-to-mean ratio is undefined.
 MAX_KAPPA = 1e6
+# The smallest firing sharpness.  As d goes from a node to a Voronoi
+# vertex, the arctan argument kappa * (d / spacing - zeta) sweeps an
+# interval of width kappa / sqrt(3), so for small kappa a map's rates span
+# about kappa / (pi * sqrt(3)) around 0.5: 1.8e-7 at the bound, about
+# 1.7e9 ulps of 0.5 (2**-53), and rounding moves a rate by under 1e-9 of
+# that span.  Once the span falls under an ulp, from kappa = 6e-16, every
+# rate can round to exactly 0.5: at kappa = 1e-300 a map was constant, its
+# gridness NaN and its peak-to-mean ratio 1.0.
+MIN_KAPPA = 1e-6
 
 
 class ConfigurationError(ValueError):
@@ -81,15 +93,16 @@ def check_spacing(v: float, name: str) -> None:
         raise ConfigurationError(f"{name} must lie in [{MIN_SPACING:g}, {MAX_SPACING:g}] m, got {v}")
 
 
-# Peak memory of a run grows by about 128 B per tick at most.  An episode,
-# the largest, holds per tick 7 float64 random draws (56 B) beside its
-# 6 float64 log columns and the int8 motion output (49 B).  trajectory.csv
-# is formatted and written artifacts.ROWS_PER_PIECE rows at a time, so its
-# text adds no per-tick memory.  tracemalloc peaks at 1M ticks: 105 B per
-# tick for `episode` (the same at 400k), 56 B for `ratemap`; `ratemap`
-# peaks near 80 B at 400k ticks with a place threshold_fraction of 0.4,
-# where most ticks survive the place-cell cascade's first inputs.  The
-# bound caps a run near 2**26 ticks * 128 B = 8 GiB.
+# Peak memory of a run grows by about 128 B per tick at most, and only an
+# episode still holds per-tick arrays: 7 float64 random draws (56 B)
+# beside its 6 float64 log columns and the int8 motion output (49 B).
+# trajectory.csv is formatted and written artifacts.ROWS_PER_PIECE rows at
+# a time, so its text adds no per-tick memory.  tracemalloc peaks at 105 B
+# per tick for `episode` at 400k and at 1M ticks.  `ratemap` and each
+# `sweep` point walk, decode and bin _kernels.BLOCK ticks at a time, so
+# their peak does not grow with the tick count: 3.3 MiB at 50k and at 400k
+# ticks, 3.7 MiB with a place threshold_fraction of 0.4.  The bound caps
+# an episode near 2**26 ticks * 128 B = 8 GiB.
 MAX_TICK_COUNT = 2**26
 
 
@@ -130,6 +143,10 @@ class GridCellParams:
     orientation: float
     phase1: float
     phase2: float
+    # The kernels' lattice arguments (b1x, b1y, b2x, b2y, offx, offy),
+    # computed once from the fields above rather than on every decode call;
+    # kept out of repr (and so out of config_hash) and out of comparisons.
+    lattice_args: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_spacing(self.spacing, "spacing")
@@ -140,6 +157,9 @@ class GridCellParams:
         for name, v in (("phase1", self.phase1), ("phase2", self.phase2)):
             if not (0.0 <= v <= TWO_PI):
                 raise ConfigurationError(f"{name} must lie in [0, 2*pi], got {v}")
+        b = lattice_basis(self)
+        off = phase_offset(self)
+        object.__setattr__(self, "lattice_args", (b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y))
 
 
 @dataclass(frozen=True)
@@ -150,8 +170,8 @@ class FiringParams:
     zeta: float = 0.3
 
     def __post_init__(self):
-        if not 0.0 < self.kappa <= MAX_KAPPA:
-            raise ConfigurationError(f"kappa must lie in (0, {MAX_KAPPA:g}], got {self.kappa}")
+        if not MIN_KAPPA <= self.kappa <= MAX_KAPPA:
+            raise ConfigurationError(f"kappa must lie in [{MIN_KAPPA:g}, {MAX_KAPPA:g}], got {self.kappa}")
         if not (0.0 < self.zeta < 1.0):
             raise ConfigurationError(f"zeta must lie in (0, 1), got {self.zeta}")
 
@@ -221,13 +241,6 @@ def phase_offset(g: GridCellParams) -> Position2:
     )
 
 
-def _lattice_args(g: GridCellParams) -> tuple[float, ...]:
-    """The lattice arguments ``b1x, b1y, b2x, b2y, offx, offy`` of the kernels."""
-    b = lattice_basis(g)
-    off = phase_offset(g)
-    return (b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y)
-
-
 def _decode_one(pos, g: GridCellParams, kernel, *extra) -> tuple[Position2, float]:
     """Run a batch decode ``kernel`` on the one point ``pos``."""
     px, py, d = _xy_columns([_as_xy(pos)], (g.spacing,))
@@ -235,7 +248,7 @@ def _decode_one(pos, g: GridCellParams, kernel, *extra) -> tuple[Position2, floa
     cy = np.empty(1)
     mi = np.empty(1, dtype=np.int64)
     ni = np.empty(1, dtype=np.int64)
-    kernel(px, py, *_lattice_args(g), *extra, cx, cy, d, mi, ni)
+    kernel(px, py, *g.lattice_args, *extra, cx, cy, d, mi, ni)
     return Position2(float(cx[0]), float(cy[0])), float(d[0])
 
 
@@ -316,7 +329,7 @@ def _xy_columns(positions, spacings) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def rates_at(positions: np.ndarray, g: GridCellParams, fp: FiringParams) -> np.ndarray:
     """Normalized firing rates for an (N, 2) array of positions."""
     px, py, out = _xy_columns(positions, (g.spacing,))
-    rates_batch(px, py, *_lattice_args(g), g.spacing, fp.kappa, fp.zeta, out)
+    rates_batch(px, py, *g.lattice_args, g.spacing, fp.kappa, fp.zeta, out)
     return out
 
 
@@ -361,10 +374,21 @@ def place_activity_at(positions: np.ndarray, pc: PlaceCellParams, fp: FiringPara
     plain sum's.
     """
     px, py, total = _xy_columns(positions, [g.spacing for g in pc.inputs])
-    cells = [_lattice_args(g) + (g.spacing, fp.kappa, fp.zeta) for g in pc.inputs]
+    cells = [g.lattice_args + (g.spacing, fp.kappa, fp.zeta) for g in pc.inputs]
     out = np.empty(px.shape[0], dtype=np.int8)
-    ensemble_batch(px, py, cells, pc.threshold, total, out)
+    ensemble_batch(px, py, cells, _cascade_thresholds(pc, fp), total, out)
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _cascade_thresholds(pc: PlaceCellParams, fp: FiringParams) -> tuple[float, ...]:
+    """The survival thresholds of ``pc``'s cascade, computed once per run
+    rather than once per block of positions: up to 64 bisection steps per
+    input.  They depend only on the inputs' spacings, kappa, zeta and the
+    threshold, all positive, so params that compare equal give them the
+    same bits."""
+    caps = [rate_cap(g.spacing, fp.kappa, fp.zeta) for g in pc.inputs]
+    return tuple(survival_thresholds(caps, pc.threshold))
 
 
 def anchored_ensemble(spacings, anchor=(0.0, 0.0)) -> tuple[GridCellParams, ...]:

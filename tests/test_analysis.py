@@ -18,8 +18,8 @@ from mazecells.analysis import (
     MAX_MAP_SIDE,
     AnalysisError,
     Autocorrelogram,
+    Binning,
     _pearson,
-    bin_positions,
     connected_components,
     coverage,
     gridness,
@@ -151,7 +151,8 @@ def test_rate_map_side_bound():
 @st.composite
 def binning_case(draw):
     """Positions over the square around a disk, with samples on its top
-    edges, far outside it and at +-1e300, plus a bin size that fits."""
+    edges, far outside it and at +-1e300, a bin size that fits, and the
+    block sizes the positions are added in."""
     radius = draw(st.sampled_from([0.35, 1.0, 1.3]))
     bin_size = draw(st.sampled_from([0.05, 0.1, 0.3, 0.7]).filter(lambda b: b <= 2 * radius))
     coord = st.one_of(
@@ -162,23 +163,47 @@ def binning_case(draw):
     positions = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
     value = st.floats(-1e6, 1e6)
     maps = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=4))
-    return positions, bin_size, radius, [np.array(v) for v in maps]
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else [])
+    return positions, bin_size, radius, [np.array(v) for v in maps], cuts
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=binning_case())
 def test_shared_binning_matches_per_call_maps_and_coverage(case):
-    positions, bin_size, radius, maps = case
+    # one Binning fed every map block by block gives each map and the
+    # coverage that rate_map and coverage give on the whole arrays
+    positions, bin_size, radius, maps, cuts = case
     bounds = (-radius, radius, -radius, radius)
-    shared = bin_positions(positions, bin_size, bounds)
-    for values in maps + [values > 0 for values in maps]:
+    maps = maps + [values > 0 for values in maps]
+    shared = Binning(bin_size, bounds, len(maps))
+    edges = [0, *cuts, positions.shape[0]]
+    for lo, hi in zip(edges, edges[1:]):
+        shared.add(positions[lo:hi], *(values[lo:hi] for values in maps))
+    for k, values in enumerate(maps):
         own = rate_map(positions, values, bin_size, bounds)
-        rm = shared.mean_map(values)
+        rm = shared.mean_map(k)
         # bit for bit, the NaN of every unvisited bin included
         assert rm.values.tobytes() == own.values.tobytes()
         assert rm.occupancy.tobytes() == own.occupancy.tobytes()
         assert (rm.bin_size, rm.origin_x, rm.origin_y) == (own.bin_size, own.origin_x, own.origin_y)
     assert shared.disc_coverage(radius) == coverage(positions, bin_size, radius)
+
+
+def test_binning_rejects_a_bad_block_and_adds_nothing():
+    unit = (0.0, 1.0, 0.0, 1.0)
+    binning = Binning(0.5, unit, 2)
+    binning.add([[0.1, 0.1]], [1.0], [2.0])
+    for positions, values in (
+        ([[0.1, 0.1]], ([1.0],)),  # one map short
+        ([[0.1, 0.1]], ([1.0], [2.0, 3.0])),  # a map longer than the block
+        ([[0.1, 0.1]], ([1.0], [math.nan])),
+        ([[0.1, math.inf]], ([1.0], [2.0])),
+        (np.zeros((0, 2)), ([], [])),
+    ):
+        with pytest.raises(ConfigurationError):
+            binning.add(positions, *values)
+    assert binning.occupancy.tolist() == [[1, 0], [0, 0]]
+    assert binning.mean_map(1).values[0, 0] == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from mazecells.arena import (
     ZoneDisc,
     color_sample,
     vibration_magnitude,
+    walk_blocks,
     walk_trajectory,
 )
 from mazecells._kernels import wrap_angle
@@ -323,6 +324,36 @@ def test_negative_seed_rejected():
             WalkParams(seed=bad)
         with pytest.raises(ConfigurationError, match="non-negative"):
             walk_trajectory(arena, WalkParams(), 10, seed=bad)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    ticks=st.integers(1, 300),
+    block=st.integers(1, 310),
+    turn_sigma=st.sampled_from([0.0, 0.2, 3.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_walk_blocks_are_the_walk_bit_for_bit(seed, ticks, block, turn_sigma):
+    # every block boundary continues the draws and the pose where the
+    # previous block stopped; a block shorter than the walk wraps, exits
+    # and retries across seams at turn_sigma = 3
+    arena, walk = Arena(radius=0.6), WalkParams(turn_sigma=turn_sigma)
+    start = Pose(0.1, -0.2, 2.0)
+    whole = walk_trajectory(arena, walk, ticks, start, seed=seed)
+    blocks = [b.copy() for b in walk_blocks(arena, walk, ticks, start, seed=seed, block=block)]
+    assert [b.shape[0] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+def test_walk_blocks_share_one_buffer_and_check_before_the_first_block():
+    blocks = walk_blocks(Arena(radius=1.3), WalkParams(), 10, seed=0, block=4)
+    first, second = next(blocks), next(blocks)
+    assert first.shape == second.shape == (4, 3) and np.shares_memory(first, second)
+    # the checks run on the call, not on the first next()
+    with pytest.raises(ConfigurationError, match="ticks must be an integer in"):
+        walk_blocks(Arena(radius=1.3), WalkParams(), 0, seed=0)
+    with pytest.raises(ConfigurationError, match="start pose"):
+        walk_blocks(Arena(radius=1.3), WalkParams(), 10, Pose(1.3, 0.0, 0.0), seed=0)
 
 
 @given(seed=st.integers(0, 10_000), ticks=st.integers(2, 300))

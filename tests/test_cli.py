@@ -232,6 +232,8 @@ MAGNITUDE_CASES = [
     ("anchor_x-1e17", {"place": {"anchor_x": "1e17"}}, "[place] anchor"),
     # every rate away from a node rounds to 0.0, so no map has a positive mean
     ("kappa-1e300", {"firing": {"kappa": "1e300", "zeta": "0.01"}}, "[firing] kappa"),
+    # every rate rounds to exactly 0.5, so a map is constant and has no gridness
+    ("kappa-1e-300", {"firing": {"kappa": "1e-300", "zeta": "0.5"}}, "[firing] kappa"),
     # a test-mode reading of 0.0 would fire the reflex on every tick
     (
         "vibration_threshold-zero",
@@ -437,6 +439,26 @@ def test_ratemap_memory_per_tick_stays_within_budget_at_a_low_place_threshold(tm
     finally:
         tracemalloc.stop()
     assert peak < 128 * ticks
+
+
+@pytest.mark.parametrize("place", ["", "[place]\nthreshold_fraction = 0.4\n"], ids=["default", "low_place_threshold"])
+def test_ratemap_memory_does_not_grow_with_tick_count(tmp_path, place):
+    # ratemap walks, decodes and bins _kernels.BLOCK ticks at a time, so
+    # eight times the ticks must not raise its traced peak (3.3 MiB at the
+    # default and 3.7 MiB at a place threshold_fraction of 0.4, at both
+    # sizes); the whole-array pipeline peaked 3.8x and 5.6x higher at 400k
+    def peak(ticks):
+        text = f"[run]\nseed = 1\ntick_count = {ticks}\n\n{place}"
+        argv = ["ratemap", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / f"rm{ticks}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # once-per-process allocations (numpy's FFT caches) come first
+    assert peak(400_000) <= 1.1 * peak(50_000)
 
 
 @pytest.mark.parametrize("command", ["ratemap", "episode", "sweep"])

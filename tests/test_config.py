@@ -262,8 +262,10 @@ def test_sweep_validation():
         parse_config("[sweep]\nkappa = 1, fast\n")
     with pytest.raises(ConfigurationError, match=r"^\[sweep\] spacing must lie in .*, got nan$"):
         parse_config("[sweep]\nspacing = 1.0, nan\n")
-    with pytest.raises(ConfigurationError, match=r"^\[sweep\] kappa must lie in \(0, 1e\+06\], got 1e\+300$"):
+    with pytest.raises(ConfigurationError, match=r"^\[sweep\] kappa must lie in \[1e-06, 1e\+06\], got 1e\+300$"):
         parse_config("[sweep]\nkappa = 5, 1e300\n")
+    with pytest.raises(ConfigurationError, match=r"^\[sweep\] kappa must lie in \[1e-06, 1e\+06\], got 1e-300$"):
+        parse_config("[sweep]\nkappa = 5, 1e-300\n")
     with pytest.raises(ConfigurationError, match="sweep"):
         sweep_points(parse_config(default_ini()))
 

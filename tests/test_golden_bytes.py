@@ -27,7 +27,17 @@ import pytest
 from conftest import walk_cases
 
 from mazecells._kernels import BLOCK
-from mazecells.arena import Arena, CameraParams, Pose, WalkParams, WallArc, ZoneDisc, color_sample, walk_trajectory
+from mazecells.arena import (
+    Arena,
+    CameraParams,
+    Pose,
+    WalkParams,
+    WallArc,
+    ZoneDisc,
+    color_sample,
+    walk_blocks,
+    walk_trajectory,
+)
 from mazecells.config import episode_config, parse_config
 from mazecells.controller import EpisodeConfig, run_episode
 from mazecells.learning import CircuitParams
@@ -182,4 +192,7 @@ def seam_walk(ticks: int) -> tuple:
 
 @pytest.mark.parametrize("ticks", SEAM_TICKS)
 def test_walk_bytes_around_block_seams(ticks):
+    # every block is a view of one buffer, so each is copied before the next
+    blocks = np.concatenate([b.copy() for b in walk_blocks(*seam_walk(ticks))])
+    assert walk_digests(blocks) == GOLDEN["seam_walks"][str(ticks)]
     assert walk_digests(walk_trajectory(*seam_walk(ticks))) == GOLDEN["seam_walks"][str(ticks)]

@@ -476,7 +476,8 @@ def _ensemble_cells(grids, fp):
 
 def _run_ensemble(px, py, cells, threshold):
     out = np.full(px.shape[0], 7, dtype=np.int8)
-    ensemble_batch(px, py, cells, threshold, np.full(px.shape[0], np.nan), out)
+    thresholds = survival_thresholds([rate_cap(*cell[6:]) for cell in cells], threshold)
+    ensemble_batch(px, py, cells, thresholds, np.full(px.shape[0], np.nan), out)
     return out
 
 

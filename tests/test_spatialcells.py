@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazecells._kernels import firing_normalized, firing_raw
+from mazecells._kernels import firing_normalized, firing_raw, survival_thresholds
 from mazecells.spatialcells import (
     MAX_KAPPA,
     MAX_SPACING,
     MAX_SPACINGS_FROM_ORIGIN,
     MAX_TICK_COUNT,
+    MIN_KAPPA,
     MIN_SPACING,
     ConfigurationError,
     FiringParams,
@@ -94,7 +95,7 @@ def test_full_parameter_validation():
 
 
 def test_kappa_bound_keeps_every_rate_positive():
-    with pytest.raises(ConfigurationError, match=r"^kappa must lie in \(0, 1e\+06\], got 1e\+300$"):
+    with pytest.raises(ConfigurationError, match=r"^kappa must lie in \[1e-06, 1e\+06\], got 1e\+300$"):
         FiringParams(kappa=1e300, zeta=0.01)
     with pytest.raises(ConfigurationError, match="kappa must lie in"):
         FiringParams(kappa=math.nextafter(MAX_KAPPA, math.inf), zeta=0.3)
@@ -108,6 +109,26 @@ def test_kappa_bound_keeps_every_rate_positive():
         assert firing_rate(vertex, g, fp) > 5e-7
     # far past the bound the vertex rate rounds to exactly 0.0
     assert firing_normalized(firing_raw(1.0 / math.sqrt(3.0), 1.0, 1.01e16, 5e-324)) == 0.0
+
+
+def test_min_kappa_keeps_a_map_from_being_constant():
+    with pytest.raises(ConfigurationError, match=r"^kappa must lie in \[1e-06, 1e\+06\], got 1e-300$"):
+        FiringParams(kappa=1e-300, zeta=0.5)
+    with pytest.raises(ConfigurationError, match="kappa must lie in"):
+        FiringParams(kappa=math.nextafter(MIN_KAPPA, 0.0), zeta=0.3)
+    # between a node and a Voronoi vertex the rates span about
+    # kappa / (pi * sqrt(3)): at the bound, over a billion ulps of 0.5
+    ulp = math.ulp(0.5)
+    for zeta in (5e-324, 0.3, 0.5, math.nextafter(1.0, 0.0)):
+        span = float(
+            firing_normalized(firing_raw(0.0, 1.0, MIN_KAPPA, zeta))
+            - firing_normalized(firing_raw(1.0 / math.sqrt(3.0), 1.0, MIN_KAPPA, zeta))
+        )
+        assert span == pytest.approx(MIN_KAPPA / (math.pi * math.sqrt(3.0)), rel=1e-6)
+        assert span > 1e9 * ulp
+        # far below the bound every rate rounds to exactly 0.5
+        for d in (0.0, 1.0 / math.sqrt(3.0)):
+            assert firing_normalized(firing_raw(d, 1.0, 1e-300, zeta)) == 0.5
 
 
 def test_lattice_invariant_under_60_degree_rotation():
@@ -382,6 +403,27 @@ def test_place_cell_fires_at_anchor_only_nearby(firing):
     pc = PlaceCellParams(inputs=cells, threshold=0.8 * 8)
     assert place_activity_at(np.array([[0.35, 0.2]]), pc, firing)[0] == 1
     assert place_activity_at(np.array([[-0.6, -0.6]]), pc, firing)[0] == 0
+
+
+def test_per_run_constants_are_computed_once_not_per_block(monkeypatch, firing):
+    # ratemap decodes a run block by block; the lattice arguments come with
+    # each grid cell, and the cascade's survival thresholds (up to 64
+    # bisection steps per input) are computed on the first block only
+    import mazecells.spatialcells as sc
+
+    g = GridCellParams(0.8, 0.3, 1.0, 2.0)
+    b, off = lattice_basis(g), phase_offset(g)
+    assert g.lattice_args == (b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y)
+    assert "lattice_args" not in repr(g) and g == GridCellParams(0.8, 0.3, 1.0, 2.0)
+    calls = []
+    monkeypatch.setattr(sc, "survival_thresholds", lambda *args: calls.append(args) or survival_thresholds(*args))
+    sc._cascade_thresholds.cache_clear()
+    pc = PlaceCellParams(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), 6.4)
+    rng = np.random.default_rng(3)
+    whole = rng.uniform(-1.3, 1.3, (300, 2))
+    blocks = [place_activity_at(whole[lo : lo + 100], pc, firing) for lo in range(0, 300, 100)]
+    assert len(calls) == 1
+    assert np.concatenate(blocks).tobytes() == place_activity_at(whole, pc, firing).tobytes()
 
 
 @pytest.mark.parametrize("ticks", [0, -1, MAX_TICK_COUNT + 1, 10**12, 2.0, "10", None])
