@@ -570,6 +570,34 @@ def test_ensemble_drops_points_early(monkeypatch):
     assert got.sum() > 0
 
 
+def test_ensemble_finishes_few_survivors_in_one_decode(monkeypatch):
+    # of a block of points spread over the arena, the default place cell
+    # keeps 1304 after its first input and 29 after its second; their six
+    # remaining inputs are then decoded in one call, not one call per input
+    from mazecells import _kernels
+
+    sizes = []
+    real = _kernels.rates_batch
+
+    def counting(px, *args):
+        sizes.append(px.shape[0])
+        real(px, *args)
+
+    rng = np.random.default_rng(44)
+    r = 1.3 * np.sqrt(rng.uniform(0.0, 1.0, BLOCK))
+    a = rng.uniform(-math.pi, math.pi, BLOCK)
+    px, py = r * np.cos(a), r * np.sin(a)
+    fp = FiringParams(5.0, 0.3)
+    cells = _ensemble_cells(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), fp)
+    monkeypatch.setattr(_kernels, "rates_batch", counting)
+    got = _run_ensemble(px, py, cells, 6.4)
+    monkeypatch.undo()
+    assert len(sizes) == 3 and sizes[0] == BLOCK and sizes[2] % 6 == 0
+    assert 0 < sizes[2] <= _kernels.FINISH_POINTS
+    assert np.array_equal(got, _reference_activity(px, py, cells, 6.4)[0])
+    assert got.sum() > 0
+
+
 def test_ensemble_no_input_evaluated_when_nothing_can_fire(monkeypatch):
     from mazecells import _kernels
 
