@@ -319,12 +319,14 @@ def survival_thresholds(caps, threshold) -> list[float]:
     return out[::-1]
 
 
-# Decodes after which the place cascade stops dropping points.  One
-# rates_batch call costs about 45-100 us of numpy call overhead, as much as
-# decoding about 1000 points (54 ns each), so finishing that many decodes in
-# one call costs at most about twice what further drops could save, and
-# saves a call per remaining input.  A 16384-tick block of the default
-# place cell keeps about 20 points after its second input.
+# Once the survivors times the remaining inputs come to at most this many
+# decodes, the place cascade stops dropping points and decodes the rest in
+# one call.  One rates_batch call costs about 45-100 us of numpy call
+# overhead, as much as decoding about 1000 points (54 ns each), so
+# finishing that many decodes in one call costs at most about twice what
+# further drops could save, and saves a call per remaining input.  A
+# 16384-tick block of the default place cell keeps about 20 points after
+# its second input.
 FINISH_POINTS = 1024
 
 
