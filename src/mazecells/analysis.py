@@ -201,17 +201,11 @@ class Binning:
         return float(((self._counts.reshape(self._shape) > 0) & inside).sum() / total)
 
 
-def bin_positions(positions, bin_size: float, bounds, *values) -> Binning:
-    """A :class:`Binning` of one block: ``positions`` and, for each map, one
-    value per position."""
-    binning = Binning(bin_size, bounds, len(values))
-    binning.add(positions, *values)
-    return binning
-
-
 def rate_map(positions, values, bin_size: float, bounds) -> RateMap:
     """Mean of ``values`` per square bin: the one map of a one-block :class:`Binning`."""
-    return bin_positions(positions, bin_size, bounds, values).mean_map()
+    binning = Binning(bin_size, bounds, 1)
+    binning.add(positions, values)
+    return binning.mean_map()
 
 
 def spatial_autocorrelogram(rm: RateMap) -> Autocorrelogram:
@@ -331,7 +325,9 @@ def coverage(positions, bin_size: float, radius: float) -> float:
     if not (radius > 0.0 and math.isfinite(radius)):
         raise ConfigurationError(f"radius must be positive and finite, got {radius}")
     check_bin_size(bin_size, radius)
-    return bin_positions(positions, bin_size, (-radius, radius, -radius, radius)).disc_coverage(radius)
+    binning = Binning(bin_size, (-radius, radius, -radius, radius))
+    binning.add(positions)
+    return binning.disc_coverage(radius)
 
 
 def nearest_peak_angles(ac: Autocorrelogram) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import BLOCK, TWO_PI, walk_loop, wrap_angle
-from .spatialcells import ConfigurationError, Position2, check_finite, check_seed, check_tick_count
+from .spatialcells import ConfigurationError, check_finite, check_seed, check_tick_count
 
 GRAVITY = 9.81
 
@@ -150,9 +150,6 @@ class Arena:
             if z.contains(x, y):
                 return i
         return -1
-
-    def wall_point(self, angle: float) -> Position2:
-        return Position2(self.radius * math.cos(angle), self.radius * math.sin(angle))
 
 
 @dataclass(frozen=True)

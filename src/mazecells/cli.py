@@ -15,11 +15,10 @@ import time
 
 from . import artifacts
 # Not called here, but kept bound on this module, where perfbench's tracer
-# and the CLI tests patch them: rate_map, bin_positions, walk_trajectory.
+# patches them: rate_map, walk_trajectory.
 from .analysis import (
     AnalysisError,
     Binning,
-    bin_positions,
     coverage,
     gridness,
     halfmax_area_bins,
@@ -86,13 +85,17 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
         "bin_size": rc.bin_size,
         "coverage": binning.disc_coverage(r),
     }
-    for i, cell in enumerate(rc.grid_cells):
-        name = f"grid{i + 1}"
+    # map i of the binning: the grid maps in config order, then the place
+    # map, which is written but not scored
+    maps = [(f"grid{i + 1}", cell) for i, cell in enumerate(rc.grid_cells)] + [("place", None)]
+    for i, (name, cell) in enumerate(maps):
         rm = binning.mean_map(i)
         ac = spatial_autocorrelogram(rm)
         artifacts.write_ratemap_csv(os.path.join(out_dir, f"ratemap_{name}.csv"), rm)
         artifacts.write_pgm(os.path.join(out_dir, f"ratemap_{name}.pgm"), rm.values)
         artifacts.write_autocorr_csv(os.path.join(out_dir, f"autocorr_{name}.csv"), ac)
+        if cell is None:
+            continue
         try:
             score = gridness(
                 ac,
@@ -104,13 +107,6 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
         metrics[f"gridness_{name}"] = score
         metrics[f"peak_to_mean_{name}"] = peak_to_mean(rm)
         metrics[f"halfmax_area_bins_{name}"] = halfmax_area_bins(rm)
-
-    pm = binning.mean_map(len(rc.grid_cells))
-    artifacts.write_ratemap_csv(os.path.join(out_dir, "ratemap_place.csv"), pm)
-    artifacts.write_pgm(os.path.join(out_dir, "ratemap_place.pgm"), pm.values)
-    artifacts.write_autocorr_csv(
-        os.path.join(out_dir, "autocorr_place.csv"), spatial_autocorrelogram(pm)
-    )
 
     metrics["duration_s"] = round(time.perf_counter() - t0, 3)
     artifacts.write_summary(os.path.join(out_dir, "summary.txt"), metrics)

@@ -10,8 +10,9 @@ circuit, learns (in train mode), then acts: a rising edge of the motion
 output triggers a turn-in-place away from the nearest active cue, the
 following tick steps straight along the escape heading, and any other
 tick takes a bounded random-walk step.  The accelerometer and the bumper
-contact come from one scan per tick over a tuple of plain-float zones
-(see :func:`run_episode`).
+contact come from one scan per tick, in both modes, over a tuple of
+plain-float zones; the escape's cues are that tuple and one of wall-arc
+midpoints (see :func:`run_episode`).
 """
 
 from __future__ import annotations
@@ -96,25 +97,25 @@ class EpisodeLog:
         return int(self.xs.shape[0])
 
 
-def _trigger_bearing(x, y, heading, arena: Arena, vib_active: bool, color_active: bool) -> float:
+def _trigger_bearing(x, y, heading, zones, wall_mids, vib_active: bool, color_active: bool) -> float:
     """Bearing toward the nearest active cue: a zone center for the
-    vibration pathway, a wall-arc midpoint for the color pathway.  Falls
-    back to the current heading (pure turnaround) if no cue exists."""
+    vibration pathway, a wall-arc midpoint for the color pathway, a wall
+    winning only when strictly nearer.  Falls back to the current heading
+    (pure turnaround) if no cue exists."""
     best = None
     best_d2 = math.inf
     if vib_active:
-        for z in arena.zones:
-            d2 = (z.center_x - x) ** 2 + (z.center_y - y) ** 2
+        for cx, cy, _, _ in zones:
+            d2 = (cx - x) ** 2 + (cy - y) ** 2
             if d2 < best_d2:
                 best_d2 = d2
-                best = (z.center_x, z.center_y)
+                best = (cx, cy)
     if color_active:
-        for arc in arena.walls:
-            p = arena.wall_point(arc.mid_angle)
-            d2 = (p.x - x) ** 2 + (p.y - y) ** 2
+        for px, py in wall_mids:
+            d2 = (px - x) ** 2 + (py - y) ** 2
             if d2 < best_d2:
                 best_d2 = d2
-                best = (p.x, p.y)
+                best = (px, py)
     if best is None:
         return heading
     return math.atan2(best[1] - y, best[0] - x)
@@ -135,10 +136,11 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
 
     The accelerometer is read inline, from a tuple of plain-float zones
     ``(cx, cy, r**2, amplitude)`` built once per episode: each tick scans
-    it once, by the operations ``ZoneDisc.contains``, the impulse sum in
-    zone order and :func:`~mazecells.arena.vibration_magnitude` perform,
-    in the same order, so the readings keep their bits.  In test mode
-    only the bumper contact is computed.  ``color_sample``,
+    it once in both modes, by the operations ``ZoneDisc.contains``, the
+    impulse sum in zone order and :func:`~mazecells.arena.vibration_magnitude`
+    perform, in the same order, so the readings keep their bits.  Test
+    mode adds no impulse and reads 0.0.  An escape's cues are the zones
+    and a tuple of wall-arc midpoints, also built once.  ``color_sample``,
     ``motion_output`` and ``oja_update`` stay one call per tick through
     this module's globals, which perfbench's tracer rebinds to time them.
     """
@@ -179,6 +181,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     # the operands of ZoneDisc.contains and of the impulse, in zone order
     zones = tuple((z.center_x, z.center_y, z.radius * z.radius, z.amplitude) for z in arena.zones)
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
+    wall_mids = tuple((radius * cos(arc.mid_angle), radius * sin(arc.mid_angle)) for arc in arena.walls)
 
     x, y, h = 0.0, 0.0, wrap_angle(cfg.start_heading)
     w = float(cfg.initial_w_color)
@@ -192,27 +195,23 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         # (0, 0, g) plus noise, and every zone containing the point adds its
         # impulse in the tick's one direction.  In test mode the sensor
         # reads rest, of magnitude 0.0.
-        in_zone = False
         if train:
             ax = noise_sigma * g_ax[t]
             ay = noise_sigma * g_ay[t]
             az = GRAVITY + noise_sigma * g_az[t]
-            for cx, cy, r2, amplitude in zones:
-                dx = x - cx
-                dy = y - cy
-                if dx * dx + dy * dy <= r2:
+        in_zone = False
+        for cx, cy, r2, amplitude in zones:
+            dx = x - cx
+            dy = y - cy
+            if dx * dx + dy * dy <= r2:
+                in_zone = True
+                if train:
                     ax += amplitude * cos(u[t])
                     ay += amplitude * sin(u[t])
-                    in_zone = True
+        if train:
             dz = az - GRAVITY
             vib = sqrt(ax * ax + ay * ay + dz * dz)
         else:
-            for cx, cy, r2, _ in zones:
-                dx = x - cx
-                dy = y - cy
-                if dx * dx + dy * dy <= r2:
-                    in_zone = True
-                    break
             vib = 0.0
         xc = color_sample(x, y, h, arena, cam)
         # The escape below reads the weight from before this tick's update.
@@ -240,7 +239,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             if rising:
                 vib_active = vib >= vibration_threshold
                 color_active = xc * w_prev >= color_threshold
-                tb = _trigger_bearing(x, y, h, arena, vib_active, color_active)
+                tb = _trigger_bearing(x, y, h, zones, wall_mids, vib_active, color_active)
                 h = wrap_angle(tb + math.pi + jitter_sigma * g_jitter[t])
                 escaping = True
             else:

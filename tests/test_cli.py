@@ -408,9 +408,9 @@ def test_huge_tick_count_exits_2_before_any_output(tmp_path, capsys, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("a run started with a huge tick count")
 
-    # belt and braces: the run must never reach an allocation
-    monkeypatch.setattr(cli, "walk_trajectory", never)
-    monkeypatch.setattr(cli, "run_episode", never)
+    # belt and braces: the run must never reach a walk, a binning or an episode
+    for name in ("walk_blocks", "Binning", "run_episode"):
+        monkeypatch.setattr(cli, name, never)
     text = "[run]\ntick_count = 1000000000000\nseed = 5\n"
     if command == "sweep":
         text += "[sweep]\nkappa = 1, 5\n"
@@ -425,10 +425,13 @@ def test_huge_tick_count_exits_2_before_any_output(tmp_path, capsys, monkeypatch
 
 
 def test_ratemap_memory_per_tick_stays_within_budget_at_a_low_place_threshold(tmp_path):
-    # MAX_TICK_COUNT rests on at most 128 B of memory per tick.  At a place
-    # threshold_fraction of 0.4 most ticks survive the place-cell cascade's
-    # first inputs, and its survivor arrays grow with them: about 82 B per
-    # tick at 200k ticks, against 57 B at the default 0.8.
+    # An absolute bound on the traced peak of a 200k-tick run, 25.6 MB.  At a
+    # place threshold_fraction of 0.4 most ticks survive the place-cell
+    # cascade's first inputs, but ratemap decodes one block of
+    # _kernels.BLOCK ticks at a time, so the survivors of one block at most
+    # are alive: the run peaks at about 3.8 MiB (4.6 MiB when it is the
+    # process's first), and place_activity_at at about 2.8 MiB per block
+    # (2.3 MiB at the default 0.8), whatever the tick count.
     ticks = 200_000
     text = f"[run]\nseed = 1\ntick_count = {ticks}\n\n[place]\nthreshold_fraction = 0.4\n"
     argv = ["ratemap", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "rm")]
@@ -469,7 +472,7 @@ def test_tiny_bin_size_exits_2_before_any_output(tmp_path, capsys, monkeypatch, 
         raise AssertionError("a run started with a map beyond MAX_MAP_SIDE")
 
     # belt and braces: the run must never reach a walk, an episode, a binning or a map
-    for name in ("walk_trajectory", "run_episode", "bin_positions", "rate_map", "coverage"):
+    for name in ("walk_blocks", "run_episode", "Binning", "coverage"):
         monkeypatch.setattr(cli, name, never)
     text = "[run]\ntick_count = 200\nseed = 5\n[analysis]\nbin_size = 1e-7\n"
     if command == "sweep":
@@ -496,8 +499,8 @@ def test_huge_place_count_exits_2_before_any_output(tmp_path, capsys, monkeypatc
 
     # belt and braces: neither the ensemble nor a run may be allocated
     monkeypatch.setattr(config, "np", types.SimpleNamespace(linspace=never))
-    monkeypatch.setattr(cli, "walk_trajectory", never)
-    monkeypatch.setattr(cli, "run_episode", never)
+    for name in ("walk_blocks", "Binning", "run_episode"):
+        monkeypatch.setattr(cli, name, never)
     text = f"[run]\ntick_count = 200\nseed = 5\n[place]\ncount = {config.MAX_PLACE_COUNT + 1}\n"
     if command == "sweep":
         text += "[sweep]\nkappa = 1, 5\n"

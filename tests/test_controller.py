@@ -163,6 +163,23 @@ def test_turn_tick_keeps_position(reflex_log):
             assert abs(d) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "vib_active, color_active, expected",
+    [(True, True, math.pi / 2), (True, False, math.pi / 2), (False, True, 0.0), (False, False, 0.25)],
+)
+def test_trigger_bearing_takes_the_zone_when_a_wall_is_as_near(vib_active, color_active, expected):
+    # From the origin, a zone centered at (0, 1.3) and the midpoint (1.3, 0)
+    # of the wall arc (-0.5, 0.5) on a 1.3 m boundary are equally near.
+    # Zones are scanned first and a wall wins only when strictly nearer;
+    # with no active cue the escape turns around from the heading.
+    mid = WallArc(-0.5, 0.5).mid_angle
+    zones = ((0.0, 1.3, 0.25**2, 8.0),)
+    wall_mids = ((1.3 * math.cos(mid), 1.3 * math.sin(mid)),)
+    assert wall_mids == ((1.3, 0.0),)
+    bearing = controller._trigger_bearing(0.0, 0.0, 0.25, zones, wall_mids, vib_active, color_active)
+    assert bearing == expected
+
+
 def test_weight_trace_never_drops_more_than_eta(paired_cue_arena):
     cfg = make_config(paired_cue_arena, tick_count=6000, seed=21)
     log = run_episode(cfg)
