@@ -428,10 +428,10 @@ def test_ratemap_memory_per_tick_stays_within_budget_at_a_low_place_threshold(tm
     # An absolute bound on the traced peak of a 200k-tick run, 25.6 MB.  At a
     # place threshold_fraction of 0.4 most ticks survive the place-cell
     # cascade's first inputs, but ratemap decodes one block of
-    # _kernels.BLOCK ticks at a time, so the survivors of one block at most
-    # are alive: the run peaks at about 3.8 MiB (4.6 MiB when it is the
-    # process's first), and place_activity_at at about 2.8 MiB per block
-    # (2.3 MiB at the default 0.8), whatever the tick count.
+    # _kernels.BLOCK ticks at a time, so at most one block's survivors are
+    # alive: the run peaks at about 3.8 MiB (4.6 MiB as a process's first
+    # run), and place_activity_at at about 2.8 MiB per block (2.3 MiB at
+    # the default 0.8), whatever the tick count.
     ticks = 200_000
     text = f"[run]\nseed = 1\ntick_count = {ticks}\n\n[place]\nthreshold_fraction = 0.4\n"
     argv = ["ratemap", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "rm")]
