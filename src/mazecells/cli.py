@@ -1,8 +1,10 @@
 """Command-line front end: ratemap, episode, and sweep runs.
 
 Exit codes: 0 on success, 2 for configuration/validation errors, 3 for
-output I/O errors.  The sweep command fans grid points out over worker
-processes; MAZECELLS_JOBS caps the worker count (default: all CPUs).
+output I/O errors.  Each ``cmd_*`` returns its one stdout line, to which
+``main`` adds the run's wall time.  The sweep command fans grid points
+out over worker processes; MAZECELLS_JOBS caps the worker count
+(default: all CPUs).
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
     and the place cell's outputs go into one ``Binning`` as map 0..G-1 and
     map G, and the maps are read from it after the walk.
     """
-    t0 = time.perf_counter()
     arena = rc.arena
     r = arena.radius
     binning = Binning(rc.bin_size, (-r, r, -r, r), len(rc.grid_cells) + 1)
@@ -108,22 +109,19 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
         metrics[f"peak_to_mean_{name}"] = peak_to_mean(rm)
         metrics[f"halfmax_area_bins_{name}"] = halfmax_area_bins(rm)
 
-    metrics["duration_s"] = round(time.perf_counter() - t0, 3)
     artifacts.write_summary(os.path.join(out_dir, "summary.txt"), metrics)
     return metrics
 
 
-def cmd_ratemap(config_path: str, out_dir: str, seed: int | None = None) -> int:
+def cmd_ratemap(config_path: str, out_dir: str, seed: int | None = None) -> str:
     rc = load_config(config_path)
     seed = _resolve_seed(rc, seed)
     metrics = _run_ratemap(rc, out_dir, seed)
-    print(f"ratemap: wrote {out_dir} (coverage {metrics['coverage']:.3f})")
-    return 0
+    return f"ratemap: wrote {out_dir} (coverage {metrics['coverage']:.3f})"
 
 
-def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = None) -> int:
+def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = None) -> str:
     rc = load_config(config_path)
-    t0 = time.perf_counter()
     # without --seed, episode_config takes [run] seed, and fails if there is none
     ecfg = episode_config(rc, mode, seed=None if seed is None else _resolve_seed(rc, seed))
     log = run_episode(ecfg)
@@ -140,15 +138,13 @@ def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = No
             "bumper_contacts": log.bumper_contacts,
             "avoidance_events": log.avoidance_events,
             "coverage": coverage(log.positions, rc.bin_size, rc.arena.radius),
-            "duration_s": round(time.perf_counter() - t0, 3),
         },
     )
-    print(
+    return (
         f"episode[{mode}]: wrote {out_dir} "
         f"(w_color {float(log.w_color[-1]):.4f}, contacts {log.bumper_contacts}, "
         f"avoidances {log.avoidance_events})"
     )
-    return 0
 
 
 def _sweep_worker(args) -> dict:
@@ -164,7 +160,7 @@ def _sweep_worker(args) -> dict:
     return row
 
 
-def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None) -> int:
+def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None) -> str:
     rc = load_config(config_path)
     base_seed = _resolve_seed(rc, seed)
     points = sweep_points(rc)
@@ -173,7 +169,6 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None) -> int:
         (rc, assignment, os.path.join(out_dir, f"point_{i:03d}"), base_seed + i, i)
         for i, assignment in enumerate(points)
     ]
-    t0 = time.perf_counter()
     jobs = _job_count(len(tasks))
     if jobs == 1:
         rows = [_sweep_worker(t) for t in tasks]
@@ -189,11 +184,9 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None) -> int:
             "seed": base_seed,
             "points": len(points),
             "parameters": ";".join(param_names),
-            "duration_s": round(time.perf_counter() - t0, 3),
         },
     )
-    print(f"sweep: wrote {out_dir} ({len(points)} points, {jobs} workers)")
-    return 0
+    return f"sweep: wrote {out_dir} ({len(points)} points, {jobs} workers)"
 
 
 def main(argv=None) -> int:
@@ -217,18 +210,23 @@ def main(argv=None) -> int:
     add_common(sp)
 
     args = parser.parse_args(argv)
+    # wall time is host-dependent, so it goes to stdout, never into a file
+    t0 = time.perf_counter()
     try:
         if args.command == "ratemap":
-            return cmd_ratemap(args.config, args.out, args.seed)
-        if args.command == "episode":
-            return cmd_episode(args.config, args.mode, args.out, args.seed)
-        return cmd_sweep(args.config, args.out, args.seed)
+            report = cmd_ratemap(args.config, args.out, args.seed)
+        elif args.command == "episode":
+            report = cmd_episode(args.config, args.mode, args.out, args.seed)
+        else:
+            report = cmd_sweep(args.config, args.out, args.seed)
     except (ConfigurationError, AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
+    print(f"{report} in {time.perf_counter() - t0:.3f} s")
+    return 0
 
 
 def run() -> None:

@@ -112,7 +112,7 @@ def check_tick_count(ticks, name: str = "tick_count") -> int:
     if not isinstance(ticks, (int, np.integer)) or not 0 < ticks <= MAX_TICK_COUNT:
         raise ConfigurationError(
             f"{name} must be an integer in [1, {MAX_TICK_COUNT}] "
-            f"(about 128 B of memory per tick), got {ticks}"
+            f"(an episode needs about 128 B of memory per tick), got {ticks}"
         )
     return int(ticks)
 

@@ -329,24 +329,21 @@ def test_criterion_8_cli_determinism(tmp_path):
         "sweep": ["sweep", "--config", str(cfg_sweep)],
     }
     identical = True
-    n_csv = 0
+    n_files = 0
     for name, argv in commands.items():
-        outs = []
+        trees = []
         for run_id in ("a", "b"):
             out = tmp_path / f"{name}-{run_id}"
             assert main(argv + ["--out", str(out)]) == 0
-            outs.append(out)
-        csvs = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*.csv"))
-        n_csv += len(csvs)
-        identical &= len(csvs) > 0 and all(
-            (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes() for rel in csvs
-        )
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        n_files += len(trees[0])
+        identical &= len(trees[0]) > 0 and trees[0] == trees[1]
     ok = identical
     _report(
         8,
         "identical command reruns are byte-identical",
         ok,
-        f"{n_csv} CSV files compared across ratemap/episode(train,test)/sweep",
+        f"{n_files} files compared across ratemap/episode(train,test)/sweep",
     )
 
 

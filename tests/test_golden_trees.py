@@ -1,8 +1,7 @@
 """Byte pins for the files the ``episode``, ``ratemap`` and ``sweep``
 commands write.
 
-``golden_trees.json`` holds, for seeds 1 and 2, the SHA-256 of every file
-(a ``summary.txt`` without its ``duration_s`` line) of:
+``golden_trees.json`` holds, for seeds 1 and 2, the SHA-256 of every file of:
 
 - a train run of ``golden_episode_train.ini`` and then a test run of
   ``golden_episode_test.ini``, which reads the train run's summary; the
@@ -52,12 +51,9 @@ DISPATCH_DEPENDENT = ("ratemap_grid*.csv", "autocorr_grid*.csv")
 
 
 def file_digest(path: str) -> str:
-    """SHA-256 of a file's bytes; a summary's ``duration_s`` line is left out."""
+    """SHA-256 of a file's bytes."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if os.path.basename(path) == "summary.txt":
-        data = b"".join(line for line in data.splitlines(True) if not line.startswith(b"duration_s ="))
-    return hashlib.sha256(data).hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def tree_digests(root: str, prefix: str) -> dict:
