@@ -457,7 +457,8 @@ def autocorr(vals, visited, min_overlap, out):
     2012.  Three forward and four inverse real FFTs replace the O(h^2 w^2)
     direct sum; the sums of the unshifted side are the lag-negated sums of
     the shifted side.  Centring keeps the roundoff of near-flat maps small
-    (Pearson itself does not change under a shift).
+    (Pearson itself does not change under a shift).  Whatever an unvisited
+    bin of ``vals`` holds (NaN, inf or any number) changes no bit of ``out``.
 
     A lag with fewer than ``min_overlap`` shared bins is NaN, and so is a
     degenerate one whose overlap is constant on either side.  Because the

@@ -185,8 +185,7 @@ class Binning:
         """Mean per bin of the values added for map ``index``."""
         counts = self.occupancy
         sums = self._sums[index].reshape(self._shape)
-        with np.errstate(invalid="ignore"):
-            means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
         return RateMap(self.bin_size, self.origin_x, self.origin_y, means, counts)
 
     def disc_coverage(self, radius: float) -> float:
@@ -218,11 +217,11 @@ def spatial_autocorrelogram(rm: RateMap) -> Autocorrelogram:
     visited = rm.visited
     if int(visited.sum()) < 2:
         raise AnalysisError("autocorrelogram needs at least 2 visited bins")
-    vals = np.where(visited, rm.values, 0.0)
-    ny, nx = vals.shape
+    ny, nx = rm.values.shape
     out = np.empty((2 * ny - 1, 2 * nx - 1), dtype=np.float64)
+    # the kernel ignores whatever the unvisited bins hold (NaN here)
     autocorr(
-        np.ascontiguousarray(vals),
+        np.ascontiguousarray(rm.values),
         np.ascontiguousarray(visited),
         MIN_OVERLAP_BINS,
         out,

@@ -71,17 +71,17 @@ def write_trajectory_csv(path: str, log: EpisodeLog) -> None:
 
 def _trajectory_pieces(log: EpisodeLog) -> Iterator[str]:
     # Whole columns at a time, read through memoryviews as Python ints and
-    # floats; repr prints nan, inf and -0.0 of a float exactly as _fmt does.
-    # The tick column is the row index.  The rows are formatted lazily,
-    # ROWS_PER_PIECE at a time.
+    # floats; repr prints an int as str does, and nan, inf and -0.0 of a
+    # float exactly as _fmt does.  The tick column is the row index.  The
+    # rows are formatted lazily, ROWS_PER_PIECE at a time.
     cols = (
-        map(str, range(len(log))),
+        map(repr, range(len(log))),
         map(repr, memoryview(log.xs)),
         map(repr, memoryview(log.ys)),
         map(repr, memoryview(log.headings)),
         map(repr, memoryview(log.vibration)),
         map(repr, memoryview(log.x_color)),
-        map(str, memoryview(log.y_out)),
+        map(repr, memoryview(log.y_out)),
         map(repr, memoryview(log.w_color)),
     )
     rows = map(",".join, zip(*cols))
@@ -90,17 +90,13 @@ def _trajectory_pieces(log: EpisodeLog) -> Iterator[str]:
         yield "\n".join(block + [""])
 
 
-def _write_matrix_csv(path: str, format_id: str, header_meta: str, values: np.ndarray) -> None:
-    rows = (",".join(map(repr, memoryview(row))) + "\n" for row in values)
-    atomic_write(path, itertools.chain([f"# {format_id} {header_meta}\n"], rows))
-
-
 def write_ratemap_csv(path: str, rm: RateMap) -> None:
     meta = (
         f"rows={rm.values.shape[0]} cols={rm.values.shape[1]} "
         f"bin_size={_fmt(rm.bin_size)} origin_x={_fmt(rm.origin_x)} origin_y={_fmt(rm.origin_y)}"
     )
-    _write_matrix_csv(path, RATEMAP_FORMAT, meta, rm.values)
+    rows = (",".join(map(repr, memoryview(row))) + "\n" for row in rm.values)
+    atomic_write(path, itertools.chain([f"# {RATEMAP_FORMAT} {meta}\n"], rows))
 
 
 def write_autocorr_csv(path: str, ac: Autocorrelogram) -> None:
@@ -173,13 +169,3 @@ def read_summary(path: str) -> dict[str, str]:
             out[key.strip()] = val.strip()
     return out
 
-
-def read_matrix_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows, dtype=np.float64)

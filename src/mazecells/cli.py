@@ -54,7 +54,7 @@ def _job_count(n_points: int) -> int:
             raise ConfigurationError(f"{ENV_JOBS} must be >= 1, got {jobs}")
     else:
         jobs = os.cpu_count() or 1
-    return max(1, min(jobs, n_points))
+    return min(jobs, n_points)
 
 
 def _resolve_seed(rc: RunConfig, seed: int | None) -> int:
@@ -104,7 +104,10 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
                 rc.annulus_outer_scale * cell.spacing,
             )
         except AnalysisError:
-            score = float("nan")  # annulus beyond the map for very large spacings
+            # the annulus holds too few defined bins (it reaches past the map
+            # at a very large spacing), is constant, or keeps too few bins
+            # after a rotation (a short walk)
+            score = float("nan")
         metrics[f"gridness_{name}"] = score
         metrics[f"peak_to_mean_{name}"] = peak_to_mean(rm)
         metrics[f"halfmax_area_bins_{name}"] = halfmax_area_bins(rm)
@@ -123,7 +126,7 @@ def cmd_ratemap(config_path: str, out_dir: str, seed: int | None = None) -> str:
 def cmd_episode(config_path: str, mode: str, out_dir: str, seed: int | None = None) -> str:
     rc = load_config(config_path)
     # without --seed, episode_config takes [run] seed, and fails if there is none
-    ecfg = episode_config(rc, mode, seed=None if seed is None else _resolve_seed(rc, seed))
+    ecfg = episode_config(rc, mode, seed=None if seed is None else check_seed(seed, "--seed"))
     log = run_episode(ecfg)
     artifacts.write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), log)
     artifacts.write_summary(

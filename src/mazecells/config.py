@@ -405,7 +405,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -514,7 +514,7 @@ def _trained_weight(path: str) -> float:
 
     try:
         summary = artifacts.read_summary(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read train_summary {path}: {exc}") from exc
     if "final_w_color" not in summary:
         raise ConfigurationError(f"train_summary {path} has no final_w_color entry")

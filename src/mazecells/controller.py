@@ -128,7 +128,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     randomness is drawn up front from one PCG64 stream in a fixed layout
     (per tick: turn, wall-retry, three accelerometer axes, avoidance
     jitter as standard normals, then one uniform impulse direction), and
-    every tick consumes by index whether or not a value is used.
+    every tick consumes by index whether or not a value is used.  The last
+    tick moves too; nothing reads the pose after the loop.
 
     The loop reads the draws and writes the log columns through
     memoryviews of the numpy arrays: they hand out and take plain Python
@@ -162,7 +163,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     eta = circuit.eta
     vibration_threshold = circuit.vibration_threshold
     color_threshold = circuit.color_activation_threshold
-    last = T - 1
 
     xs = np.empty(T)
     ys = np.empty(T)
@@ -235,22 +235,21 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             w = oja_update(w_prev, xc, yt, eta)
         log_w[t] = w
 
-        if t < last:
-            if rising:
-                vib_active = vib >= vibration_threshold
-                color_active = xc * w_prev >= color_threshold
-                tb = _trigger_bearing(x, y, h, zones, wall_mids, vib_active, color_active)
-                h = wrap_angle(tb + math.pi + jitter_sigma * g_jitter[t])
-                escaping = True
-            else:
-                # The step right after a turn-in-place holds the commanded
-                # heading; wobbling it would let the walk linger in the
-                # zone it just turned away from.
-                x, y, h = walk_step(
-                    x, y, h, step, 0.0 if escaping else turn_sigma, radius,
-                    g_turn[t], g_retry[t],
-                )
-                escaping = False
+        if rising:
+            vib_active = vib >= vibration_threshold
+            color_active = xc * w_prev >= color_threshold
+            tb = _trigger_bearing(x, y, h, zones, wall_mids, vib_active, color_active)
+            h = wrap_angle(tb + math.pi + jitter_sigma * g_jitter[t])
+            escaping = True
+        else:
+            # The step right after a turn-in-place holds the commanded
+            # heading; wobbling it would let the walk linger in the
+            # zone it just turned away from.
+            x, y, h = walk_step(
+                x, y, h, step, 0.0 if escaping else turn_sigma, radius,
+                g_turn[t], g_retry[t],
+            )
+            escaping = False
         y_prev = yt
 
     return EpisodeLog(

@@ -10,11 +10,12 @@ import re
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazecells.artifacts import read_matrix_csv, read_summary
+from mazecells.artifacts import read_summary
 from mazecells.cli import main
 from mazecells.config import DEFAULT_LAYOUT, NUMBERED_KINDS, SCHEMA, build_ini
 
@@ -61,8 +62,8 @@ def test_ratemap_writes_expected_files(tmp_path, capsys):
     assert 0.0 < float(summary["coverage"]) <= 1.0
     assert "gridness_grid1" in summary
     assert (out / "ratemap_grid1.pgm").read_text().splitlines()[0] == "P2"
-    # the matrix round-trips through the reader
-    values = read_matrix_csv(str(out / "ratemap_grid1.csv"))
+    # the matrix parses as CSV below its # header
+    values = np.loadtxt(out / "ratemap_grid1.csv", delimiter=",")
     assert values.shape == (52, 52)  # 2 * 1.3 / 0.05 bins per side
 
 
@@ -151,6 +152,22 @@ def test_broken_train_summary_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and offender in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["config", "train_summary"])
+def test_file_that_is_not_utf8_exits_2_before_any_output(tmp_path, capsys, target):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"[run]\nseed = 1\n# \xff\n")
+    if target == "config":
+        cfg, argv = str(bad), ["ratemap"]
+    else:
+        cfg = write_cfg(tmp_path, FAST_RUN + f"[circuit]\ntrain_summary = {bad}\n")
+        argv = ["episode", "--mode", "test"]
+    out = tmp_path / "o"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {target} {bad}: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -357,16 +374,6 @@ def test_sweep_grid_and_seeds(tmp_path, monkeypatch):
     assert summary["parameters"] == "kappa;zeta"
 
 
-def test_sweep_identical_across_worker_counts(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, FAST_RUN + "[sweep]\nkappa = 1, 20\n")
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("MAZECELLS_JOBS", "1")
-    assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
-    monkeypatch.setenv("MAZECELLS_JOBS", "2")
-    assert main(["sweep", "--config", cfg, "--out", str(b)]) == 0
-    assert tree_bytes(a) == tree_bytes(b)
-
-
 def test_bad_jobs_env_exits_2(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, FAST_RUN + "[sweep]\nkappa = 1, 5\n")
     monkeypatch.setenv("MAZECELLS_JOBS", "zero")
@@ -424,32 +431,15 @@ def test_huge_tick_count_exits_2_before_any_output(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-def test_ratemap_memory_per_tick_stays_within_budget_at_a_low_place_threshold(tmp_path):
-    # An absolute bound on the traced peak of a 200k-tick run, 25.6 MB.  At a
-    # place threshold_fraction of 0.4 most ticks survive the place-cell
-    # cascade's first inputs, but ratemap decodes one block of
-    # _kernels.BLOCK ticks at a time, so at most one block's survivors are
-    # alive: the run peaks at about 3.8 MiB (4.6 MiB as a process's first
-    # run), and place_activity_at at about 2.8 MiB per block (2.3 MiB at
-    # the default 0.8), whatever the tick count.
-    ticks = 200_000
-    text = f"[run]\nseed = 1\ntick_count = {ticks}\n\n[place]\nthreshold_fraction = 0.4\n"
-    argv = ["ratemap", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "rm")]
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 * ticks
-
-
 @pytest.mark.parametrize("place", ["", "[place]\nthreshold_fraction = 0.4\n"], ids=["default", "low_place_threshold"])
 def test_ratemap_memory_does_not_grow_with_tick_count(tmp_path, place):
     # ratemap walks, decodes and bins _kernels.BLOCK ticks at a time, so
     # eight times the ticks must not raise its traced peak (3.3 MiB at the
     # default and 3.7 MiB at a place threshold_fraction of 0.4, at both
-    # sizes); the whole-array pipeline peaked 3.8x and 5.6x higher at 400k
+    # sizes); the whole-array pipeline peaked 3.8x and 5.6x higher at 400k.
+    # At 0.4 most ticks survive the place-cell cascade's first inputs, yet
+    # only one block's survivors are alive at a time.  The peak must also
+    # stay under an absolute 25.6 MB, 128 B per tick of a 200k-tick run.
     def peak(ticks):
         text = f"[run]\nseed = 1\ntick_count = {ticks}\n\n{place}"
         argv = ["ratemap", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / f"rm{ticks}")]
@@ -461,7 +451,9 @@ def test_ratemap_memory_does_not_grow_with_tick_count(tmp_path, place):
             tracemalloc.stop()
 
     peak(1000)  # once-per-process allocations (numpy's FFT caches) come first
-    assert peak(400_000) <= 1.1 * peak(50_000)
+    large = peak(400_000)
+    assert large <= 1.1 * peak(50_000)
+    assert large < 128 * 200_000
 
 
 @pytest.mark.parametrize("command", ["ratemap", "episode", "sweep"])

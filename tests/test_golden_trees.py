@@ -11,7 +11,8 @@ commands write.
   (``_kernels.BLOCK`` ticks) at a low place threshold;
 - a ``sweep`` run of ``golden_sweep.ini``, which must give the same
   digests with one worker process and with two, and with two under each
-  process start method.
+  process start method; the one- and two-worker trees must also match
+  each other in every file, the grid CSVs included.
 
 The grid cells' ``ratemap_grid*.csv`` and ``autocorr_grid*.csv`` are left
 out: their bits follow numpy's SIMD dispatch of ``np.arctan`` (ROADMAP
@@ -56,14 +57,15 @@ def file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def tree_digests(root: str, prefix: str) -> dict:
-    """Digests of every file under ``root`` but the dispatch-dependent
-    ones, keyed by ``prefix`` plus the file's path below ``root``."""
+def tree_digests(root: str, prefix: str, skip=DISPATCH_DEPENDENT) -> dict:
+    """Digests of every file under ``root`` but those whose name matches a
+    pattern of ``skip`` (by default the dispatch-dependent ones), keyed by
+    ``prefix`` plus the file's path below ``root``."""
     out = {}
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
         for name in sorted(filenames):
-            if not any(fnmatch.fnmatch(name, pattern) for pattern in DISPATCH_DEPENDENT):
+            if not any(fnmatch.fnmatch(name, pattern) for pattern in skip):
                 rel = os.path.relpath(os.path.join(dirpath, name), root).replace(os.sep, "/")
                 out[f"{prefix}/{rel}"] = file_digest(os.path.join(dirpath, name))
     return out
@@ -139,8 +141,14 @@ def test_sweep_trees_match_golden_at_one_and_two_workers(tmp_path):
     golden = load_golden("sweep")
     # per seed: sweep.csv, the summary and each of two points' six files
     assert len(golden) == (2 + 2 * 6) * len(SEEDS)
-    assert sweep_digests(str(tmp_path / "jobs1"), 1) == golden
-    assert sweep_digests(str(tmp_path / "jobs2"), 2) == golden
+    one, two = str(tmp_path / "jobs1"), str(tmp_path / "jobs2")
+    assert sweep_digests(one, 1) == golden
+    assert sweep_digests(two, 2) == golden
+    # every file, the dispatch-dependent grid CSVs included, is the same
+    # whichever process ran its point: per seed, each point adds 4 of them
+    every = tree_digests(one, "", skip=())
+    assert len(every) == len(golden) + 2 * 4 * len(SEEDS)
+    assert tree_digests(two, "", skip=()) == every
 
 
 # Python 3.14 makes forkserver the default on Linux; spawn is the default

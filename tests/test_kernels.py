@@ -14,13 +14,15 @@ place-cell cascade is checked against a plain left-to-right sum bit for
 bit, and its premise, that no computed rate exceeds the cell's rate at
 distance 0 plus a slack, over the whole parameter range.  The
 FFT autocorrelogram is checked at every lag against a per-lag, two-pass,
-long-double masked Pearson oracle, including which lags are NaN, and bit
-for bit against the Pearson step evaluated over the whole lag grid.
+long-double masked Pearson oracle, including which lags are NaN, bit
+for bit against the Pearson step evaluated over the whole lag grid, and
+bit for bit whatever its unvisited bins hold.
 """
 
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -815,3 +817,26 @@ def test_autocorr_property_bits_equal_full_grid(h, w, seed, visit_p, levels, min
     vals = rng.uniform(-1.0, 1.0) + rng.uniform(0.1, 10.0) * rng.integers(0, levels, (h, w))
     visited = rng.uniform(size=(h, w)) < visit_p
     _assert_autocorr_bits_equal_full_grid(vals, visited, min_overlap)
+
+
+@pytest.mark.parametrize("fill", ["nan", "inf", "-inf", "random"])
+def test_autocorr_ignores_what_unvisited_bins_hold(fill):
+    # the kernel alone keeps unvisited bins out of every sum:
+    # spatial_autocorrelogram hands it a rate map's NaNs as they are
+    rng = np.random.default_rng(13)
+    for shape, min_overlap in (((14, 11), 20), ((20, 20), 20), ((1, 9), 3)):
+        vals = rng.normal(size=shape)
+        visited = rng.uniform(size=shape) > 0.25
+        if fill == "random":
+            other = 1e308 * rng.uniform(-1.0, 1.0, size=shape)
+        else:
+            other = np.full(shape, float(fill))
+        h, w = shape
+        want = np.empty((2 * h - 1, 2 * w - 1))
+        got = np.empty_like(want)
+        autocorr(np.where(visited, vals, 0.0), visited, min_overlap, want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            autocorr(np.where(visited, vals, other), visited, min_overlap, got)
+        assert np.isfinite(want).sum() > 1, shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
