@@ -32,9 +32,10 @@ one premise, that no computed rate exceeds the input's rate at distance
 sum.
 
 The autocorrelogram is the masked normalized cross-correlation of
-Padfield (IEEE TIP 2012), computed with ``numpy.fft``; an overlap counts as
-constant, and its lag as NaN, when its variance term is at most
-:data:`DEGENERATE_RTOL` times ``n * sum(a**2)`` of the whole centred map.
+Padfield (IEEE TIP 2012), computed with ``numpy.fft`` one spectrum at a
+time; an overlap counts as constant, and its lag as NaN, when its
+variance term is at most :data:`DEGENERATE_RTOL` times ``n * sum(a**2)``
+of the whole centred map.
 """
 
 from __future__ import annotations
@@ -456,9 +457,14 @@ def autocorr(vals, visited, min_overlap, out):
     Padfield, "Masked Object Registration in the Fourier Domain", IEEE TIP
     2012.  Three forward and four inverse real FFTs replace the O(h^2 w^2)
     direct sum; the sums of the unshifted side are the lag-negated sums of
-    the shifted side.  Centring keeps the roundoff of near-flat maps small
-    (Pearson itself does not change under a shift).  Whatever an unvisited
-    bin of ``vals`` holds (NaN, inf or any number) changes no bit of ``out``.
+    the shifted side.  They run one spectrum at a time, and each sum's lags
+    are gathered as soon as it is inverted, so no temporary outgrows one
+    padded half-spectrum: a stack of them, over 1 MB for a 104 x 104 map,
+    sits above glibc's mmap threshold and would be mapped and faulted in
+    page by page on every map.  Centring keeps the roundoff of near-flat maps
+    small (Pearson itself does not change under a shift).  Whatever an
+    unvisited bin of ``vals`` holds (NaN, inf or any number) changes no bit
+    of ``out``.
 
     A lag with fewer than ``min_overlap`` shared bins is NaN, and so is a
     degenerate one whose overlap is constant on either side.  Because the
@@ -473,27 +479,38 @@ def autocorr(vals, visited, min_overlap, out):
     """
     h, w = vals.shape
     nv = int(visited.sum())
-    m = visited.astype(np.float64)
     mean = float(vals[visited].mean()) if nv else 0.0
     a = np.where(visited, vals - mean, 0.0)
     shape = (_fft_size(2 * h - 1), _fft_size(2 * w - 1))
-    fm, fa, fa2 = np.fft.rfft2(np.stack([m, a, a * a]), s=shape)
-    cm = np.conj(fm)
-    c = np.fft.irfft2(np.stack([fm * cm, fa * cm, fa2 * cm, fa * np.conj(fa)]), s=shape)
     # lag d sits at index d mod shape; gather the lags -(h-1)..h-1, -(w-1)..w-1
     rows = np.arange(-(h - 1), h) % shape[0]
     cols = np.arange(-(w - 1), w) % shape[1]
     # only the rows dy >= 0 (index h-1 on) are written from the sums; sa and
     # saa also give the unshifted side of lag d: the shifted side of -d.
     # Rows, then columns: two 1-d gathers run faster than one 2-d one.
-    n, sab = c[::3, rows[h - 1 :]][..., cols]
-    sa, saa = c[1:3, rows][..., cols]
+    def lags(spectrum, kept_rows):
+        return np.fft.irfft2(spectrum, s=shape)[kept_rows][:, cols]
+
+    # Each product keeps its operands in this order: above 256 KiB numpy
+    # evaluates `fa * np.conj(fa)` in place in the conj temporary, and with
+    # fused multiply-adds the other order rounds differently.
+    fm = np.fft.rfft2(visited.astype(np.float64), s=shape)
+    cm = np.conj(fm)
+    n = lags(fm * cm, rows[h - 1 :])
+    del fm
+    fa = np.fft.rfft2(a, s=shape)
+    sa = lags(fa * cm, rows)
+    sab = lags(fa * np.conj(fa), rows[h - 1 :])
+    del fa
+    aa = a * a
+    saa = lags(np.fft.rfft2(aa, s=shape) * cm, rows)
+    del cm
     sb = sa[h - 1 :: -1, ::-1]
     sbb = saa[h - 1 :: -1, ::-1]
     n, sa, saa = np.rint(n), sa[h - 1 :], saa[h - 1 :]
     va = n * saa - sa * sa
     vb = n * sbb - sb * sb
-    floor = DEGENERATE_RTOL * n * float((a * a).sum())
+    floor = DEGENERATE_RTOL * n * float(aa.sum())
     ok = (n >= min_overlap) & (va > floor) & (vb > floor)
     r = (n * sab - sa * sb) / np.sqrt(np.where(ok, va * vb, 1.0))
     out[h - 1 :] = np.where(ok, r, np.nan)

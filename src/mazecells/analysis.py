@@ -8,8 +8,9 @@ integer-bin lag over mutually visited bins, computed for all lags at once
 from FFT cross-correlations of the visited mask and the centred map (the
 masked normalized cross-correlation of Padfield, "Masked Object
 Registration in the Fourier Domain", IEEE TIP 2012; see
-``_kernels.autocorr``).  A lag whose overlap is constant up to FFT
-roundoff (variance term at most ``_kernels.DEGENERATE_RTOL`` times
+``_kernels.autocorr``), one spectrum at a time so that no temporary
+outgrows one padded half-spectrum.  A lag whose overlap is constant up to
+FFT roundoff (variance term at most ``_kernels.DEGENERATE_RTOL`` times
 ``n * sum(a**2)`` of the whole centred map) is NaN.  The autocorrelogram
 is its own mirror under lag negation, so only the lags dy >= 0 are
 computed; the other half is copied, and ``artifacts.write_autocorr_csv``
@@ -31,18 +32,20 @@ from .spatialcells import ConfigurationError
 
 MIN_OVERLAP_BINS = 20
 
-# Peak memory of a map analysis grows by about 1 KiB per bin of the map at
-# most.  The (2n-1) x (2n-1) lag grid of an n x n map has 4 lags per bin:
-# the autocorrelogram peaks near 580 B per map bin (three forward and four
-# inverse FFTs of 8-byte floats on a grid padded past (2n-1)^2, the
-# gathered lag sums, the half-grid Pearson step and the output), gridness
-# near 280 B (the lag-grid distance and annulus masks; its per-rotation
-# temporaries are annulus-sized) and the rate map itself near 40 B
-# (tracemalloc peaks on a 128 x 128 map).  A run's Binning adds 8 B per bin
-# for the counts and for each map's sums.  A whole `ratemap` run at 100k
-# ticks peaks about 800 B per bin higher at 256 x 256 than at 128 x 128
-# (resident set size).  The bound caps a map near 2**24 bins * 1 KiB =
-# 16 GiB.
+# Peak memory of a map analysis grows by under 1 KiB per bin of the map.
+# The (2n-1) x (2n-1) lag grid of an n x n map has 4 lags per bin.  The
+# autocorrelogram peaks near 250 B per map bin: it transforms one spectrum
+# at a time, so beside its output, the gathered lag sums and the half-grid
+# Pearson step it holds only a few arrays the size of one padded
+# half-spectrum.  Gridness peaks near 55 B at ratemap's default annulus
+# (the lag-grid distances and annulus masks), but its per-rotation
+# temporaries grow with the annulus, to near 770 B when it spans the whole
+# lag grid.  The rate map itself is near 40 B (tracemalloc peaks on a
+# 128 x 128 map).  A run's Binning adds 8 B per bin for the counts and for
+# each map's sums.  A whole `ratemap` run at 100k ticks peaks about 390 B
+# per bin higher at 256 x 256 than at 128 x 128, and about 720 B higher
+# with an annulus that spans the lag grid (resident set size).  The bound
+# caps a map near 2**24 bins * 1 KiB = 16 GiB.
 MAX_MAP_SIDE = 2**12
 
 
@@ -294,8 +297,7 @@ def gridness(ac: Autocorrelogram, inner_radius: float, outer_radius: float) -> f
     vals = ac.values
     ny, nx = vals.shape
     cy, cx = ac.center
-    jj, ii = np.meshgrid(np.arange(nx), np.arange(ny))
-    dist = np.hypot(jj - cx, ii - cy) * ac.bin_size
+    dist = np.hypot(np.arange(nx) - cx, (np.arange(ny) - cy)[:, None]) * ac.bin_size
     annulus = (dist >= inner_radius) & (dist <= outer_radius) & np.isfinite(vals)
     if int(annulus.sum()) < MIN_OVERLAP_BINS:
         raise AnalysisError(

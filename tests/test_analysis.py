@@ -4,9 +4,11 @@ The autocorrelogram is cross-checked against a direct numpy Pearson
 computation on masked overlaps; gridness against synthetic fields with
 known symmetry (hexagonal > 0, radially symmetric <= 0, noise ~ 0), and
 bit for bit against resampling every lag of the grid at each rotation.
+Both keep their traced peak memory per map bin under a pinned bound.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -308,6 +310,36 @@ def test_autocorr_needs_two_visited_bins():
         spatial_autocorrelogram(rm)
 
 
+def fine_rate_map():
+    """A 128 x 128 map of a 0.4 m-spacing grid cell at ratemap-fine's bin
+    size, 0.025 m, with one bin in ten unvisited."""
+    side, bin_size = 128, 0.025
+    half = side * bin_size / 2.0
+    xs = -half + bin_size * (np.arange(side) + 0.5)
+    xx, yy = np.meshgrid(xs, xs)
+    pos = np.column_stack([xx.ravel(), yy.ravel()])
+    keep = np.random.default_rng(43).uniform(size=pos.shape[0]) >= 0.1
+    pos = pos[keep]
+    vals = rates_at(pos, GridCellParams(0.4, 0.3, 0.1, 0.2), FiringParams())
+    return rate_map(pos, vals, bin_size, (-half, half, -half, half))
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_autocorr_peak_memory_per_map_bin():
+    # one padded half-spectrum at a time: the stacked spectra and sums
+    # peaked near 564 B per map bin, one spectrum at a time near 250 B
+    rm = fine_rate_map()
+    assert _traced_peak(spatial_autocorrelogram, rm) < 400 * rm.values.size
+
+
 # ---------------------------------------------------------------------------
 # gridness
 # ---------------------------------------------------------------------------
@@ -427,6 +459,15 @@ def test_gridness_errors_match_full_grid():
         with pytest.raises(AnalysisError) as want:
             _gridness_full_grid(ac, inner, outer)
         assert str(got.value) == str(want.value)
+
+
+def test_gridness_peak_memory_per_map_bin():
+    # the lag distances broadcast from a row and a column; two int64
+    # meshgrids and their offsets peaked near 167 B per map bin.  The
+    # annulus is ratemap's default, 0.5 to 1.5 spacings.
+    rm = fine_rate_map()
+    ac = spatial_autocorrelogram(rm)
+    assert _traced_peak(gridness, ac, 0.2, 0.6) < 100 * rm.values.size
 
 
 def test_nearest_peak_angles_hexagonal():

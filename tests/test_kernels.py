@@ -15,8 +15,9 @@ bit, and its premise, that no computed rate exceeds the cell's rate at
 distance 0 plus a slack, over the whole parameter range.  The
 FFT autocorrelogram is checked at every lag against a per-lag, two-pass,
 long-double masked Pearson oracle, including which lags are NaN, bit
-for bit against the Pearson step evaluated over the whole lag grid, and
-bit for bit whatever its unvisited bins hold.
+for bit against stacked transforms and the Pearson step evaluated over
+the whole lag grid, up to 208 x 208 maps, and bit for bit whatever its
+unvisited bins hold.
 """
 
 import itertools
@@ -801,6 +802,18 @@ def test_autocorr_bits_equal_full_grid_on_random_masked_maps():
     vals = rng.normal(size=(8, 10))
     for min_overlap in (20, 21):
         _assert_autocorr_bits_equal_full_grid(vals, np.ones(vals.shape, dtype=bool), min_overlap)
+    # Maps of real size.  The kernel inverts one spectrum at a time where
+    # the reference inverts a stack; the bits match only while every
+    # spectrum product keeps its operands in the same order.  Above 256 KiB
+    # numpy evaluates `fa * np.conj(fa)` in place in the conj temporary, and
+    # with fused multiply-adds the imaginary part of conj(fa) * fa rounds
+    # differently.  A 52 x 52 map's half-spectra sit below that size, a
+    # 104 x 104 map's above it; 37 x 61 is not square and 13 x 13 pads
+    # to an odd side, 25.
+    rng = np.random.default_rng(29)
+    for shape in ((52, 52), (104, 104), (208, 208), (37, 61), (13, 13)):
+        vals = rng.normal(size=shape)
+        _assert_autocorr_bits_equal_full_grid(vals, rng.uniform(size=shape) > 0.2, 20)
 
 
 @given(
