@@ -17,12 +17,13 @@ holds a point (Conway & Sloane, IEEE Trans. IT 1982); the exhaustive
 :func:`brute_force` scan is its independent oracle.  The corner arithmetic
 is written once, in :func:`_corners`, which works in rows of one scratch
 array.  :func:`nearest_batch` keeps the winning node and index of each
-point; :func:`rates_batch` keeps only the smallest squared distance and
-walks the points in blocks of :data:`BLOCK`, sized so that the scratch
-rows of one block stay in a 2 MiB per-core L2 cache (16384 points ran
-fastest of 2k to 32k and unblocked on such a host; every block size gives
-the same bits).  The ``ratemap`` pipeline walks, decodes and bins a run in
-blocks of the same size, so a run's memory does not grow with its ticks.
+point; :func:`rates_batch` keeps only the smallest squared distance.  Both
+scan their points in sub-blocks of :data:`SCAN_BLOCK`, so one scratch
+array of 448 KiB serves every call, whatever its length, and stays in a
+2 MiB per-core L2 cache with the sub-block's inputs and outputs (every
+sub-block size gives the same bits).  The ``ratemap`` pipeline walks,
+decodes and bins a run in blocks of :data:`BLOCK` ticks, so a run's
+memory does not grow with its ticks.
 
 The place-cell ensemble, :func:`ensemble_batch`, is an exact attentional
 cascade: each grid input is decoded, through :func:`rates_batch`, only on
@@ -137,10 +138,17 @@ def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
 # Rows of the scratch array _corners works in.
 SCRATCH_ROWS = 14
 
-# Points per block of rates_batch, and ticks per block of the ratemap
-# pipeline: the SCRATCH_ROWS rows of a block of 16384 points (1.75 MiB)
-# fit a 2 MiB per-core L2 cache.
+# Ticks per block of the ratemap pipeline's walk, decode and binning; a
+# block this long amortizes the fixed cost of each numpy call.
 BLOCK = 16384
+
+# Points per sub-block of the 4-corner scan in nearest_batch and
+# rates_batch: the SCRATCH_ROWS rows of 4096 points (448 KiB) stay in a
+# 2 MiB per-core L2 cache beside the sub-block's inputs and outputs, where
+# a whole block's 1.75 MiB did not.  A process running three 200k-tick
+# ratemaps peaked at 38.4, 38.9 and 40.0 MB resident with sub-blocks of
+# 4096, 8192 and 16384 points; 2048 saved 0.3 MB more for twice the calls.
+SCAN_BLOCK = 4096
 
 
 def _corners(px, py, b1x, b1y, b2x, b2y, offx, offy, s):
@@ -204,27 +212,37 @@ def nearest_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni):
     two end nodes are corners of both.  The corners are scanned in
     lexicographic order with a strict ``<`` and a running minimum, so ties
     on squared distance keep the lexicographically smallest (m, n), as an
-    exhaustive scan does.
+    exhaustive scan does.  The points are scanned :data:`SCAN_BLOCK` at a
+    time, so the scratch does not grow with the input.
     """
-    best = np.full(px.shape, np.inf)
-    bm = np.zeros(px.shape)
-    bn = np.zeros(px.shape)
-    s = np.empty((SCRATCH_ROWS, px.shape[0]))
-    take = np.empty(px.shape, dtype=bool)
-    # the node (0, 0) with bm = bn = 0, kept where every corner's squared
-    # distance overflows to inf (finite points beyond about 1e154)
-    cx.fill(offx)
-    cy.fill(offy)
-    for fm, fn, nx, ny, d2 in _corners(px, py, b1x, b1y, b2x, b2y, offx, offy, s):
-        np.less(d2, best, out=take)
-        np.copyto(best, d2, where=take)
-        np.copyto(bm, fm, where=take)
-        np.copyto(bn, fn, where=take)
-        np.copyto(cx, nx, where=take)
-        np.copyto(cy, ny, where=take)
-    d[:] = np.sqrt(best)
-    mi[:] = bm
-    ni[:] = bn
+    n = px.shape[0]
+    s = np.empty((SCRATCH_ROWS, min(n, SCAN_BLOCK)))
+    keep = np.empty((3, s.shape[1]))
+    take = np.empty(s.shape[1], dtype=bool)
+    for lo in range(0, n, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, n)
+        best, bm, bn = keep[:, : hi - lo]
+        t = take[: hi - lo]
+        # the node (0, 0) with bm = bn = 0, kept where every corner's squared
+        # distance overflows to inf (finite points beyond about 1e154)
+        best.fill(np.inf)
+        bm.fill(0.0)
+        bn.fill(0.0)
+        bx = cx[lo:hi]
+        by = cy[lo:hi]
+        bx.fill(offx)
+        by.fill(offy)
+        corners = _corners(px[lo:hi], py[lo:hi], b1x, b1y, b2x, b2y, offx, offy, s[:, : hi - lo])
+        for fm, fn, nx, ny, d2 in corners:
+            np.less(d2, best, out=t)
+            np.copyto(best, d2, where=t)
+            np.copyto(bm, fm, where=t)
+            np.copyto(bn, fn, where=t)
+            np.copyto(bx, nx, where=t)
+            np.copyto(by, ny, where=t)
+        d[lo:hi] = np.sqrt(best)
+        mi[lo:hi] = bm
+        ni[lo:hi] = bn
 
 
 def firing_raw(d, spacing, kappa, zeta):
@@ -241,17 +259,17 @@ def firing_normalized(raw):
 def rates_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, spacing, kappa, zeta, out):
     """Normalized firing rate at each point's nearest-node distance.
 
-    Walks the points in blocks of :data:`BLOCK`, running the 4-corner scan
-    of :func:`_corners` in one scratch array for all blocks and keeping
-    only the smallest squared distance.  Tied squared distances have equal
-    bits, so this minimum is the one the strict-``<`` scan of
-    :func:`nearest_batch` returns; ``fmin`` skips a NaN as that scan does.
-    ``px``, ``py`` may be strided views.
+    Walks the points in sub-blocks of :data:`SCAN_BLOCK`, running the
+    4-corner scan of :func:`_corners` in one scratch array for all of them
+    and keeping only the smallest squared distance.  Tied squared
+    distances have equal bits, so this minimum is the one the strict-``<``
+    scan of :func:`nearest_batch` returns; ``fmin`` skips a NaN as that
+    scan does.  ``px``, ``py`` may be strided views.
     """
     n = px.shape[0]
-    s = np.empty((SCRATCH_ROWS, min(n, BLOCK)))
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
+    s = np.empty((SCRATCH_ROWS, min(n, SCAN_BLOCK)))
+    for lo in range(0, n, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, n)
         d = out[lo:hi]
         d.fill(np.inf)
         corners = _corners(px[lo:hi], py[lo:hi], b1x, b1y, b2x, b2y, offx, offy, s[:, : hi - lo])
@@ -327,7 +345,9 @@ def survival_thresholds(caps, threshold) -> list[float]:
 # finishing that many decodes in one call costs at most about twice what
 # further drops could save, and saves a call per remaining input.  A
 # 16384-tick block of the default place cell keeps about 20 points after
-# its second input.
+# its second input.  It must not exceed SCAN_BLOCK: the finish call's
+# per-point lattice arguments line up with its points only inside one
+# sub-block of the scan.
 FINISH_POINTS = 1024
 
 
@@ -387,8 +407,9 @@ def ensemble_batch(px, py, cells, thresholds, total, out):
         m, k = px.shape[0], len(rest)
         if 0 < m * k <= FINISH_POINTS:
             # the survivors tiled once per remaining input, each copy with
-            # its input's arguments; at most FINISH_POINTS <= BLOCK points,
-            # so rates_batch runs them as one block and the arguments line up
+            # its input's arguments; at most FINISH_POINTS <= SCAN_BLOCK
+            # points, so rates_batch scans them as one sub-block and the
+            # arguments line up
             args = np.repeat(np.asarray(rest, dtype=np.float64).T, m, axis=1)
             rate = np.empty(k * m)
             rates_batch(np.tile(px, k), np.tile(py, k), *args, rate)

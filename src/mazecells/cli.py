@@ -10,7 +10,6 @@ out over worker processes; MAZECELLS_JOBS caps the worker count
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import time
@@ -176,6 +175,11 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None) -> str:
     if jobs == 1:
         rows = [_sweep_worker(t) for t in tasks]
     else:
+        # Imported only here, so that a ratemap or episode run loads neither
+        # the pool nor the logging it imports.  ProcessPoolExecutor is looked
+        # up on the module, where a caller may patch it.
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     artifacts.write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)

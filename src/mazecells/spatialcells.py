@@ -100,8 +100,8 @@ def check_spacing(v: float, name: str) -> None:
 # a time, so its text adds no per-tick memory.  tracemalloc peaks at 105 B
 # per tick for `episode` at 400k and at 1M ticks.  `ratemap` and each
 # `sweep` point walk, decode and bin _kernels.BLOCK ticks at a time, so
-# their peak does not grow with the tick count: 3.3 MiB at 50k and at 400k
-# ticks, 3.7 MiB with a place threshold_fraction of 0.4.  The bound caps
+# their peak does not grow with the tick count: 1.78 MiB at 50k and at
+# 400k ticks, 2.26 MiB with a place threshold_fraction of 0.4.  The bound caps
 # an episode near 2**26 ticks * 128 B = 8 GiB.
 MAX_TICK_COUNT = 2**26
 

@@ -470,6 +470,16 @@ def test_gridness_peak_memory_per_map_bin():
     assert _traced_peak(gridness, ac, 0.2, 0.6) < 100 * rm.values.size
 
 
+def test_gridness_peak_memory_at_a_whole_lag_annulus():
+    # an annulus over the whole lag grid, about 4 lags per map bin: the
+    # rotations resample in place in a few lag-sized arrays (about 400 B
+    # per map bin), where two dozen temporaries per rotation peaked near
+    # 770 B
+    rm = fine_rate_map()
+    ac = spatial_autocorrelogram(rm)
+    assert _traced_peak(gridness, ac, 1e-3, 100.0) < 500 * rm.values.size
+
+
 def test_nearest_peak_angles_hexagonal():
     ac = spatial_autocorrelogram(hex_rate_map())
     angles = nearest_peak_angles(ac)

@@ -7,6 +7,8 @@ disk, not parsed values, since identical reruns must match exactly.
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -431,15 +433,21 @@ def test_huge_tick_count_exits_2_before_any_output(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.parametrize("place", ["", "[place]\nthreshold_fraction = 0.4\n"], ids=["default", "low_place_threshold"])
-def test_ratemap_memory_does_not_grow_with_tick_count(tmp_path, place):
+@pytest.mark.parametrize(
+    "place, bound",
+    [("", 2.5 * 2**20), ("[place]\nthreshold_fraction = 0.4\n", 3.0 * 2**20)],
+    ids=["default", "low_place_threshold"],
+)
+def test_ratemap_memory_does_not_grow_with_tick_count(tmp_path, place, bound):
     # ratemap walks, decodes and bins _kernels.BLOCK ticks at a time, so
-    # eight times the ticks must not raise its traced peak (3.3 MiB at the
-    # default and 3.7 MiB at a place threshold_fraction of 0.4, at both
+    # eight times the ticks must not raise its traced peak (1.78 MiB at the
+    # default and 2.26 MiB at a place threshold_fraction of 0.4, at both
     # sizes); the whole-array pipeline peaked 3.8x and 5.6x higher at 400k.
     # At 0.4 most ticks survive the place-cell cascade's first inputs, yet
-    # only one block's survivors are alive at a time.  The peak must also
-    # stay under an absolute 25.6 MB, 128 B per tick of a 200k-tick run.
+    # only one block's survivors are alive at a time.  The corner scan of
+    # the decode runs _kernels.SCAN_BLOCK points at a time, so the peak also
+    # stays under an absolute bound (3.37 and 3.76 MiB when the scan took a
+    # whole block at once).
     def peak(ticks):
         text = f"[run]\nseed = 1\ntick_count = {ticks}\n\n{place}"
         argv = ["ratemap", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / f"rm{ticks}")]
@@ -453,7 +461,19 @@ def test_ratemap_memory_does_not_grow_with_tick_count(tmp_path, place):
     peak(1000)  # once-per-process allocations (numpy's FFT caches) come first
     large = peak(400_000)
     assert large <= 1.1 * peak(50_000)
-    assert large < 128 * 200_000
+    assert large < bound
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a pooled sweep imports concurrent.futures (and with it logging);
+    # a fresh interpreter shows what importing the CLI loads
+    import mazecells
+
+    src = os.path.dirname(os.path.dirname(mazecells.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, mazecells.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["ratemap", "episode", "sweep"])

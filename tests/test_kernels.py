@@ -7,9 +7,11 @@ rate matches the scalar formula bitwise at the brute-force node
 distances.  The 4-corner decode is
 checked bitwise against the exhaustive ``brute_force`` scan at exact
 nodes, edge midpoints and triangle circumcentres (2- and 3-way ties) and
-at points a few ulps off them.  The blocked firing-rate scan equals the
-firing formula at the brute-force distances across block boundaries, on
-strided position views, and in a bounded amount of scratch memory.  The
+at points a few ulps off them.  The firing-rate scan equals the firing
+formula at the brute-force distances, and the decode the brute-force
+nodes, across the seams of the ratemap block and of the corner scan's
+sub-blocks; the scan also holds on strided position views and in a
+bounded amount of scratch memory.  The
 place-cell cascade is checked against a plain left-to-right sum bit for
 bit, and its premise, that no computed rate exceeds the cell's rate at
 distance 0 plus a slack, over the whole parameter range.  The
@@ -36,6 +38,7 @@ from mazecells._kernels import (
     BLOCK,
     DEGENERATE_RTOL,
     RATE_CAP_SLACK,
+    SCAN_BLOCK,
     TWO_PI,
     _fft_size,
     autocorr,
@@ -330,11 +333,20 @@ def test_rates_batch_matches_scalar_firing_formula():
         assert out[i] == normalized_rate(raw_firing(d, g, fp))
 
 
-def test_rates_exact_across_block_boundaries():
+# the seams of the ratemap block and of the corner scan's sub-blocks
+_SEAMS = (
+    0, 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
+    BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + SCAN_BLOCK + 1,
+)
+
+
+@pytest.fixture(scope="module")
+def seam_case():
+    """A dyadic lattice with exact 2-way ties, 2 * BLOCK + 7 points on it,
+    tie points mixed in, and their brute-force decode (cx, cy, d, m, n)."""
     # spacing 2, orientation 0 and phases (pi/2, pi) give the dyadic lattice
     # of the lexicographic tie test, so exact 2-way ties occur
     g = GridCellParams(2.0, 0.0, math.pi / 2.0, math.pi)
-    fp = FiringParams(5.0, 0.3)
     b = _basis(g)
     assert b == _lattice(2.0, 0.0, 0.25, 0.5)
     rng = np.random.default_rng(29)
@@ -346,15 +358,31 @@ def test_rates_exact_across_block_boundaries():
     py = np.concatenate([ty, u[0] * b[1] + u[1] * b[3] + b[5]])
     order = rng.permutation(total)
     px, py = px[order], py[order]
-    _, want = _decode_all(px, py, b, 16)
+    want = [np.empty(total), np.empty(total), np.empty(total), np.empty(total, np.int64), np.empty(total, np.int64)]
+    brute_force(px, py, *b, 16, *want)
+    return g, b, px, py, want
+
+
+def test_rates_exact_across_block_boundaries(seam_case):
+    g, b, px, py, want = seam_case
+    fp = FiringParams(5.0, 0.3)
     expected = firing_normalized(firing_raw(want[2], g.spacing, fp.kappa, fp.zeta))
-    for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, total):
+    for n in _SEAMS + (px.size,):
         out = np.full(n, np.nan)
         rates_batch(px[:n], py[:n], *b, g.spacing, fp.kappa, fp.zeta, out)
         at = rates_at(np.column_stack([px[:n], py[:n]]), g, fp)
         assert at.shape == (n,)
         for got in (out, at):
             assert np.array_equal(got.view(np.uint8), expected[:n].view(np.uint8)), n
+
+
+def test_nearest_exact_across_block_boundaries(seam_case):
+    _, b, px, py, want = seam_case
+    for n in _SEAMS + (px.size,):
+        got = [np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan), np.full(n, -99), np.full(n, -99)]
+        nearest_batch(px[:n], py[:n], *b, *got)
+        for g, w in zip(got, want):  # bitwise, sign of zero included
+            assert np.array_equal(g.view(np.uint8), w[:n].view(np.uint8)), n
 
 
 def test_rates_at_strided_views_match_contiguous_copy():
@@ -369,17 +397,23 @@ def test_rates_at_strided_views_match_contiguous_copy():
 
 
 def test_rates_at_peak_memory_is_a_few_outputs():
-    # the decode runs in blocks with one scratch array, so its peak does
-    # not grow with a dozen full-length temporaries per call
-    poses = np.random.default_rng(37).uniform(-1.3, 1.3, (200_000, 3))
+    # the corner scan runs SCAN_BLOCK points at a time in one scratch array,
+    # so the peak is the output plus a scratch that does not grow with the
+    # call: a ratemap block of BLOCK points peaks near 0.66 MiB, where a
+    # whole block's scratch peaked at 2.25 MiB
     g = GridCellParams(0.7, 0.4, 1.1, 2.9)
-    tracemalloc.start()
-    try:
-        out = rates_at(poses[:, :2], g, FiringParams(5.0, 0.3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * out.nbytes
+
+    def peak(n):
+        poses = np.random.default_rng(37).uniform(-1.3, 1.3, (n, 3))
+        tracemalloc.start()
+        try:
+            rates_at(poses[:, :2], g, FiringParams(5.0, 0.3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200_000) < 3 * 200_000 * 8
+    assert peak(BLOCK) < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +631,8 @@ def test_ensemble_finishes_few_survivors_in_one_decode(monkeypatch):
     monkeypatch.undo()
     assert len(sizes) == 3 and sizes[0] == BLOCK and sizes[2] % 6 == 0
     assert 0 < sizes[2] <= _kernels.FINISH_POINTS
+    # the finish call's per-point arguments line up only inside one sub-block
+    assert _kernels.FINISH_POINTS <= _kernels.SCAN_BLOCK
     assert np.array_equal(got, _reference_activity(px, py, cells, 6.4)[0])
     assert got.sum() > 0
 
