@@ -17,8 +17,8 @@ holds a point (Conway & Sloane, IEEE Trans. IT 1982); the exhaustive
 :func:`brute_force` scan is its independent oracle.  The corner arithmetic
 is written once, in :func:`_corners`, which works in rows of one scratch
 array.  :func:`nearest_batch` keeps the winning node and index of each
-point; :func:`rates_batch` keeps only the smallest squared distance.  Both
-scan their points in sub-blocks of :data:`SCAN_BLOCK`, so one scratch
+point; :func:`rates_batch` keeps only the smallest squared distance and
+scans the points in sub-blocks of :data:`SCAN_BLOCK`, so one scratch
 array of 448 KiB serves every call, whatever its length, and stays in a
 2 MiB per-core L2 cache with the sub-block's inputs and outputs (every
 sub-block size gives the same bits).  The ``ratemap`` pipeline walks,
@@ -139,15 +139,16 @@ def walk_loop(x0, y0, h0, step, turn_sigma, radius, z_turn, z_retry, out):
 SCRATCH_ROWS = 14
 
 # Ticks per block of the ratemap pipeline's walk, decode and binning; a
-# block this long amortizes the fixed cost of each numpy call.
+# block this long amortizes the fixed cost of each numpy call: blocks of
+# SCAN_BLOCK ticks ran ratemap-long 13% slower (perfbench, 2-CPU VM).
 BLOCK = 16384
 
-# Points per sub-block of the 4-corner scan in nearest_batch and
-# rates_batch: the SCRATCH_ROWS rows of 4096 points (448 KiB) stay in a
-# 2 MiB per-core L2 cache beside the sub-block's inputs and outputs, where
-# a whole block's 1.75 MiB did not.  A process running three 200k-tick
-# ratemaps peaked at 38.4, 38.9 and 40.0 MB resident with sub-blocks of
-# 4096, 8192 and 16384 points; 2048 saved 0.3 MB more for twice the calls.
+# Points per sub-block of the 4-corner scan in rates_batch: the
+# SCRATCH_ROWS rows of 4096 points (448 KiB) stay in a 2 MiB per-core L2
+# cache beside the sub-block's inputs and outputs, where a whole block's
+# 1.75 MiB did not.  A process running three 200k-tick ratemaps peaked at
+# 38.4, 38.9 and 40.0 MB resident with sub-blocks of 4096, 8192 and 16384
+# points; 2048 saved 0.3 MB more for twice the calls.
 SCAN_BLOCK = 4096
 
 
@@ -212,37 +213,27 @@ def nearest_batch(px, py, b1x, b1y, b2x, b2y, offx, offy, cx, cy, d, mi, ni):
     two end nodes are corners of both.  The corners are scanned in
     lexicographic order with a strict ``<`` and a running minimum, so ties
     on squared distance keep the lexicographically smallest (m, n), as an
-    exhaustive scan does.  The points are scanned :data:`SCAN_BLOCK` at a
-    time, so the scratch does not grow with the input.
+    exhaustive scan does.
     """
-    n = px.shape[0]
-    s = np.empty((SCRATCH_ROWS, min(n, SCAN_BLOCK)))
-    keep = np.empty((3, s.shape[1]))
-    take = np.empty(s.shape[1], dtype=bool)
-    for lo in range(0, n, SCAN_BLOCK):
-        hi = min(lo + SCAN_BLOCK, n)
-        best, bm, bn = keep[:, : hi - lo]
-        t = take[: hi - lo]
-        # the node (0, 0) with bm = bn = 0, kept where every corner's squared
-        # distance overflows to inf (finite points beyond about 1e154)
-        best.fill(np.inf)
-        bm.fill(0.0)
-        bn.fill(0.0)
-        bx = cx[lo:hi]
-        by = cy[lo:hi]
-        bx.fill(offx)
-        by.fill(offy)
-        corners = _corners(px[lo:hi], py[lo:hi], b1x, b1y, b2x, b2y, offx, offy, s[:, : hi - lo])
-        for fm, fn, nx, ny, d2 in corners:
-            np.less(d2, best, out=t)
-            np.copyto(best, d2, where=t)
-            np.copyto(bm, fm, where=t)
-            np.copyto(bn, fn, where=t)
-            np.copyto(bx, nx, where=t)
-            np.copyto(by, ny, where=t)
-        d[lo:hi] = np.sqrt(best)
-        mi[lo:hi] = bm
-        ni[lo:hi] = bn
+    best = np.full(px.shape, np.inf)
+    bm = np.zeros(px.shape)
+    bn = np.zeros(px.shape)
+    s = np.empty((SCRATCH_ROWS, px.shape[0]))
+    take = np.empty(px.shape, dtype=bool)
+    # the node (0, 0) with bm = bn = 0, kept where every corner's squared
+    # distance overflows to inf (finite points beyond about 1e154)
+    cx.fill(offx)
+    cy.fill(offy)
+    for fm, fn, nx, ny, d2 in _corners(px, py, b1x, b1y, b2x, b2y, offx, offy, s):
+        np.less(d2, best, out=take)
+        np.copyto(best, d2, where=take)
+        np.copyto(bm, fm, where=take)
+        np.copyto(bn, fn, where=take)
+        np.copyto(cx, nx, where=take)
+        np.copyto(cy, ny, where=take)
+    d[:] = np.sqrt(best)
+    mi[:] = bm
+    ni[:] = bn
 
 
 def firing_raw(d, spacing, kappa, zeta):

@@ -38,15 +38,20 @@ MIN_OVERLAP_BINS = 20
 # at a time, so beside its output, the gathered lag sums and the half-grid
 # Pearson step it holds only a few arrays the size of one padded
 # half-spectrum.  Gridness peaks near 55 B at ratemap's default annulus
-# (the lag-grid distances and annulus masks), but its per-rotation
-# temporaries grow with the annulus, to near 770 B when it spans the whole
-# lag grid.  The rate map itself is near 40 B (tracemalloc peaks on a
-# 128 x 128 map).  A run's Binning adds 8 B per bin for the counts and for
-# each map's sums.  A whole `ratemap` run at 100k ticks peaks about 390 B
-# per bin higher at 256 x 256 than at 128 x 128, and about 720 B higher
-# with an annulus that spans the lag grid (resident set size).  The bound
-# caps a map near 2**24 bins * 1 KiB = 16 GiB.
+# (the lag-grid distances and annulus masks) and near 260 B when the
+# annulus spans the whole lag grid (its lags, samples and their pairs; the
+# rotations resample ROTATE_LAGS lags at a time).  The rate map itself is
+# near 40 B (tracemalloc peaks on a 128 x 128 map).  A run's Binning adds
+# 8 B per bin for the counts and for each map's sums.  A whole `ratemap`
+# run at 100k ticks peaks about 390 B per bin higher at 256 x 256 than at
+# 128 x 128, with ratemap's default annulus or one that spans the lag grid
+# (resident set size).  The bound caps a map near 2**24 bins * 1 KiB =
+# 16 GiB.
 MAX_MAP_SIDE = 2**12
+
+# Lags per slice of the rotated resampling in gridness: the two dozen
+# temporaries of one slice take under 1 MiB, however large the annulus.
+ROTATE_LAGS = 4096
 
 
 class AnalysisError(ValueError):
@@ -237,63 +242,50 @@ def _rotated_samples(ac: Autocorrelogram, angle_deg: float, lags) -> np.ndarray:
     of its own grid, as a 1-D array in the order of ``lags``.
 
     Bilinear interpolation; a sample is NaN unless all four surrounding
-    source bins are defined and in bounds.  A sample is the left-to-right
-    sum of the four terms ``(v * wx) * wy``, with the weights ``1 - f``
-    and ``f``.  Every step works in place in a few lag-sized arrays.
+    source bins are defined and in bounds.  The lags are resampled
+    :data:`ROTATE_LAGS` at a time, so the temporaries of the interpolation
+    do not grow with the annulus.
     """
+    ii, jj = lags
+    out = np.empty(ii.shape[0])
+    for lo in range(0, ii.shape[0], ROTATE_LAGS):
+        hi = lo + ROTATE_LAGS
+        out[lo:hi] = _rotated_slice(ac, angle_deg, ii[lo:hi], jj[lo:hi])
+    return out
+
+
+def _rotated_slice(ac: Autocorrelogram, angle_deg: float, ii, jj) -> np.ndarray:
+    """:func:`_rotated_samples` at the lags ``(ii, jj)`` of one slice."""
     vals = ac.values
     ny, nx = vals.shape
     cy, cx = ac.center
-    ii, jj = lags
+    x = (jj - cx).astype(np.float64)
+    y = (ii - cy).astype(np.float64)
     a = math.radians(angle_deg)
-    cos_a, sin_a = math.cos(a), math.sin(a)
-    # sample the source at the back-rotated lag (x, y):
-    # gx = (cos * x + sin * y) + cx, gy = (-sin * x + cos * y) + cy
-    x = np.subtract(jj, cx, dtype=np.float64)
-    y = np.subtract(ii, cy, dtype=np.float64)
-    gx = np.multiply(x, cos_a)
-    t = np.multiply(y, sin_a)
-    gx += t
-    gx += cx
-    gy = np.multiply(x, -sin_a, out=x)
-    gy += np.multiply(y, cos_a, out=y)
-    gy += cy
-    # the corner (x0, y0) below the sample, its fractions fx, fy in place
-    # of gx, gy, and the weights 1 - fx, 1 - fy
-    wx = np.floor(gx, out=t)
-    x0 = wx.astype(np.int64)
-    fx = np.subtract(gx, wx, out=gx)
-    np.subtract(1.0, fx, out=wx)
-    wy = np.floor(gy, out=y)
-    y0 = wy.astype(np.int64)
-    fy = np.subtract(gy, wy, out=gy)
-    np.subtract(1.0, fy, out=wy)
-    good = (x0 >= 0) & (y0 >= 0)
-    good &= x0 <= nx - 2
-    good &= y0 <= ny - 2
-    # the corner's flat index, clipped into bounds; its neighbours lie 1,
-    # nx and nx + 1 further on ("clip" never clips here, and unlike the
-    # default mode takes into `out` without a buffer)
-    np.clip(x0, 0, nx - 2, out=x0)
-    k = np.clip(y0, 0, ny - 2, out=y0)
-    k *= nx
-    k += x0
-    del x0
-    flat = vals.reshape(-1)
-    out = np.take(flat, k)
-    finite = np.empty(out.shape, dtype=bool)
-    good &= np.isfinite(out, out=finite)
-    out *= wx
-    out *= wy
-    v = np.empty_like(out)
-    for shift, w1, w2 in ((1, fx, wy), (nx, wx, fy), (nx + 1, fx, fy)):
-        np.take(flat[shift:], k, out=v, mode="clip")
-        good &= np.isfinite(v, out=finite)
-        v *= w1
-        v *= w2
-        out += v
-    out[~good] = np.nan
-    return out
+    # sample the source at the back-rotated lag
+    sx = math.cos(a) * x + math.sin(a) * y
+    sy = -math.sin(a) * x + math.cos(a) * y
+    gx = sx + cx
+    gy = sy + cy
+    x0 = np.floor(gx).astype(np.int64)
+    y0 = np.floor(gy).astype(np.int64)
+    fx = gx - x0
+    fy = gy - y0
+    ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= nx - 1) & (y0 + 1 <= ny - 1)
+    x0c = np.clip(x0, 0, nx - 2)
+    y0c = np.clip(y0, 0, ny - 2)
+    v00 = vals[y0c, x0c]
+    v01 = vals[y0c, x0c + 1]
+    v10 = vals[y0c + 1, x0c]
+    v11 = vals[y0c + 1, x0c + 1]
+    interp = (
+        v00 * (1 - fx) * (1 - fy)
+        + v01 * fx * (1 - fy)
+        + v10 * (1 - fx) * fy
+        + v11 * fx * fy
+    )
+    good = ok & np.isfinite(v00) & np.isfinite(v01) & np.isfinite(v10) & np.isfinite(v11)
+    return np.where(good, interp, np.nan)
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:

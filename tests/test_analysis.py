@@ -448,10 +448,12 @@ def test_gridness_equals_full_grid_score():
 
 
 def test_gridness_errors_match_full_grid():
-    # the annulus leaves the map; a 3-row lag grid loses the annulus on rotation
+    # the annulus leaves the map; a 3-row or a 1-row lag grid loses the
+    # annulus on rotation
     cases = [
         (spatial_autocorrelogram(hex_rate_map()), 4.4, 13.2, "annulus has 0 defined bins"),
         (Autocorrelogram(0.1, np.random.default_rng(5).normal(size=(3, 61))), 0.5, 2.0, "after 30-degree"),
+        (Autocorrelogram(0.1, np.random.default_rng(5).normal(size=(1, 61))), 0.5, 2.0, "after 30-degree"),
     ]
     for ac, inner, outer, text in cases:
         with pytest.raises(AnalysisError, match=text) as got:
@@ -472,12 +474,13 @@ def test_gridness_peak_memory_per_map_bin():
 
 def test_gridness_peak_memory_at_a_whole_lag_annulus():
     # an annulus over the whole lag grid, about 4 lags per map bin: the
-    # rotations resample in place in a few lag-sized arrays (about 400 B
-    # per map bin), where two dozen temporaries per rotation peaked near
+    # rotations resample analysis.ROTATE_LAGS lags at a time, so the peak
+    # (about 260 B per map bin) is the annulus' lags, samples and pairs,
+    # where two dozen annulus-sized temporaries per rotation peaked near
     # 770 B
     rm = fine_rate_map()
     ac = spatial_autocorrelogram(rm)
-    assert _traced_peak(gridness, ac, 1e-3, 100.0) < 500 * rm.values.size
+    assert _traced_peak(gridness, ac, 1e-3, 100.0) < 300 * rm.values.size
 
 
 def test_nearest_peak_angles_hexagonal():

@@ -8,10 +8,9 @@ distances.  The 4-corner decode is
 checked bitwise against the exhaustive ``brute_force`` scan at exact
 nodes, edge midpoints and triangle circumcentres (2- and 3-way ties) and
 at points a few ulps off them.  The firing-rate scan equals the firing
-formula at the brute-force distances, and the decode the brute-force
-nodes, across the seams of the ratemap block and of the corner scan's
-sub-blocks; the scan also holds on strided position views and in a
-bounded amount of scratch memory.  The
+formula at the brute-force distances across the seams of the ratemap
+block and of the corner scan's sub-blocks, on strided position views,
+and in a bounded amount of scratch memory.  The
 place-cell cascade is checked against a plain left-to-right sum bit for
 bit, and its premise, that no computed rate exceeds the cell's rate at
 distance 0 plus a slack, over the whole parameter range.  The
@@ -333,20 +332,11 @@ def test_rates_batch_matches_scalar_firing_formula():
         assert out[i] == normalized_rate(raw_firing(d, g, fp))
 
 
-# the seams of the ratemap block and of the corner scan's sub-blocks
-_SEAMS = (
-    0, 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1,
-    BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + SCAN_BLOCK + 1,
-)
-
-
-@pytest.fixture(scope="module")
-def seam_case():
-    """A dyadic lattice with exact 2-way ties, 2 * BLOCK + 7 points on it,
-    tie points mixed in, and their brute-force decode (cx, cy, d, m, n)."""
+def test_rates_exact_across_block_boundaries():
     # spacing 2, orientation 0 and phases (pi/2, pi) give the dyadic lattice
     # of the lexicographic tie test, so exact 2-way ties occur
     g = GridCellParams(2.0, 0.0, math.pi / 2.0, math.pi)
+    fp = FiringParams(5.0, 0.3)
     b = _basis(g)
     assert b == _lattice(2.0, 0.0, 0.25, 0.5)
     rng = np.random.default_rng(29)
@@ -358,31 +348,17 @@ def seam_case():
     py = np.concatenate([ty, u[0] * b[1] + u[1] * b[3] + b[5]])
     order = rng.permutation(total)
     px, py = px[order], py[order]
-    want = [np.empty(total), np.empty(total), np.empty(total), np.empty(total, np.int64), np.empty(total, np.int64)]
-    brute_force(px, py, *b, 16, *want)
-    return g, b, px, py, want
-
-
-def test_rates_exact_across_block_boundaries(seam_case):
-    g, b, px, py, want = seam_case
-    fp = FiringParams(5.0, 0.3)
+    _, want = _decode_all(px, py, b, 16)
     expected = firing_normalized(firing_raw(want[2], g.spacing, fp.kappa, fp.zeta))
-    for n in _SEAMS + (px.size,):
+    # the seams of the corner scan's sub-blocks and of the ratemap block
+    seams = (SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + SCAN_BLOCK + 1)
+    for n in (0, 1) + seams + (total,):
         out = np.full(n, np.nan)
         rates_batch(px[:n], py[:n], *b, g.spacing, fp.kappa, fp.zeta, out)
         at = rates_at(np.column_stack([px[:n], py[:n]]), g, fp)
         assert at.shape == (n,)
         for got in (out, at):
             assert np.array_equal(got.view(np.uint8), expected[:n].view(np.uint8)), n
-
-
-def test_nearest_exact_across_block_boundaries(seam_case):
-    _, b, px, py, want = seam_case
-    for n in _SEAMS + (px.size,):
-        got = [np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan), np.full(n, -99), np.full(n, -99)]
-        nearest_batch(px[:n], py[:n], *b, *got)
-        for g, w in zip(got, want):  # bitwise, sign of zero included
-            assert np.array_equal(g.view(np.uint8), w[:n].view(np.uint8)), n
 
 
 def test_rates_at_strided_views_match_contiguous_copy():
