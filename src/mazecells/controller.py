@@ -9,10 +9,12 @@ Each tick the agent senses at its current pose, evaluates the motion
 circuit, learns (in train mode), then acts: a rising edge of the motion
 output triggers a turn-in-place away from the nearest active cue, the
 following tick steps straight along the escape heading, and any other
-tick takes a bounded random-walk step.  The accelerometer and the bumper
-contact come from one scan per tick, in both modes, over a tuple of
-plain-float zones; the escape's cues are that tuple and one of wall-arc
-midpoints (see :func:`run_episode`).
+tick takes a bounded random-walk step.  The accelerometer's rest
+readings come from one numpy pass before the loop; the bumper contact
+and the in-zone readings from one scan per tick, in both modes, over a
+tuple of plain-float zones, skipped outside the zones' bounding box; the
+escape's cues are that tuple and one of wall-arc midpoints (see
+:func:`run_episode`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import wrap_angle, walk_step
+from ._kernels import BLOCK, wrap_angle, walk_step
 from .arena import (
     GRAVITY,
     Arena,
@@ -121,6 +123,61 @@ def _trigger_bearing(x, y, heading, zones, wall_mids, vib_active: bool, color_ac
     return math.atan2(best[1] - y, best[0] - x)
 
 
+# A zone's box half-width is its radius r widened by this factor.  Take a
+# point beyond the box edge fl(cx + w), w = fl(r * _BOX_WIDEN): as a float
+# above the rounded sum, x exceeds cx + w exactly, so dx = fl(x - cx) >= w
+# (rounding is monotone and w is a float) and fl(dx * dx) >= fl(w * w);
+# adding dy * dy >= 0 cannot lower the sum.  So dx*dx + dy*dy <= r**2
+# fails wherever fl(w * w) > fl(r * r), and likewise beyond the other three
+# edges.  _zone_box checks that inequality; while r * r is a normal float
+# it holds: fl(w * w) >= r**2 (1 + 2**-20)**2 (1 - 2**-53)**3 >
+# r**2 (1 + 2**-53) >= fl(r * r).  Where r * r underflows or overflows the
+# check can fail, and that zone's box is then unbounded.
+_BOX_WIDEN = 1.0 + 2.0**-20
+
+
+def _zone_box(zones) -> tuple[float, float, float, float]:
+    """``(x_lo, x_hi, y_lo, y_hi)`` of a box that holds every point any of
+    the ``zones`` (``ZoneDisc``s) contains; empty for no zones."""
+    x_lo = y_lo = math.inf
+    x_hi = y_hi = -math.inf
+    for z in zones:
+        w = z.radius * _BOX_WIDEN
+        if not w * w > z.radius * z.radius:
+            w = math.inf
+        x_lo = min(x_lo, z.center_x - w)
+        x_hi = max(x_hi, z.center_x + w)
+        y_lo = min(y_lo, z.center_y - w)
+        y_hi = max(y_hi, z.center_y + w)
+    return x_lo, x_hi, y_lo, y_hi
+
+
+def _rest_vibration(g_ax, g_ay, g_az, noise_sigma: float, out: np.ndarray) -> None:
+    """Write to ``out`` the vibration magnitude of readings at rest plus
+    noise: ``sqrt(ax*ax + ay*ay + dz*dz)`` with ``ax = noise_sigma * g_ax``,
+    ``ay = noise_sigma * g_ay`` and ``dz = (GRAVITY + noise_sigma * g_az) -
+    GRAVITY``, by numpy ufuncs in the order of operations of
+    :func:`~mazecells.arena.vibration_magnitude`.  Each ufunc rounds
+    correctly, as Python's float operations do, so the bits are the same.
+    The ticks go BLOCK at a time through one scratch array."""
+    scratch = np.empty(min(BLOCK, len(out)))
+    for lo in range(0, len(out), BLOCK):
+        hi = lo + BLOCK
+        o = out[lo:hi]
+        s = scratch[: len(o)]
+        np.multiply(g_ax[lo:hi], noise_sigma, out=o)
+        np.multiply(o, o, out=o)
+        np.multiply(g_ay[lo:hi], noise_sigma, out=s)
+        np.multiply(s, s, out=s)
+        np.add(o, s, out=o)
+        np.multiply(g_az[lo:hi], noise_sigma, out=s)
+        np.add(s, GRAVITY, out=s)
+        np.subtract(s, GRAVITY, out=s)
+        np.multiply(s, s, out=s)
+        np.add(o, s, out=o)
+        np.sqrt(o, out=o)
+
+
 def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     """Run one seeded episode and return its complete log.
 
@@ -135,15 +192,24 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     memoryviews of the numpy arrays: they hand out and take plain Python
     floats, so no per-tick value is a numpy scalar, and they copy nothing.
 
-    The accelerometer is read inline, from a tuple of plain-float zones
-    ``(cx, cy, r**2, amplitude)`` built once per episode: each tick scans
-    it once in both modes, by the operations ``ZoneDisc.contains``, the
-    impulse sum in zone order and :func:`~mazecells.arena.vibration_magnitude`
-    perform, in the same order, so the readings keep their bits.  Test
-    mode adds no impulse and reads 0.0.  An escape's cues are the zones
-    and a tuple of wall-arc midpoints, also built once.  ``color_sample``,
-    ``motion_output`` and ``oja_update`` stay one call per tick through
-    this module's globals, which perfbench's tracer rebinds to time them.
+    In train mode a tick outside every zone reads rest plus noise, whose
+    magnitude does not depend on the pose: :func:`_rest_vibration` writes
+    it for every tick into the vibration column before the loop, by the
+    operations of :func:`~mazecells.arena.vibration_magnitude` in the same
+    order, each correctly rounded in numpy as in Python, so the bits are
+    those of the scalar reading.  Test mode reads 0.0 on every tick.
+
+    The bumper contact and the impulses come from a tuple of plain-float
+    zones ``(cx, cy, r**2, amplitude)`` built once per episode, scanned
+    by the operations ``ZoneDisc.contains`` performs.  A tick outside the
+    zones' bounding box (:func:`_zone_box`), where that test cannot hold
+    for any zone, skips the scan.  A train tick inside a zone overwrites
+    its rest reading with the scalar one: the noise plus every containing
+    zone's impulse, summed in zone order, then the magnitude, as before.
+    An escape's cues are the zones and a tuple of wall-arc midpoints, also
+    built once.  ``color_sample``, ``motion_output`` and ``oja_update``
+    stay one call per tick through this module's globals, which
+    perfbench's tracer rebinds to time them.
     """
     T = cfg.tick_count
     rng = np.random.default_rng(int(cfg.seed))
@@ -167,7 +233,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     xs = np.empty(T)
     ys = np.empty(T)
     headings = np.empty(T)
-    vibration = np.empty(T)
+    vibration = np.zeros(T)
+    if train:
+        _rest_vibration(gauss[:, 2], gauss[:, 3], gauss[:, 4], noise_sigma, vibration)
     x_color = np.empty(T)
     y_out = np.zeros(T, dtype=np.int8)
     w_trace = np.empty(T)
@@ -180,6 +248,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
 
     # the operands of ZoneDisc.contains and of the impulse, in zone order
     zones = tuple((z.center_x, z.center_y, z.radius * z.radius, z.amplitude) for z in arena.zones)
+    x_lo, x_hi, y_lo, y_hi = _zone_box(arena.zones)
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
     wall_mids = tuple((radius * cos(arc.mid_angle), radius * sin(arc.mid_angle)) for arc in arena.walls)
 
@@ -191,28 +260,24 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     events = 0
 
     for t in range(T):
-        # One zone scan gives both the reading and the bumper contact: rest
-        # (0, 0, g) plus noise, and every zone containing the point adds its
-        # impulse in the tick's one direction.  In test mode the sensor
-        # reads rest, of magnitude 0.0.
-        if train:
+        # One zone scan gives both the bumper contact and, in train mode, an
+        # in-zone reading: rest (0, 0, g) plus noise, and every zone
+        # containing the point adds its impulse in the tick's one direction.
+        in_zone = False
+        if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
             ax = noise_sigma * g_ax[t]
             ay = noise_sigma * g_ay[t]
-            az = GRAVITY + noise_sigma * g_az[t]
-        in_zone = False
-        for cx, cy, r2, amplitude in zones:
-            dx = x - cx
-            dy = y - cy
-            if dx * dx + dy * dy <= r2:
-                in_zone = True
-                if train:
+            for cx, cy, r2, amplitude in zones:
+                dx = x - cx
+                dy = y - cy
+                if dx * dx + dy * dy <= r2:
+                    in_zone = True
                     ax += amplitude * cos(u[t])
                     ay += amplitude * sin(u[t])
-        if train:
-            dz = az - GRAVITY
-            vib = sqrt(ax * ax + ay * ay + dz * dz)
-        else:
-            vib = 0.0
+            if in_zone and train:
+                dz = (GRAVITY + noise_sigma * g_az[t]) - GRAVITY
+                log_vib[t] = sqrt(ax * ax + ay * ay + dz * dz)
+        vib = log_vib[t]
         xc = color_sample(x, y, h, arena, cam)
         # The escape below reads the weight from before this tick's update.
         w_prev = w
@@ -227,7 +292,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         log_x[t] = x
         log_y[t] = y
         log_h[t] = h
-        log_vib[t] = vib
         log_xc[t] = xc
         log_yt[t] = yt
 

@@ -4,7 +4,8 @@ The trajectory, matrix and PGM writers format whole columns or rows at a
 time; each file must equal, byte for byte, a reference built here by
 formatting every value on its own with ``_fmt``, the formatter of the
 summaries.  The values cover NaN, both infinities, negative zero, the
-smallest subnormal, a huge finite value and a sum with a 17-digit repr.
+smallest subnormal, a huge finite value and a sum with a 17-digit repr,
+and the columns the writer formats once per run of equal cells get runs.
 The writers stream their text into the temp file in pieces, so the tests
 also cover piece boundaries, a failure between pieces and the writer's
 memory.
@@ -37,23 +38,31 @@ from mazecells.controller import EpisodeLog, run_episode
 from mazecells.spatialcells import FiringParams, GridCellParams, rates_at
 
 HOSTILE = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0, -2.5]
+# A NaN with a sign and a payload: repr prints it as "nan", though its bits
+# differ from math.nan's.
+OTHER_NAN = float(np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0])
+# Runs of equal cells, for the columns the trajectory writer formats once per
+# run: 0.0 next to -0.0, which compare equal but print apart, and NaNs of
+# different bits next to each other.
+RUNS = [0.0, 0.0, -0.0, -0.0, 0.0, math.nan, math.nan, OTHER_NAN, OTHER_NAN, 1.0, 1.0]
 
 
-def rotated(k):
-    return np.array(HOSTILE[k:] + HOSTILE[:k], dtype=np.float64)
+def rotated(k, tail=()):
+    return np.array(HOSTILE[k:] + HOSTILE[:k] + list(tail), dtype=np.float64)
 
 
 @pytest.fixture
 def log():
-    n = len(HOSTILE)
+    """The hostile values in every column, then runs of equal cells in the
+    run-formatted columns."""
     return EpisodeLog(
-        xs=rotated(0),
-        ys=rotated(1),
-        headings=rotated(2),
-        vibration=rotated(3),
-        x_color=rotated(4),
-        y_out=np.array([0, 1, -1, 127, -128, 0, 1, 1, 0], dtype=np.int8),
-        w_color=rotated(5),
+        xs=rotated(0, (2 * HOSTILE)[: len(RUNS)]),
+        ys=rotated(1, (2 * HOSTILE)[1 : len(RUNS) + 1]),
+        headings=rotated(2, (2 * HOSTILE)[2 : len(RUNS) + 2]),
+        vibration=rotated(3, RUNS),
+        x_color=rotated(4, RUNS[::-1]),
+        y_out=np.array([0, 1, -1, 127, -128, 0, 1, 1, 0] + [1, 1, 0, 0, 0, 1, 1, 1, -1, -1, 0], dtype=np.int8),
+        w_color=rotated(5, RUNS[3:] + RUNS[:3]),
         bumper_contacts=0,
         avoidance_events=0,
     )
@@ -89,12 +98,25 @@ def trajectory_reference(log):
 FLOAT_FIELDS = ("xs", "ys", "headings", "vibration", "x_color", "w_color")
 
 
+def random_runs(rng, n, values):
+    """n cells in runs of random lengths, from 1 to longer than a piece,
+    each run holding one of ``values``."""
+    lengths = rng.choice([1, 3, ROWS_PER_PIECE // 3, ROWS_PER_PIECE + 7], p=[0.6, 0.3, 0.07, 0.03], size=n)
+    run_of_cell = np.repeat(np.arange(n), lengths)[:n]
+    return np.asarray(values)[rng.integers(0, len(values), size=n)][run_of_cell]
+
+
 def random_log(n, seed=0):
-    """An n-tick log of random values, most with 17-digit reprs."""
+    """An n-tick log of random values, most with 17-digit reprs.  The columns
+    the writer formats once per run hold runs of equal cells, some across a
+    piece boundary, of random values, 0.0, -0.0 and NaNs of different bits."""
     rng = np.random.default_rng(seed)
     floats = {name: rng.normal(size=n) for name in FLOAT_FIELDS}
+    pool = np.concatenate([rng.normal(size=8), RUNS])
+    for name in ("vibration", "x_color", "w_color"):
+        floats[name] = random_runs(rng, n, pool)
     return EpisodeLog(
-        y_out=rng.integers(-128, 128, size=n).astype(np.int8),
+        y_out=random_runs(rng, n, np.array([0, 1, -1, 127, -128], dtype=np.int8)),
         bumper_contacts=0,
         avoidance_events=0,
         **floats,

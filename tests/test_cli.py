@@ -464,6 +464,29 @@ def test_ratemap_memory_does_not_grow_with_tick_count(tmp_path, place, bound):
     assert large < bound
 
 
+def test_episode_memory_stays_within_its_per_tick_budget(tmp_path):
+    # check_tick_count's message and the README give an episode about 128 B
+    # per tick.  While its loop runs, the pre-drawn normals and impulse
+    # directions (56 B) and the seven log columns (49 B) are alive together,
+    # and the rest readings' one BLOCK-sized scratch does not grow with the
+    # ticks: 106 B per tick at 50k ticks and 105 B at 100k.  Below about 40k
+    # ticks the trajectory writer's pieces, about 2 MB whatever the tick
+    # count, set the peak instead.
+    def peak(ticks):
+        text = f"[run]\nseed = 1\ntick_count = {ticks}\n"
+        argv = ["episode", "--mode", "train", "--config", write_cfg(tmp_path, text)]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path / f"ep{ticks}")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # once-per-process allocations come first
+    for ticks in (50_000, 100_000):
+        assert peak(ticks) <= 128 * ticks, ticks
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # only a pooled sweep imports concurrent.futures (and with it logging);
     # a fresh interpreter shows what importing the CLI loads

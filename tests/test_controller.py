@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from conftest import accel_at
 
 from mazecells import controller
+from mazecells._kernels import BLOCK
 from mazecells.arena import (
+    GRAVITY,
     MAX_ANGLE,
     MAX_NOISE_SIGMA,
     MAX_ZONE_AMPLITUDE_SUM,
@@ -329,6 +331,84 @@ def test_logged_sensor_columns_replay_through_reference_sensors(
     assert vib.tobytes() == log.vibration.tobytes()
     assert xc.tobytes() == log.x_color.tobytes()
     assert contacts == log.bumper_contacts
+
+
+def _around(v):
+    """``v`` and the floats one ulp below and above it."""
+    return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+
+@given(
+    # (center x, center y, radius), radii whose squares underflow or
+    # overflow among them
+    zones=st.lists(
+        st.tuples(
+            st.floats(-2.0, 2.0),
+            st.floats(-2.0, 2.0),
+            st.one_of(
+                st.floats(0.01, 1.0),
+                st.floats(5e-324, 1e-150),
+                st.floats(1e150, 1e308),
+                st.sampled_from([2.0**-511, 2.0**-537, 2.0**512, math.sqrt(5e-324)]),
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_zone_box_gate_equals_the_full_scan(zones):
+    """A point outside the zones' bounding box lies in no zone, so the
+    gated scan of run_episode equals the full one.  The points sit on and
+    one ulp either side of each zone's box edges and disc extremes, at the
+    zone's center and box edges in the other coordinate."""
+    discs = [ZoneDisc(cx, cy, r, 8.0) for cx, cy, r in zones]
+    plain = [(z.center_x, z.center_y, z.radius * z.radius) for z in discs]
+    x_lo, x_hi, y_lo, y_hi = controller._zone_box(discs)
+    xs, ys = set(), set()
+    for z in discs:
+        zx_lo, zx_hi, zy_lo, zy_hi = controller._zone_box([z])
+        assert x_lo <= zx_lo <= z.center_x <= zx_hi <= x_hi
+        assert y_lo <= zy_lo <= z.center_y <= zy_hi <= y_hi
+        for v in (zx_lo, zx_hi, z.center_x, z.center_x - z.radius, z.center_x + z.radius):
+            xs.update(_around(v))
+        for v in (zy_lo, zy_hi, z.center_y, z.center_y - z.radius, z.center_y + z.radius):
+            ys.update(_around(v))
+    for x in filter(math.isfinite, xs):
+        for y in filter(math.isfinite, ys):
+            full = [z.contains(x, y) for z in discs]
+            scan = [(x - cx) * (x - cx) + (y - cy) * (y - cy) <= r2 for cx, cy, r2 in plain]
+            gated = x_lo <= x <= x_hi and y_lo <= y <= y_hi and any(scan)
+            assert scan == full
+            assert gated == any(full)
+
+
+@given(
+    noise_sigma=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1.0, MAX_NOISE_SIGMA]),
+        st.floats(0.0, 10.0),
+        st.floats(0.0, MAX_NOISE_SIGMA),
+    ),
+    # draws of the length of a short episode, or one crossing two BLOCK seams
+    ticks=st.one_of(st.integers(1, 50), st.just(2 * BLOCK + 1)),
+    seed=st.integers(0, 2**32),
+    # draws on the first ticks, where Hypothesis favours zeros of both
+    # signs, tiny values and the ends of the +-14 range
+    first=st.lists(st.floats(-14.0, 14.0), max_size=9),
+)
+@settings(max_examples=40, deadline=None)
+def test_rest_vibration_equals_vibration_magnitude(noise_sigma, ticks, seed, first):
+    """The numpy rest readings keep the bits of the scalar reading, on the
+    strided draw columns an episode hands in."""
+    gauss = np.random.default_rng(seed).standard_normal((ticks, 6))
+    gauss[:, 2:5].flat[: len(first)] = first[: 3 * ticks]
+    out = np.empty(ticks)
+    controller._rest_vibration(gauss[:, 2], gauss[:, 3], gauss[:, 4], noise_sigma, out)
+    want = [
+        vibration_magnitude((noise_sigma * gx, noise_sigma * gy, GRAVITY + noise_sigma * gz))
+        for gx, gy, gz in gauss[:, 2:5].tolist()
+    ]
+    assert out.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("train", [True, False])

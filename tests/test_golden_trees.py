@@ -180,7 +180,8 @@ def test_seam_run_crosses_two_block_seams():
 
     cp = configparser.ConfigParser()
     cp.read(SEAMS_CONFIG)
-    assert cp.getint("run", "tick_count") == 2 * BLOCK + 1
+    # a walk of n ticks crosses (n - 1) // BLOCK seams between its blocks
+    assert (cp.getint("run", "tick_count") - 1) // BLOCK >= 2
     assert cp.getfloat("place", "threshold_fraction") == 0.4
 
 
