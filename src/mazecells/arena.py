@@ -125,6 +125,12 @@ class Arena:
     radius: float = 1.3
     zones: tuple[ZoneDisc, ...] = ()
     walls: tuple[WallArc, ...] = ()
+    # color_sample's early-out operands, computed once from the fields above
+    # (see _arc_ends); kept out of repr (and so out of config_hash) and out
+    # of comparisons.
+    arc_ends: tuple[tuple[float, float, float, float], ...] | None = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "zones", tuple(self.zones))
@@ -143,6 +149,7 @@ class Arena:
                 f"zone amplitudes must sum to at most {MAX_ZONE_AMPLITUDE_SUM:g} "
                 f"(so that accelerometer readings stay finite), got {amplitude_sum}"
             )
+        object.__setattr__(self, "arc_ends", _arc_ends(self.radius, self.walls))
 
     def zone_index_at(self, x: float, y: float) -> int:
         """Index of the first zone containing the point, or -1."""
@@ -249,6 +256,38 @@ def check_heading_sigma(v: float, name: str) -> None:
 # bearing-map derivative and keeps the interval endpoints numerically sane.
 _WALL_CLEARANCE = 1e-3
 _MIN_ARC = 1e-12
+# The margin (rad) by which the field of view must miss an arc's bearing
+# span for color_sample to return 0.0 without the interval algebra.  The
+# boundary-angle-to-bearing map is monotone, so every point of the arc has
+# a bearing inside the span between its end points' bearings, and the
+# margin need only cover rounding.  The algebra's piece ends (s1 + lo,
+# a0 + alen) lie inside the arc or within a few ulps of 2*pi (< 4e-15 rad)
+# outside it, and cos, sin and the products by the radius round to
+# 2**-53, so each boundary point either path maps sits within radius *
+# 5e-15 of a point of the arc.  The clamp keeps every wall point at least
+# radius * 1e-3 from the observer, so a bearing is off by at most 5e-12
+# rad, plus a few ulps of pi from atan2, the subtractions and the
+# `% TWO_PI` of both paths.  2**-30 (9.3e-10) is about 180 times that.
+_BEARING_SLACK = 2.0**-30
+
+
+def _arc_ends(radius: float, walls: tuple[WallArc, ...]):
+    """The boundary points ``(x0, y0, x1, y1)`` of each arc's start and end,
+    or None when some arc's extent is within 2 * _BEARING_SLACK of a full
+    turn: the gap such an arc leaves can map to a bearing gap below the
+    rounding of its two end bearings, whose difference could then wrap to
+    a whole turn and read as the arc's complement."""
+    if any(arc.extent > TWO_PI - 2.0 * _BEARING_SLACK for arc in walls):
+        return None
+    return tuple(
+        (
+            radius * math.cos(arc.start_angle),
+            radius * math.sin(arc.start_angle),
+            radius * math.cos(arc.end_angle),
+            radius * math.sin(arc.end_angle),
+        )
+        for arc in walls
+    )
 
 
 def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraParams) -> float:
@@ -261,6 +300,13 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
     of the observer; map the resulting pieces through the (monotone)
     boundary-angle-to-bearing function; clip against the FOV interval.
     The covered length summed over arcs, divided by the FOV width.
+
+    Most poses see no wall, so an exact early-out comes first: the
+    bearings of each arc's two end points (``Arena.arc_ends``) bound the
+    bearings of every piece of it, and when the FOV misses each arc's
+    bearing span by more than ``_BEARING_SLACK`` (2**-30 rad, far above
+    the rounding of either path) the result is 0.0, which the interval
+    algebra (:func:`_interval_fraction`) also returns there.
     """
     radius = arena.radius
     r = math.hypot(x, y)
@@ -274,16 +320,35 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
     # wrap_angle returns an angle already in [-pi, pi) unchanged
     if not -math.pi <= heading < math.pi:
         heading = wrap_angle(heading)
-    walls = arena.walls
-    if not walls:
-        return 0.0
     # clamp observers hugging the wall slightly inward (sub-mm at 1.3 m)
     limit = radius * (1.0 - _WALL_CLEARANCE)
     if r > limit:
         x *= limit / r
         y *= limit / r
         r = limit
+    ends = arena.arc_ends
+    if ends is not None:
+        fov = cam.fov
+        fov_start = heading - 0.5 * fov
+        for x0, y0, x1, y1 in ends:
+            # counterclockwise from the arc's end bearing: the FOV's start,
+            # and the arc's gap, which the whole FOV must lie inside
+            b1 = math.atan2(y1 - y, x1 - x)
+            u = (fov_start - b1) % TWO_PI
+            gap = (math.atan2(y0 - y, x0 - x) - b1) % TWO_PI
+            if not (u > _BEARING_SLACK and u + fov < gap - _BEARING_SLACK):
+                break
+        else:
+            return 0.0  # also for an arena without walls
+    return _interval_fraction(x, y, r, heading, arena, cam)
 
+
+def _interval_fraction(x, y, r, heading, arena: Arena, cam: CameraParams) -> float:
+    """:func:`color_sample`'s interval algebra, for an observer at (x, y),
+    at distance ``r`` from the centre, already clamped off the wall, facing
+    ``heading`` in [-pi, pi)."""
+    radius = arena.radius
+    walls = arena.walls
     # boundary-angle interval [g0, g0 + glen] within sensing range
     max_range = cam.max_range
     if r < radius * 1e-12:

@@ -74,11 +74,13 @@ def _trajectory_pieces(log: EpisodeLog) -> Iterator[str]:
     # ROWS_PER_PIECE rows at a time, each column read through a memoryview
     # as Python ints and floats; repr prints an int as str does, and nan,
     # inf and -0.0 of a float exactly as _fmt does.  The tick column is the
-    # row index.  The columns that repeat by how an episode makes them (the
-    # motion output is binary, the weight moves only on firing train ticks,
-    # the color and vibration readings are mostly 0.0) are formatted once
-    # per run of equal values; on the unique positions and headings that
-    # would cost more than formatting every value.
+    # row index.  The columns that can repeat (the motion output is binary,
+    # the weight moves only on firing train ticks, the color reading is
+    # mostly 0.0 and test mode's vibration always) go through _run_cells,
+    # which formats a piece once per run of equal values where the runs
+    # are long enough to pay.  A train episode's vibration, whose rest
+    # readings all differ, gets every value formatted there, as the unique
+    # positions and headings do here.
     yield f"# {TRAJECTORY_FORMAT} {TRAJECTORY_COLUMNS}\n{TRAJECTORY_COLUMNS}\n"
     n = len(log)
     # one row of run-start flags per run-formatted column, reused by every piece
@@ -107,13 +109,17 @@ def _run_cells(values: np.ndarray, run_starts: np.ndarray) -> Iterator[str]:
     walked with iterators only: per-piece arrays and lists sized by the run
     count (``np.flatnonzero``, ``tolist``) left the heap of a process that
     writes episode after episode fragmented, and its peak resident set up
-    to 4 MB higher, from one process to the next.
+    to 4 MB higher, from one process to the next.  Where more than half the
+    cells start a run, as in a train episode's vibration column, walking
+    the runs costs more than it saves, and every value is formatted.
     """
     n = len(values)
     bits = values.view(f"u{values.itemsize}")
     starts = run_starts[:n]
     starts[0] = True
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    if 2 * np.count_nonzero(starts) > n:
+        return map(repr, memoryview(values))
     firsts, nexts = itertools.tee(itertools.compress(range(n), memoryview(starts)))
     next(nexts)
     lengths = map(operator.sub, itertools.chain(nexts, [n]), firsts)

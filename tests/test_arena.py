@@ -1,8 +1,8 @@
 """Arena geometry, sensors, and the bounded random walk.
 
 color_sample's exact interval algebra is validated against an independent
-dense ray-casting oracle; the walk against containment and determinism
-properties.
+dense ray-casting oracle, and its early-out against the algebra itself;
+the walk against containment and determinism properties.
 """
 
 import itertools
@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import accel_at
 
 from mazecells.arena import (
+    _WALL_CLEARANCE,
     GRAVITY,
     MAX_ANGLE,
     Arena,
@@ -25,12 +26,15 @@ from mazecells.arena import (
     WalkParams,
     WallArc,
     ZoneDisc,
+    _interval_fraction,
     color_sample,
     vibration_magnitude,
     walk_blocks,
     walk_trajectory,
 )
 from mazecells._kernels import wrap_angle
+from mazecells.config import episode_config, parse_config
+from mazecells.controller import run_episode
 from mazecells.spatialcells import ConfigurationError
 
 TWO_PI = 2.0 * math.pi
@@ -258,6 +262,107 @@ def test_wall_arc_extent_stays_out_of_repr():
     arc = WallArc(-1.0, 1.0, "red")
     assert "extent" not in repr(arc)
     assert arc == WallArc(-1.0, 1.0, "red")
+
+
+# ---------------------------------------------------------------------------
+# camera: the early-out returns what the interval algebra returns
+# ---------------------------------------------------------------------------
+
+
+def _interval_only(x, y, heading, arena, cam):
+    """color_sample without its early-out: the same clamp and heading wrap,
+    then the interval algebra."""
+    r = math.hypot(x, y)
+    limit = arena.radius * (1.0 - _WALL_CLEARANCE)
+    if r > limit:
+        x *= limit / r
+        y *= limit / r
+        r = limit
+    return _interval_fraction(x, y, r, wrap_angle(heading), arena, cam)
+
+
+# radians, from the rounding of either path to far beyond the early-out's margin
+EDGE_OFFSETS = [0.0, 1e-15, 1e-12, 2.0**-31, 2.0**-30, 2.0**-29, 1e-6, 1e-3]
+
+
+@st.composite
+def camera_scenes(draw):
+    """An arena of 1-3 arcs (some across the +-pi seam, extents up to a hair
+    under 2*pi), a camera with a fov near 0, near 2*pi or between and a
+    range below or above the radius, and a pose at the centre, in the open
+    or in the wall clearance band, facing at random or with a fov edge at
+    an arc end's bearing give or take an offset around the margin."""
+    radius = draw(st.floats(0.5, 2.0))
+    walls = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.one_of(st.floats(-math.pi, math.pi), st.sampled_from([math.pi - 0.1, -math.pi])))
+        extent = draw(st.one_of(
+            st.floats(1e-9, 1.0),
+            st.floats(1.0, TWO_PI - 1e-3),
+            st.sampled_from([TWO_PI - 1e-3, TWO_PI - 4.0 * 2.0**-30, TWO_PI - 1e-9, TWO_PI - 1e-13]),
+        ))
+        walls.append(WallArc(start, start + extent, "red"))
+    arena = Arena(radius=radius, walls=tuple(walls))
+    fov = draw(st.one_of(
+        st.floats(1e-9, 1e-3),
+        st.floats(1e-3, TWO_PI - 1e-3),
+        st.floats(TWO_PI - 1e-3, TWO_PI, exclude_max=True),
+    ))
+    cam = CameraParams(fov=fov, max_range=radius * draw(st.floats(0.05, 3.0)))
+    r = radius * draw(st.one_of(
+        st.sampled_from([0.0, 1e-13]),
+        st.floats(0.0, 0.999),
+        st.floats(0.999, 1.0, exclude_max=True),
+    ))
+    a = draw(st.floats(-math.pi, math.pi))
+    x, y = r * math.cos(a), r * math.sin(a)
+    assume(math.hypot(x, y) < radius)
+    arc = draw(st.sampled_from(walls))
+    end = draw(st.sampled_from([None, arc.start_angle, arc.end_angle]))
+    if end is None:
+        heading = draw(st.floats(-10.0, 10.0))
+    else:
+        bearing = math.atan2(radius * math.sin(end) - y, radius * math.cos(end) - x)
+        side = draw(st.sampled_from([-0.5, 0.5]))
+        offset = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from(EDGE_OFFSETS))
+        heading = bearing + side * fov + offset
+    return x, y, heading, arena, cam
+
+
+@given(camera_scenes())
+# A fov edge within an ulp of an arc end's bearing: a margin of 0 would
+# return 0.0 where the algebra finds 5.4e-13 of the view covered.
+@example((
+    -0.4105203758785975, 0.2388147587796274, -0.22095357827044748,
+    Arena(radius=1.2318181445896732, walls=(WallArc(-0.1041870577520223, 0.860509964807852, "red"),)),
+    CameraParams(fov=0.0005598887311983584, max_range=3.642244793588753),
+))
+# An arc 1.4e-15 rad short of a full turn, seen near its gap: its end
+# bearings' difference wraps, so without the near-full guard the early-out
+# would return 0.0 where the algebra returns 1.0.
+@example((
+    0.6928007386906889, 0.2255631699684948, 1.9454006888234279,
+    Arena(radius=0.7289601204373761, walls=(WallArc(0.44228371569090674, 0.4422837156909054, "red"),)),
+    CameraParams(fov=3.032610705213661e-06, max_range=2.186880361312128),
+))
+@settings(max_examples=1500, deadline=None)
+def test_color_early_out_premise(scene):
+    # the early-out returns 0.0 only where the interval algebra does
+    x, y, heading, arena, cam = scene
+    assert color_sample(x, y, heading, arena, cam).hex() == _interval_only(x, y, heading, arena, cam).hex()
+
+
+def test_color_early_out_premise_on_the_benchmark_episodes():
+    # every pose of the seed-1 train episode and of the test episode that
+    # follows it (seed 2, the trained weight), as the benchmark runs them
+    rc = parse_config("[run]\ntick_count = 40000\n")
+    train = run_episode(episode_config(rc, "train", seed=1))
+    test = run_episode(episode_config(rc, "test", seed=2, initial_w=float(train.w_color[-1])))
+    for log in (train, test):
+        poses = list(zip(log.xs.tolist(), log.ys.tolist(), log.headings.tolist()))
+        got = [color_sample(*pose, rc.arena, rc.camera).hex() for pose in poses]
+        assert got == [_interval_only(*pose, rc.arena, rc.camera).hex() for pose in poses]
+        assert got == [v.hex() for v in log.x_color.tolist()]
 
 
 # ---------------------------------------------------------------------------

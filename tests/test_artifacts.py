@@ -106,21 +106,48 @@ def random_runs(rng, n, values):
     return np.asarray(values)[rng.integers(0, len(values), size=n)][run_of_cell]
 
 
+R = ROWS_PER_PIECE
+Y_OUT = np.array([0, 1, -1, 127, -128], dtype=np.int8)
+RUN_FIELDS = ("vibration", "x_color", "y_out", "w_color")
+# Piece 2's runs: half as many runs as cells, the first and last cells alone.
+HALF_RUNS = [1, 4] + [2] * (R // 2 - 3) + [1]
+
+
+def run_starts(values):
+    """How many cells of ``values`` start a run of equal bits."""
+    bits = values.view(f"u{values.itemsize}")
+    return 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
+
+
 def random_log(n, seed=0):
     """An n-tick log of random values, most with 17-digit reprs.  The columns
     the writer formats once per run hold runs of equal cells, some across a
-    piece boundary, of random values, 0.0, -0.0 and NaNs of different bits."""
+    piece boundary, of random values, 0.0, -0.0 and NaNs of different bits.
+    Two pieces of those columns, where the log holds them whole, sit on
+    either side of the writer's choice between formatting by run and by
+    value: in piece 1 every cell differs from the one before it, and in
+    piece 2 exactly half the cells start a run (HALF_RUNS).  Piece 2's
+    first and last cells stand alone, so hostile values put there keep
+    the count."""
     rng = np.random.default_rng(seed)
     floats = {name: rng.normal(size=n) for name in FLOAT_FIELDS}
     pool = np.concatenate([rng.normal(size=8), RUNS])
     for name in ("vibration", "x_color", "w_color"):
         floats[name] = random_runs(rng, n, pool)
-    return EpisodeLog(
-        y_out=random_runs(rng, n, np.array([0, 1, -1, 127, -128], dtype=np.int8)),
+    log = EpisodeLog(
+        y_out=random_runs(rng, n, Y_OUT),
         bumper_contacts=0,
         avoidance_events=0,
         **floats,
     )
+    for name in RUN_FIELDS:
+        col = getattr(log, name)
+        values = rng.normal(size=R) if col.dtype.kind == "f" else np.resize(Y_OUT, R)
+        if n >= 2 * R:
+            col[R : 2 * R] = values
+        if n >= 3 * R:
+            col[2 * R : 3 * R] = np.repeat(values[: len(HALF_RUNS)], HALF_RUNS)
+    return log
 
 
 def test_trajectory_csv_matches_per_value_fmt(tmp_path, log):
@@ -135,10 +162,7 @@ def test_trajectory_csv_matches_per_value_fmt(tmp_path, log):
     assert rows[2].split(",")[6] == "-1"
 
 
-R = ROWS_PER_PIECE
-
-
-@pytest.mark.parametrize("ticks", [1, R - 1, R, R + 1, 2 * R + 1])
+@pytest.mark.parametrize("ticks", [1, R - 1, R, R + 1, 2 * R + 1, 3 * R + 1])
 def test_trajectory_csv_matches_per_value_fmt_across_piece_boundaries(tmp_path, ticks):
     # hostile values on the rows on both sides of every piece boundary, and
     # on the first and last rows
@@ -147,6 +171,14 @@ def test_trajectory_csv_matches_per_value_fmt_across_piece_boundaries(tmp_path, 
     for k, t in enumerate(edges):
         for c, name in enumerate(FLOAT_FIELDS):
             getattr(log, name)[t] = HOSTILE[(k + c) % len(HOSTILE)]
+    # the run-formatted columns' pieces 1 and 2 still straddle the writer's
+    # threshold: every cell starts a run, and exactly half of them do
+    for name in RUN_FIELDS:
+        col = getattr(log, name)
+        if ticks >= 2 * R:
+            assert run_starts(col[R : 2 * R]) == R
+        if ticks >= 3 * R:
+            assert run_starts(col[2 * R : 3 * R]) == R // 2
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(str(path), log)
     want = trajectory_reference(log)
