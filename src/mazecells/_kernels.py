@@ -1,5 +1,5 @@
 """Numeric kernels: walk loop, lattice decode, firing rate, place-cell
-ensemble, brute-force scan, autocorrelogram.
+ensemble, autocorrelogram.
 
 Each computation has exactly one implementation.  The scalar helpers
 (:func:`wrap_angle`, :func:`walk_step`) serve the per-tick controller, and
@@ -13,10 +13,11 @@ arrays, and the firing formula is written once, in :func:`firing_raw` and
 :func:`firing_normalized`.
 
 The lattice decode checks the 4 corners of the basis parallelogram that
-holds a point (Conway & Sloane, IEEE Trans. IT 1982); the exhaustive
-:func:`brute_force` scan is its independent oracle.  The corner arithmetic
-is written once, in :func:`_corners`, which works in rows of one scratch
-array.  :func:`nearest_batch` keeps the winning node and index of each
+holds a point (Conway & Sloane, IEEE Trans. IT 1982).  Its independent
+oracle, an exhaustive scan that uses distances only, lives with the
+tests (``tests/oracles.py``), since nothing in the package runs it.  The
+corner arithmetic is written once, in :func:`_corners`, which works in
+rows of one scratch array.  :func:`nearest_batch` keeps the winning node and index of each
 point; :func:`rates_batch` keeps only the smallest squared distance and
 scans the points in sub-blocks of :data:`SCAN_BLOCK`, so one scratch
 array of 448 KiB serves every call, whatever its length, and stays in a
@@ -409,40 +410,6 @@ def ensemble_batch(px, py, cells, thresholds, total, out):
             idx = idx[total >= least[-1]]
             break
     out[slice(None) if idx is None else idx] = 1
-
-
-def brute_force(px, py, b1x, b1y, b2x, b2y, offx, offy, max_index, cx, cy, d, mi, ni):
-    """Exhaustive scan over |m|, |n| <= max_index in lexicographic order.
-
-    The first minimum keeps the lexicographically smallest index on ties.
-    Deliberately independent of the 4-corner decode in nearest_batch: it
-    uses no basis inverse and no floor, only the distance to every node.
-    The (chunk, nodes) distance buffers are allocated once per call and
-    filled in place, in the same operand order as ``dx * dx + dy * dy``.
-    """
-    idx = np.arange(-max_index, max_index + 1, dtype=np.float64)
-    mm, nn = np.meshgrid(idx, idx, indexing="ij")  # m-major => lexicographic ravel
-    m = mm.ravel()
-    n = nn.ravel()
-    nx = m * b1x + n * b2x + offx
-    ny = m * b1y + n * b2y + offy
-    chunk = max(1, min(px.shape[0], 2_000_000 // max(1, nx.size)))
-    dx_buf = np.empty((chunk, nx.size))
-    dy_buf = np.empty((chunk, nx.size))
-    for lo in range(0, px.shape[0], chunk):
-        hi = min(lo + chunk, px.shape[0])
-        dx = np.subtract(px[lo:hi, None], nx[None, :], out=dx_buf[: hi - lo])
-        dy = np.subtract(py[lo:hi, None], ny[None, :], out=dy_buf[: hi - lo])
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        d2 = np.add(dx, dy, out=dx)
-        k = np.argmin(d2, axis=1)  # first minimum = lexicographic smallest
-        rows = np.arange(lo, hi)
-        cx[rows] = nx[k]
-        cy[rows] = ny[k]
-        d[rows] = np.sqrt(d2[rows - lo, k])
-        mi[rows] = m[k].astype(np.int64)
-        ni[rows] = n[k].astype(np.int64)
 
 
 def _fft_size(n: int) -> int:

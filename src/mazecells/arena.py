@@ -4,7 +4,9 @@ The arena is a disk.  Bumper zones are discs that inject a horizontal
 vibration impulse into the accelerometer while the agent is inside them.
 Colored wall arcs live on the boundary circle; the camera reports the
 fraction of its angular field of view covered by in-range wall, computed
-exactly through angular-interval intersection.
+exactly through angular-interval intersection.  Each arc leaves a gap of
+at least 2**-29 rad, wide enough that rounding cannot close it in the
+camera's bearings.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ class ZoneDisc:
 class WallArc:
     """A colored arc of the boundary circle, start -> end counterclockwise.
 
-    The camera senses one color, so ``color`` must be ``"red"``.
+    The camera senses one color, so ``color`` must be ``"red"``.  An arc
+    must leave a gap of at least 2**-29 rad to a full turn.
     """
 
     start_angle: float
@@ -112,6 +115,16 @@ class WallArc:
         object.__setattr__(self, "extent", (self.end_angle - self.start_angle) % TWO_PI)
         if self.extent <= 0.0:
             raise ConfigurationError("wall arc must have nonzero angular extent")
+        # An observer inside the circle sees an arc's gap of g rad under an
+        # angle of at least g / 2 (the inscribed angle), so a gap of at
+        # least 2 * _BEARING_SLACK keeps the arc's end bearings apart by far
+        # more than the camera's rounding; a narrower gap can round to none,
+        # and a view all wall then reads as all gap.
+        if self.extent > TWO_PI - 2.0 * _BEARING_SLACK:
+            raise ConfigurationError(
+                f"wall arc must fall short of a full turn by at least 2**-29 rad, "
+                f"got extent {self.extent!r}"
+            )
 
     @property
     def mid_angle(self) -> float:
@@ -128,7 +141,7 @@ class Arena:
     # color_sample's early-out operands, computed once from the fields above
     # (see _arc_ends); kept out of repr (and so out of config_hash) and out
     # of comparisons.
-    arc_ends: tuple[tuple[float, float, float, float], ...] | None = field(
+    arc_ends: tuple[tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
 
@@ -272,13 +285,12 @@ _BEARING_SLACK = 2.0**-30
 
 
 def _arc_ends(radius: float, walls: tuple[WallArc, ...]):
-    """The boundary points ``(x0, y0, x1, y1)`` of each arc's start and end,
-    or None when some arc's extent is within 2 * _BEARING_SLACK of a full
-    turn: the gap such an arc leaves can map to a bearing gap below the
-    rounding of its two end bearings, whose difference could then wrap to
-    a whole turn and read as the arc's complement."""
-    if any(arc.extent > TWO_PI - 2.0 * _BEARING_SLACK for arc in walls):
-        return None
+    """The boundary points ``(x0, y0, x1, y1)`` of each arc's start and end.
+
+    Every arc leaves a gap of at least 2 * _BEARING_SLACK (``WallArc``
+    rejects a nearer-full one), so the gap between an arc's two end
+    bearings cannot round to a whole turn and read as the arc's
+    complement."""
     return tuple(
         (
             radius * math.cos(arc.start_angle),
@@ -326,20 +338,18 @@ def color_sample(x: float, y: float, heading: float, arena: Arena, cam: CameraPa
         x *= limit / r
         y *= limit / r
         r = limit
-    ends = arena.arc_ends
-    if ends is not None:
-        fov = cam.fov
-        fov_start = heading - 0.5 * fov
-        for x0, y0, x1, y1 in ends:
-            # counterclockwise from the arc's end bearing: the FOV's start,
-            # and the arc's gap, which the whole FOV must lie inside
-            b1 = math.atan2(y1 - y, x1 - x)
-            u = (fov_start - b1) % TWO_PI
-            gap = (math.atan2(y0 - y, x0 - x) - b1) % TWO_PI
-            if not (u > _BEARING_SLACK and u + fov < gap - _BEARING_SLACK):
-                break
-        else:
-            return 0.0  # also for an arena without walls
+    fov = cam.fov
+    fov_start = heading - 0.5 * fov
+    for x0, y0, x1, y1 in arena.arc_ends:
+        # counterclockwise from the arc's end bearing: the FOV's start, and
+        # the arc's gap, which the whole FOV must lie inside
+        b1 = math.atan2(y1 - y, x1 - x)
+        u = (fov_start - b1) % TWO_PI
+        gap = (math.atan2(y0 - y, x0 - x) - b1) % TWO_PI
+        if not (u > _BEARING_SLACK and u + fov < gap - _BEARING_SLACK):
+            break
+    else:
+        return 0.0  # also for an arena without walls
     return _interval_fraction(x, y, r, heading, arena, cam)
 
 

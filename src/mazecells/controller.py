@@ -35,6 +35,7 @@ from .arena import (
     check_noise_sigma,
     check_walk_step,
     color_sample,
+    vibration_magnitude,
 )
 from .learning import CircuitParams, motion_output, oja_update
 from .spatialcells import check_finite, check_seed, check_tick_count
@@ -205,7 +206,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     zones' bounding box (:func:`_zone_box`), where that test cannot hold
     for any zone, skips the scan.  A train tick inside a zone overwrites
     its rest reading with the scalar one: the noise plus every containing
-    zone's impulse, summed in zone order, then the magnitude, as before.
+    zone's impulse, summed in zone order, through
+    :func:`~mazecells.arena.vibration_magnitude`.
     An escape's cues are the zones and a tuple of wall-arc midpoints, also
     built once.  ``color_sample``, ``motion_output`` and ``oja_update``
     stay one call per tick through this module's globals, which
@@ -249,7 +251,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     # the operands of ZoneDisc.contains and of the impulse, in zone order
     zones = tuple((z.center_x, z.center_y, z.radius * z.radius, z.amplitude) for z in arena.zones)
     x_lo, x_hi, y_lo, y_hi = _zone_box(arena.zones)
-    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+    cos, sin = math.cos, math.sin
     wall_mids = tuple((radius * cos(arc.mid_angle), radius * sin(arc.mid_angle)) for arc in arena.walls)
 
     x, y, h = 0.0, 0.0, wrap_angle(cfg.start_heading)
@@ -275,8 +277,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                     ax += amplitude * cos(u[t])
                     ay += amplitude * sin(u[t])
             if in_zone and train:
-                dz = (GRAVITY + noise_sigma * g_az[t]) - GRAVITY
-                log_vib[t] = sqrt(ax * ax + ay * ay + dz * dz)
+                log_vib[t] = vibration_magnitude((ax, ay, GRAVITY + noise_sigma * g_az[t]))
         vib = log_vib[t]
         xc = color_sample(x, y, h, arena, cam)
         # The escape below reads the weight from before this tick's update.

@@ -5,7 +5,9 @@ pair of phases.  Its firing rate at a point depends only on the distance
 to the nearest lattice node, so rate maps inherit the hexagonal symmetry
 of the node set.  Place cells threshold the summed rates of a small grid
 ensemble.  The one-point functions (``nearest_center``, ``firing_rate``)
-run the same batch kernels as their array counterparts.
+run the same batch kernels as their array counterparts.  The package
+ships no second, test-only decode: the exhaustive nearest-node scan that
+checks the lattice decode lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from ._kernels import (
     TWO_PI,
-    brute_force,
     ensemble_batch,
     firing_normalized,
     firing_raw,
@@ -241,35 +242,20 @@ def phase_offset(g: GridCellParams) -> Position2:
     )
 
 
-def _decode_one(pos, g: GridCellParams, kernel, *extra) -> tuple[Position2, float]:
-    """Run a batch decode ``kernel`` on the one point ``pos``."""
+def nearest_center(pos, g: GridCellParams) -> tuple[Position2, float]:
+    """Nearest lattice node to ``pos`` and the distance to it.
+
+    Runs the batch decode :func:`~mazecells._kernels.nearest_batch` on a
+    one-point array.  Exact ties are broken toward the lexicographically
+    smallest integer node index (m, n).
+    """
     px, py, d = _xy_columns([_as_xy(pos)], (g.spacing,))
     cx = np.empty(1)
     cy = np.empty(1)
     mi = np.empty(1, dtype=np.int64)
     ni = np.empty(1, dtype=np.int64)
-    kernel(px, py, *g.lattice_args, *extra, cx, cy, d, mi, ni)
+    nearest_batch(px, py, *g.lattice_args, cx, cy, d, mi, ni)
     return Position2(float(cx[0]), float(cy[0])), float(d[0])
-
-
-def nearest_center(pos, g: GridCellParams) -> tuple[Position2, float]:
-    """Nearest lattice node to ``pos`` and the distance to it.
-
-    Exact ties are broken toward the lexicographically smallest integer
-    node index (m, n).
-    """
-    return _decode_one(pos, g, nearest_batch)
-
-
-def nearest_center_bruteforce(
-    pos, g: GridCellParams, max_index: int = 50
-) -> tuple[Position2, float]:
-    """Exhaustive nearest-node search over |m|, |n| <= max_index.
-
-    Independent reference implementation for validating nearest_center;
-    the caller is responsible for max_index covering the query point.
-    """
-    return _decode_one(pos, g, brute_force, max_index)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_color_facing_away_is_zero():
 
 
 def test_color_full_red_circle_from_center_is_one():
-    arena = Arena(radius=1.0, walls=(WallArc(0.0, 2 * math.pi - 1e-9, "red"),))
+    arena = Arena(radius=1.0, walls=(WallArc(0.0, 2 * math.pi - 2.0**-28, "red"),))
     cam = CameraParams(fov=1.0, max_range=2.0)
     assert abs(color_sample(0.0, 0.0, 2.5, arena, cam) - 1.0) < 1e-9
 
@@ -180,6 +180,22 @@ def test_color_matches_raycast_oracle_randomized():
         )
         r = radius * math.sqrt(rng.uniform(0.0, 0.98))
         a = rng.uniform(-math.pi, math.pi)
+        pose = Pose(r * math.cos(a), r * math.sin(a), float(rng.uniform(-math.pi, math.pi)))
+        exact = color_sample(pose.x, pose.y, pose.heading, arena, cam)
+        approx = _raycast_fraction(pose, arena, cam)
+        assert abs(exact - approx) < 2e-3, (trial, exact, approx)
+    # arcs 2**-28 rad short of a full turn, the nearest-full kind accepted
+    rng = np.random.default_rng(78)
+    for trial in range(12):
+        radius = rng.uniform(0.8, 2.0)
+        start = float(rng.uniform(-math.pi, math.pi))
+        arena = Arena(radius=radius, walls=(WallArc(start, start + TWO_PI - 2.0**-28, "red"),))
+        cam = CameraParams(
+            fov=float(rng.uniform(0.5, 2 * math.pi - 0.1)),
+            max_range=float(rng.uniform(0.3 * radius, 2.5 * radius)),
+        )
+        r = radius * math.sqrt(rng.uniform(0.0, 0.98))
+        a = start if trial % 2 else rng.uniform(-math.pi, math.pi)  # odd trials stand before the gap
         pose = Pose(r * math.cos(a), r * math.sin(a), float(rng.uniform(-math.pi, math.pi)))
         exact = color_sample(pose.x, pose.y, pose.heading, arena, cam)
         approx = _raycast_fraction(pose, arena, cam)
@@ -287,8 +303,8 @@ EDGE_OFFSETS = [0.0, 1e-15, 1e-12, 2.0**-31, 2.0**-30, 2.0**-29, 1e-6, 1e-3]
 
 @st.composite
 def camera_scenes(draw):
-    """An arena of 1-3 arcs (some across the +-pi seam, extents up to a hair
-    under 2*pi), a camera with a fov near 0, near 2*pi or between and a
+    """An arena of 1-3 arcs (some across the +-pi seam, extents up to 2**-28
+    rad short of 2*pi), a camera with a fov near 0, near 2*pi or between and a
     range below or above the radius, and a pose at the centre, in the open
     or in the wall clearance band, facing at random or with a fov edge at
     an arc end's bearing give or take an offset around the margin."""
@@ -299,7 +315,7 @@ def camera_scenes(draw):
         extent = draw(st.one_of(
             st.floats(1e-9, 1.0),
             st.floats(1.0, TWO_PI - 1e-3),
-            st.sampled_from([TWO_PI - 1e-3, TWO_PI - 4.0 * 2.0**-30, TWO_PI - 1e-9, TWO_PI - 1e-13]),
+            st.sampled_from([TWO_PI - 1e-3, TWO_PI - 4.0 * 2.0**-30]),
         ))
         walls.append(WallArc(start, start + extent, "red"))
     arena = Arena(radius=radius, walls=tuple(walls))
@@ -336,14 +352,6 @@ def camera_scenes(draw):
     -0.4105203758785975, 0.2388147587796274, -0.22095357827044748,
     Arena(radius=1.2318181445896732, walls=(WallArc(-0.1041870577520223, 0.860509964807852, "red"),)),
     CameraParams(fov=0.0005598887311983584, max_range=3.642244793588753),
-))
-# An arc 1.4e-15 rad short of a full turn, seen near its gap: its end
-# bearings' difference wraps, so without the near-full guard the early-out
-# would return 0.0 where the algebra returns 1.0.
-@example((
-    0.6928007386906889, 0.2255631699684948, 1.9454006888234279,
-    Arena(radius=0.7289601204373761, walls=(WallArc(0.44228371569090674, 0.4422837156909054, "red"),)),
-    CameraParams(fov=3.032610705213661e-06, max_range=2.186880361312128),
 ))
 @settings(max_examples=1500, deadline=None)
 def test_color_early_out_premise(scene):
@@ -473,6 +481,46 @@ def test_wall_arc_extent_and_midpoint():
     arc = WallArc(math.pi - 0.5, -math.pi + 0.5, "red")  # crosses the seam
     assert abs(arc.extent - 1.0) < 1e-12
     assert abs(abs(arc.mid_angle) - math.pi) < 1e-12 or abs(arc.mid_angle + math.pi) < 1e-12
+
+
+@pytest.mark.parametrize("start, end", [
+    (-2.5460932206476232, -2.5460932206476237),  # its extent rounds to TWO_PI
+    (0.0, TWO_PI - 1e-9),
+    (0.0, TWO_PI - 1e-13),
+    (0.44228371569090674, 0.4422837156909054),  # 1.4e-15 rad short
+])
+def test_near_full_wall_arc_rejected(start, end):
+    # a gap this narrow can round to none in the camera's bearings: the
+    # first arc read 0.0 with the whole view on wall
+    with pytest.raises(ConfigurationError, match="short of a full turn"):
+        WallArc(start, end, "red")
+
+
+def test_wall_arc_2_pow_minus_28_short_of_a_full_turn_is_accepted():
+    arc = WallArc(0.0, TWO_PI - 2.0**-28, "red")
+    assert TWO_PI - 2.0**-27 < arc.extent < TWO_PI - 2.0**-29
+    arena = Arena(radius=1.0, walls=(arc,))
+    assert color_sample(0.0, 0.0, 0.0, arena, CameraParams(fov=1.0, max_range=2.0)) > 0.999
+
+
+def test_color_near_full_arc_reads_its_wall_beside_the_gap():
+    # observers near an accepted arc's gap, facing it: a gap of g <= 1e-6
+    # rad, seen in range from at least the wall clearance (1e-3 radii),
+    # spans at most about 1e-3 rad of bearing, 1% of a fov of 0.1
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        gap = math.exp(rng.uniform(math.log(2.0**-29), math.log(1e-6)))
+        start = float(rng.uniform(-math.pi, math.pi))
+        radius = float(rng.uniform(0.5, 2.0))
+        arena = Arena(radius=radius, walls=(WallArc(start, start + TWO_PI - gap, "red"),))
+        cam = CameraParams(
+            fov=float(rng.uniform(0.1, TWO_PI - 1e-3)),
+            max_range=radius * float(rng.uniform(2.001, 4.0)),
+        )
+        a = start - 0.5 * gap
+        r = radius * (1.0 - math.exp(rng.uniform(math.log(1e-9), math.log(0.5))))
+        heading = a + float(rng.normal(0.0, 0.3))
+        assert color_sample(r * math.cos(a), r * math.sin(a), heading, arena, cam) >= 0.99
 
 
 def test_zone_validation():

@@ -3,12 +3,14 @@
 The sequential walk matches the scalar ``walk_step`` bitwise (identical
 floating-point operation order) on walks that wrap, leave the disk, land
 exactly on its edge and fall back to the noise-free move, and the firing
-rate matches the scalar formula bitwise at the brute-force node
+rate matches the scalar formula bitwise at the exhaustive scan's node
 distances.  The 4-corner decode is
-checked bitwise against the exhaustive ``brute_force`` scan at exact
-nodes, edge midpoints and triangle circumcentres (2- and 3-way ties) and
-at points a few ulps off them.  The firing-rate scan equals the firing
-formula at the brute-force distances across the seams of the ratemap
+checked bitwise against the exhaustive scan of ``oracles.full_scan`` at
+exact nodes, edge midpoints and triangle circumcentres (2- and 3-way
+ties) and at points a few ulps off them, and the pruned scan that
+criterion 2 runs, ``oracles.pruned_scan``, against the full one.  The
+firing-rate scan equals the firing formula at the exhaustive scan's
+distances across the seams of the ratemap
 block and of the corner scan's sub-blocks, on strided position views,
 and in a bounded amount of scratch memory.  The
 place-cell cascade is checked against a plain left-to-right sum bit for
@@ -32,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_grid, walk_cases
+from oracles import full_scan, pruned_scan
 
 from mazecells._kernels import (
     BLOCK,
@@ -41,7 +44,6 @@ from mazecells._kernels import (
     TWO_PI,
     _fft_size,
     autocorr,
-    brute_force,
     ensemble_batch,
     firing_normalized,
     firing_raw,
@@ -213,13 +215,17 @@ def _lattice(spacing, t, f1, f2):
     return (b1x, b1y, b2x, b2y, f1 * b1x + f2 * b2x, f1 * b1y + f2 * b2y)
 
 
+def _decode_outputs(n):
+    """Empty (cx, cy, d, m, n) arrays for ``n`` points."""
+    return [np.empty(n), np.empty(n), np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)]
+
+
 def _decode_all(px, py, b, max_index):
-    """(cx, cy, d, m, n) from nearest_batch and from brute_force."""
-    n = px.size
-    got = [np.empty(n), np.empty(n), np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)]
-    want = [np.empty(n), np.empty(n), np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64)]
+    """(cx, cy, d, m, n) from nearest_batch and from the full scan."""
+    got = _decode_outputs(px.size)
+    want = _decode_outputs(px.size)
     nearest_batch(px, py, *b, *got)
-    brute_force(px, py, *b, max_index, *want)
+    full_scan(px, py, *b, max_index, *want)
     return got, want
 
 
@@ -293,6 +299,59 @@ def test_nearest_batch_matches_scalar_on_signed_zeros():
         for px, py, offx, offy in itertools.product((0.0, -0.0), repeat=4):
             b = _lattice(1.0, t, 0.0, 0.0)[:4] + (offx, offy)
             _assert_decode_exact(np.array([px]), np.array([py]), b, 2)
+
+
+def _scan_cases(kind):
+    """(lattice, px, py, max_index) cases on which to compare the scans."""
+    rng = np.random.default_rng(31)
+    if kind == "random":
+        # boxes of points smaller than a lattice cell, and larger
+        for reach in (1.5, 12.0) * 4:
+            spacing = rng.uniform(0.2, 3.0)
+            b = _lattice(spacing, rng.uniform(0.0, TWO_PI), rng.uniform(), rng.uniform())
+            reach *= spacing
+            yield b, rng.uniform(-reach, reach, 3000), rng.uniform(-reach, reach, 3000), 16
+    elif kind == "ties":
+        # on the unit grid: (0.5, 0), +-0.0 points and offsets, and the
+        # nodes, edge midpoints and Voronoi vertices (triangle
+        # circumcentres) of nearby cells, also a few ulps off; then the
+        # same on random lattices
+        zx, zy = np.array(list(itertools.product((0.0, -0.0), repeat=2))).T
+        for offx, offy in itertools.product((0.0, -0.0), repeat=2):
+            b = _lattice(1.0, 0.0, 0.0, 0.0)[:4] + (offx, offy)
+            px, py = _tie_points(b, 1.0, rng, 20)
+            yield b, np.concatenate(([0.5], zx, px)), np.concatenate(([0.0], zy, py)), 16
+        for _ in range(4):
+            spacing = rng.uniform(0.2, 9.0)
+            b = _lattice(spacing, rng.uniform(0.0, TWO_PI), rng.uniform(), rng.uniform())
+            yield b, *_tie_points(b, spacing, rng, 20), 16
+    else:
+        # a lattice whose node (0, 0) lies 1e5 spacings out, with points
+        # among its nodes, then points 1e6 away from every node scanned
+        for f in (1e5, -3.3e5):
+            spacing = rng.uniform(0.2, 3.0)
+            b = _lattice(spacing, rng.uniform(0.0, TWO_PI), f, 0.7 * f)
+            px = b[4] + rng.uniform(-2.0, 2.0, 2000) * spacing
+            py = b[5] + rng.uniform(-2.0, 2.0, 2000) * spacing
+            yield b, px, py, 16
+        for a in rng.uniform(0.0, TWO_PI, 3):
+            b = _lattice(1.0, rng.uniform(0.0, TWO_PI), rng.uniform(), rng.uniform())
+            px = 1e6 * math.cos(a) + rng.uniform(-20.0, 20.0, 1000)
+            py = 1e6 * math.sin(a) + rng.uniform(-20.0, 20.0, 1000)
+            yield b, px, py, 8
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "far"])
+def test_pruned_scan_matches_full_scan(kind):
+    # criterion 2's oracle visits only the nodes that can win for each box
+    # of points; it must return the full scan's bits, sign of zero included
+    for b, px, py, max_index in _scan_cases(kind):
+        full = _decode_outputs(px.size)
+        pruned = _decode_outputs(px.size)
+        full_scan(px, py, *b, max_index, *full)
+        pruned_scan(px, py, *b, max_index, *pruned)
+        for f, p in zip(full, pruned):
+            assert f.tobytes() == p.tobytes()
 
 
 @given(

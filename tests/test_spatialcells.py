@@ -1,8 +1,8 @@
 """Lattice geometry, firing curves, frames, place cells.
 
-The nearest-node search is checked against an exhaustive brute-force
-oracle; everything with a closed form is checked against hand-evaluated
-literals.
+The nearest-node search is checked against an exhaustive scan
+(``oracles.full_scan``); everything with a closed form is checked
+against hand-evaluated literals.
 """
 
 import math
@@ -34,7 +34,6 @@ from mazecells.spatialcells import (
     firing_rate,
     lattice_basis,
     nearest_center,
-    nearest_center_bruteforce,
     normalized_rate,
     phase_offset,
     place_activity_at,
@@ -43,6 +42,7 @@ from mazecells.spatialcells import (
 )
 
 from conftest import random_grid
+from oracles import scan_grid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -158,21 +158,20 @@ def test_nearest_center_matches_bruteforce_randomized():
     for _ in range(10):
         g = random_grid(rng)
         pts = rng.uniform(-3.0, 3.0, size=(200, 2))
-        for p in pts:
-            pos = Position2(p[0], p[1])
-            c1, d1 = nearest_center(pos, g)
-            c2, d2 = nearest_center_bruteforce(pos, g, max_index=30)
-            assert (c1.x, c1.y, d1) == (c2.x, c2.y, d2)
+        cx, cy, d, _, _ = scan_grid(pts, g, max_index=30)
+        for i, p in enumerate(pts):
+            c1, d1 = nearest_center(Position2(p[0], p[1]), g)
+            assert (c1.x, c1.y, d1) == (cx[i], cy[i], d[i])
 
 
 def test_nearest_center_tie_prefers_lexicographic_smallest(unit_grid):
     # (0.5, 0) is equidistant from nodes (0,0) and (1,0); both searches must
     # settle on the lexicographically smaller integer pair, i.e. the origin.
     c, d = nearest_center(Position2(0.5, 0.0), unit_grid)
-    cb, db = nearest_center_bruteforce(Position2(0.5, 0.0), unit_grid)
+    cbx, cby, db, _, _ = scan_grid([(0.5, 0.0)], unit_grid, max_index=50)
     assert (c.x, c.y) == (0.0, 0.0)
-    assert (cb.x, cb.y) == (0.0, 0.0)
-    assert d == db == 0.5
+    assert (cbx[0], cby[0]) == (0.0, 0.0)
+    assert d == db[0] == 0.5
 
 
 def test_nearest_center_at_node_is_zero(demo_grid):
@@ -254,8 +253,6 @@ def test_firing_rate_is_rates_at_bitwise():
 def test_non_finite_position_rejected(demo_grid, firing, bad):
     with pytest.raises(ConfigurationError, match="must be finite"):
         nearest_center((0.5, bad), demo_grid)
-    with pytest.raises(ConfigurationError, match="must be finite"):
-        nearest_center_bruteforce((bad, 0.5), demo_grid)
     with pytest.raises(ConfigurationError, match="must be finite"):
         firing_rate((bad, 0.5), demo_grid, firing)
     with pytest.raises(ConfigurationError, match="must be finite"):
