@@ -464,6 +464,8 @@ def walk_blocks(
     ``walk_loop`` from the previous block's last pose.
     """
     check_tick_count(ticks, "ticks")
+    if not isinstance(block, (int, np.integer)) or block < 1:
+        raise ConfigurationError(f"block must be a positive integer, got {block!r}")
     step = check_walk_step(walk, arena)
     if start is None:
         start = Pose(0.0, 0.0, 0.0)

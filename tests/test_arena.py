@@ -467,6 +467,9 @@ def test_walk_blocks_share_one_buffer_and_check_before_the_first_block():
         walk_blocks(Arena(radius=1.3), WalkParams(), 0, seed=0)
     with pytest.raises(ConfigurationError, match="start pose"):
         walk_blocks(Arena(radius=1.3), WalkParams(), 10, Pose(1.3, 0.0, 0.0), seed=0)
+    for block in (0, -5, 2.5):
+        with pytest.raises(ConfigurationError, match="block must be a positive integer"):
+            walk_blocks(Arena(radius=1.3), WalkParams(), 10, seed=0, block=block)
 
 
 @given(seed=st.integers(0, 10_000), ticks=st.integers(2, 300))

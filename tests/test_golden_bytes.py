@@ -10,9 +10,10 @@ vibration) were recorded before the zone scan moved into
 the episode's two switches became one mode.  The x, y and heading
 columns of ``walk_trajectory`` for the five walks of ``conftest.walk_cases``
 were recorded before ``walk_loop`` stopped calling ``walk_step`` on every
-tick, and those of a noisy walk at lengths around ``_kernels.BLOCK`` before
-the ratemap pipeline walked in blocks of that many ticks.  Any change to the bits of an output fails here, not only a change
-beyond a tolerance.
+tick, and those of a noisy walk before the ratemap pipeline walked in
+blocks, at lengths that cross none, one and two seams of today's 16384-tick
+walk blocks (``SEAM_TICKS``).  Any change to the bits of an output fails
+here, not only a change beyond a tolerance.
 """
 
 import dataclasses
@@ -179,9 +180,9 @@ def test_walk_trajectory_bytes(name):
     assert walk_digests(walk_trajectory(*walk_cases()[name])) == GOLDEN["walks"][name]
 
 
-# Walk lengths on both sides of one and two block seams at the BLOCK of
-# 16384 ticks they were recorded with; golden_bytes.json keys their digests
-# by these counts, so they stay fixed if the block size moves.
+# Walk lengths on both sides of one and two seams of today's 16384-tick
+# walk blocks; golden_bytes.json keys their digests by these counts, so
+# they stay fixed if the block size moves.
 SEAM_TICKS = (1, 16383, 16384, 16385, 32769)
 
 

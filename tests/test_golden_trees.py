@@ -1,14 +1,15 @@
 """Byte pins for the files the ``episode``, ``ratemap`` and ``sweep``
-commands write.
+commands write, and a check that no block size changes them.
 
 ``golden_trees.json`` holds, for seeds 1 and 2, the SHA-256 of every file of:
 
 - a train run of ``golden_episode_train.ini`` and then a test run of
-  ``golden_episode_test.ini``, which reads the train run's summary; the
-  tick counts cross the trajectory writer's piece boundaries;
+  ``golden_episode_test.ini``, which reads the train run's summary; at
+  today's 4096 rows per trajectory piece their tick counts cross piece
+  boundaries;
 - a ``ratemap`` run of ``golden_ratemap.ini``, and one of
-  ``golden_ratemap_seams.ini``, whose walk crosses two block seams
-  (``_kernels.BLOCK`` ticks) at a low place threshold;
+  ``golden_ratemap_seams.ini``, at a low place threshold, whose walk
+  crosses two seams of today's 16384-tick walk blocks;
 - a ``sweep`` run of ``golden_sweep.ini``, which must give the same
   digests with one worker process and with two, and with two under each
   process start method; the one- and two-worker trees must also match
@@ -18,12 +19,16 @@ The grid cells' ``ratemap_grid*.csv`` and ``autocorr_grid*.csv`` are left
 out: their bits follow numpy's SIMD dispatch of ``np.arctan`` (ROADMAP
 item 1).  Any change to another written byte fails here.
 
+The seams the golden runs cross are those of today's block sizes.
+``test_block_sizes_change_no_byte`` places its own: it reruns every golden
+config at several sets of block sizes and compares every file, the grid
+CSVs included, with the default-size run of the same process.
+
 ``PYTHONPATH=src python tests/test_golden_trees.py`` rewrites the JSON
 from the current code; run it only when an output changes on purpose.
 """
 
 import concurrent.futures
-import configparser
 import fnmatch
 import functools
 import hashlib
@@ -35,6 +40,7 @@ from unittest import mock
 
 import pytest
 
+from mazecells import _kernels, analysis, arena, artifacts, cli, controller
 from mazecells.cli import ENV_JOBS, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -164,25 +170,55 @@ def test_sweep_trees_match_golden_under_every_start_method(tmp_path, method):
     assert made.call_count == len(SEEDS)
 
 
-def test_tick_counts_cross_piece_boundaries():
-    from mazecells.artifacts import ROWS_PER_PIECE
+# Sets of (walk block, _kernels.SCAN_BLOCK, artifacts.ROWS_PER_PIECE,
+# analysis.ROTATE_LAGS, controller.BLOCK): the ticks per walk block of a
+# ratemap run, the points per sub-block of the corner scan, the rows per
+# written trajectory piece, the lags per slice of gridness's rotations and
+# the ticks per block of the episode's rest readings.
+BLOCK_SIZES = {
+    # every size below its run and not a power of two
+    "small": (4097, 100, 7, 64, 333),
+    # a scan sub-block smaller than the place cascade's usual finish (a
+    # few hundred decodes) under a 16384-tick walk block
+    "scan37": (16384, 37, 4096, 4096, 16384),
+    # sizes one below powers of two, each still below its run
+    "odd": (16383, 4095, 4095, 1023, 8191),
+    # every size above its run, so each run is one block
+    "whole": (32769, 32769, 8193, 100000, 100000),
+}
 
-    ticks = {}
-    for mode, cfg in CONFIGS.items():
-        cp = configparser.ConfigParser()
-        cp.read(cfg)
-        ticks[mode] = cp.getint("run", "tick_count")
-    assert ticks == {"train": 2 * ROWS_PER_PIECE + 1, "test": ROWS_PER_PIECE + 1}
+
+def every_tree(work: str) -> dict:
+    """Run every golden config at every seed under ``work`` (the episodes,
+    both ratemaps and the serial sweep) and digest every file written."""
+    episode_digests(os.path.join(work, "episode"))
+    command_digests(work, "ratemap", RATEMAP_CONFIG)
+    command_digests(work, "ratemap", SEAMS_CONFIG, "ratemap_seams")
+    sweep_digests(work, 1)
+    return tree_digests(work, "", skip=())
 
 
-def test_seam_run_crosses_two_block_seams():
-    from mazecells._kernels import BLOCK
+@pytest.fixture(scope="module")
+def default_size_trees(tmp_path_factory):
+    trees = every_tree(str(tmp_path_factory.mktemp("default_sizes")))
+    # per seed: two episodes' two files, two ratemaps' ten, and the sweep's
+    # two plus ten per point
+    assert len(trees) == (2 * 2 + 2 * 10 + 2 + 2 * 10) * len(SEEDS)
+    return trees
 
-    cp = configparser.ConfigParser()
-    cp.read(SEAMS_CONFIG)
-    # a walk of n ticks crosses (n - 1) // BLOCK seams between its blocks
-    assert (cp.getint("run", "tick_count") - 1) // BLOCK >= 2
-    assert cp.getfloat("place", "threshold_fraction") == 0.4
+
+@pytest.mark.parametrize("sizes", BLOCK_SIZES.values(), ids=BLOCK_SIZES.keys())
+def test_block_sizes_change_no_byte(tmp_path, monkeypatch, default_size_trees, sizes):
+    # a run's bytes do not depend on how its walk, decode, cascade, rest
+    # readings, rotations and writers are split into blocks: every file,
+    # the grid CSVs included, equals the default-size run's
+    walk, scan, rows, lags, rest = sizes
+    monkeypatch.setattr(cli, "walk_blocks", functools.partial(arena.walk_blocks, block=walk))
+    monkeypatch.setattr(_kernels, "SCAN_BLOCK", scan)
+    monkeypatch.setattr(artifacts, "ROWS_PER_PIECE", rows)
+    monkeypatch.setattr(analysis, "ROTATE_LAGS", lags)
+    monkeypatch.setattr(controller, "BLOCK", rest)
+    assert every_tree(str(tmp_path)) == default_size_trees
 
 
 if __name__ == "__main__":

@@ -642,10 +642,21 @@ def test_ensemble_drops_points_early(monkeypatch):
     assert got.sum() > 0
 
 
+def _arena_block_ensemble():
+    """A block of BLOCK points spread over the arena and the default place
+    cell's inputs."""
+    rng = np.random.default_rng(44)
+    r = 1.3 * np.sqrt(rng.uniform(0.0, 1.0, BLOCK))
+    a = rng.uniform(-math.pi, math.pi, BLOCK)
+    fp = FiringParams(5.0, 0.3)
+    cells = _ensemble_cells(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), fp)
+    return r * np.cos(a), r * np.sin(a), cells
+
+
 def test_ensemble_finishes_few_survivors_in_one_decode(monkeypatch):
-    # of a block of points spread over the arena, the default place cell
-    # keeps 1304 after its first input and 29 after its second; their six
-    # remaining inputs are then decoded in one call, not one call per input
+    # of the block, the default place cell keeps 1304 points after its
+    # first input and 29 after its second; their six remaining inputs are
+    # then decoded in one call, not one call per input
     from mazecells import _kernels
 
     sizes = []
@@ -655,21 +666,27 @@ def test_ensemble_finishes_few_survivors_in_one_decode(monkeypatch):
         sizes.append(px.shape[0])
         real(px, *args)
 
-    rng = np.random.default_rng(44)
-    r = 1.3 * np.sqrt(rng.uniform(0.0, 1.0, BLOCK))
-    a = rng.uniform(-math.pi, math.pi, BLOCK)
-    px, py = r * np.cos(a), r * np.sin(a)
-    fp = FiringParams(5.0, 0.3)
-    cells = _ensemble_cells(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), fp)
+    px, py, cells = _arena_block_ensemble()
     monkeypatch.setattr(_kernels, "rates_batch", counting)
     got = _run_ensemble(px, py, cells, 6.4)
     monkeypatch.undo()
     assert len(sizes) == 3 and sizes[0] == BLOCK and sizes[2] % 6 == 0
-    assert 0 < sizes[2] <= _kernels.FINISH_POINTS
-    # the finish call's per-point arguments line up only inside one sub-block
-    assert _kernels.FINISH_POINTS <= _kernels.SCAN_BLOCK
+    assert 0 < sizes[2] <= _kernels.SCAN_BLOCK
     assert np.array_equal(got, _reference_activity(px, py, cells, 6.4)[0])
     assert got.sum() > 0
+
+
+def test_ensemble_finish_fits_a_small_scan_sub_block(monkeypatch):
+    # the finish tiles the survivors once per remaining input, and their
+    # per-point lattice arguments line up with the scan only inside one
+    # sub-block; at 37 points per sub-block the finish above (29 x 6 = 174
+    # decodes) waits for fewer survivors
+    from mazecells import _kernels
+
+    px, py, cells = _arena_block_ensemble()
+    want = _reference_activity(px, py, cells, 6.4)[0]
+    monkeypatch.setattr(_kernels, "SCAN_BLOCK", 37)
+    assert np.array_equal(_run_ensemble(px, py, cells, 6.4), want)
 
 
 def test_ensemble_no_input_evaluated_when_nothing_can_fire(monkeypatch):
