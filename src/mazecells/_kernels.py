@@ -28,10 +28,14 @@ memory does not grow with its ticks.
 
 The place-cell ensemble, :func:`ensemble_batch`, is an exact attentional
 cascade: each grid input is decoded, through :func:`rates_batch`, only on
-the points whose partial sum can still reach the threshold.  It rests on
-one premise, that no computed rate exceeds the input's rate at distance
-0 by more than :data:`RATE_CAP_SLACK`, and gives the bits of the plain
-sum.
+the points whose partial sum can still reach the threshold.  With m
+inputs left, a partial total below ``threshold * (1 - m * 2**-50)``
+minus the remaining inputs' caps is dropped; :data:`DROP_SLACK` derives
+that slack from the rounding of in-order sums of non-negative floats
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+section 4.2).  The cascade rests on one premise, that no computed rate
+exceeds the input's rate at distance 0 by more than
+:data:`RATE_CAP_SLACK`, and gives the bits of the plain sum.
 
 The autocorrelogram is the masked normalized cross-correlation of
 Padfield (IEEE TIP 2012), computed with ``numpy.fft`` one spectrum at a
@@ -43,7 +47,6 @@ of the whole centred map.
 from __future__ import annotations
 
 import math
-import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -287,74 +290,64 @@ def rate_cap(spacing, kappa, zeta) -> float:
     return float(firing_normalized(firing_raw(0.0, spacing, kappa, zeta))) + RATE_CAP_SLACK
 
 
-_INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf
+# ensemble_batch drops a partial total x after input j, with m inputs
+# left, when x < theta * (1 - m * DROP_SLACK) - S, where theta is the
+# threshold and S the float sum of the remaining inputs' caps; at m = 0
+# the bound is theta itself.  Write u = 2**-53.  Every rate lies in
+# [0, 1] and every cap is at least 0, so every partial total is too, and
+# a float add of non-negative terms is at most (1 + u) times their exact
+# sum: the remaining adds of caps take x to at most (x + S') * (1 + u)**m,
+# S' the exact cap sum, and by monotony the rates take x no higher.  S,
+# summed with m - 1 adds, is at least S' * (1 - u)**(m - 1); 1 - m *
+# DROP_SLACK is exact; the product and the difference each round up by at
+# most a factor 1 + u, and x >= 0 is dropped only when S is below the
+# product.  So a dropped x ends below theta * (1 - 8 m u) times a factor
+# of 1 + (2m + 1) u to first order and below exp(3 m u) for every m >= 1,
+# while 1 - 8 m u < exp(-8 m u): it ends below theta, for every input
+# count below 2**50.  Where the product is at most 2**-1022, S and every
+# partial total below it are subnormal, and adds and differences there
+# are exact, so x + S' < theta directly.  The bound lies about 8 m u
+# theta (4e-14 for the default place cell) below the least partial total
+# that can still fire, so it keeps hardly any point that cannot.
+DROP_SLACK = 2.0**-50
 
 
-def _from_bits(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+def _drop_bounds(caps, threshold) -> list[float]:
+    """Per stage j, the least partial total after inputs 0..j-1 that the
+    cascade keeps (:data:`DROP_SLACK`); element 0 comes before any input,
+    and the last element, after every input, is ``threshold`` itself."""
+    bound = [threshold]
+    tail = 0.0  # the caps of the inputs left, summed from the last one back
+    for left, cap in enumerate(reversed(caps), 1):
+        tail = cap + tail
+        bound.append(threshold * (1.0 - left * DROP_SLACK) - tail)
+    return bound[::-1]
 
 
-def _least_reaching(c, t) -> float:
-    """The least double x >= 0 whose rounded sum ``x + c`` is ``>= t``.
-
-    A bisection over the bit patterns of the non-negative doubles, whose
-    integer order is their order as floats; ``x + c`` is nondecreasing in
-    x, and at x = inf it is inf.
-    """
-    lo, hi = -1, _INF_BITS  # x + c < t at bits lo (or lo is below 0.0); >= t at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _from_bits(mid) + c >= t:
-            hi = mid
-        else:
-            lo = mid
-    return _from_bits(hi)
-
-
-def survival_thresholds(caps, threshold) -> list[float]:
-    """Per input j, the least partial total after inputs 0..j that can
-    still reach ``threshold``, with inputs j+1.. at their caps.
-
-    Element j + 1 corresponds to input j; element 0, the least value the
-    total may start from, is 0.0 exactly when some point can fire.  A
-    partial total x survives input j iff the caps of the remaining
-    inputs, added to x one float add at a time in input order, reach
-    ``threshold``.  That sum is nondecreasing in x, because IEEE addition
-    is monotone in each operand, so it holds iff x is at least the least
-    double for which it holds.  Going backwards, x + caps[j+1] must reach
-    element j + 2, so each element is one bisection of one add.
-    """
-    out = [float(threshold)]
-    for c in reversed(caps):
-        out.append(_least_reaching(c, out[-1]))
-    return out[::-1]
-
-
-def ensemble_batch(px, py, cells, thresholds, total, out):
-    """1 where the summed normalized rates of ``cells`` reach a threshold.
+def ensemble_batch(px, py, cells, threshold, total, out):
+    """1 where the summed normalized rates of ``cells`` reach ``threshold``.
 
     ``cells`` lists each grid input as ``(b1x, b1y, b2x, b2y, offx, offy,
-    spacing, kappa, zeta)``; ``thresholds`` is
-    ``survival_thresholds([rate_cap(*cell[6:]) for cell in cells],
-    threshold)``, which depends on no point and so is computed once per
-    run by the caller; ``total`` is a scratch array of len(px) floats;
-    ``out`` (int8, zeroed here) gets 1 at each point whose total, the rates
-    added left to right from 0.0 in the given order, is ``>= threshold``.
+    spacing, kappa, zeta)``; ``total`` is a scratch array of len(px)
+    floats; ``out`` (int8, zeroed here) gets 1 at each point whose total,
+    the rates added left to right from 0.0 in the given order, is ``>=
+    threshold``.
 
-    An attentional cascade with an exact reject rule (Viola & Jones,
-    CVPR 2001).  Input j is decoded with :func:`rates_batch` only on the
-    points that survived inputs 0..j-1.  After adding input j, a point is
-    dropped once its partial total plus the caps (:func:`rate_cap`) of
-    the remaining inputs, added one float add at a time in input order,
-    falls below ``threshold``; that test is one compare against a
-    per-input bound from ``thresholds``, and the survivors' coordinates
-    and totals are then compacted over the whole array.  IEEE
-    addition is monotone in each operand and every rate is at most its
-    cap, so that sum bounds the final total from above: a dropped point
-    cannot fire.  The survivors get the same adds in the same order as a
+    An attentional cascade with a sound reject rule (Viola & Jones, CVPR
+    2001).  Input j is decoded with :func:`rates_batch` only on the points
+    that survived inputs 0..j-1.  After adding input j, with m inputs
+    left, a point is dropped when its partial total is below ``threshold
+    * (1 - m * DROP_SLACK) - S_j``, where ``S_j`` sums the caps
+    (:func:`rate_cap`) of the remaining inputs from the last one back;
+    the bounds depend on no point and are computed once per call, so the
+    test is one compare per point, and the survivors' coordinates and
+    totals are then compacted over the whole array.  Every rate is at
+    most its cap, so a dropped point cannot fire (the derivation is at
+    :data:`DROP_SLACK`); a bound above 0 before the first input means no
+    point can.  The survivors get the same adds in the same order as a
     plain sum, so their totals are bit-identical to it, and after the last
-    input they are exactly the points that fire.  Never reorder the
-    inputs: the rounding of the sum depends on their order.
+    input the compare is exactly ``total >= threshold``.  Never reorder
+    the inputs: the rounding of the sum depends on their order.
 
     Once the survivors times the remaining inputs are at most
     :data:`SCAN_BLOCK`, read on each call, the remaining inputs are decoded
@@ -366,8 +359,8 @@ def ensemble_batch(px, py, cells, thresholds, total, out):
     remaining input; a 16384-tick block of the default place cell keeps
     18 to 48 points after its second input.
     """
+    start, *least = _drop_bounds([rate_cap(*cell[6:]) for cell in cells], threshold)
     out.fill(0)
-    start, *least = thresholds
     if px.shape[0] == 0 or start > 0.0:  # no point can fire
         return
     idx = None  # the survivors' indices into px, once one is dropped
@@ -397,7 +390,7 @@ def ensemble_batch(px, py, cells, thresholds, total, out):
             rates_batch(np.tile(px, k), np.tile(py, k), *args, rate)
             for r in rate.reshape(k, m):
                 np.add(total, r, out=total)
-            idx = idx[total >= least[-1]]
+            idx = idx[total >= threshold]
             break
     out[slice(None) if idx is None else idx] = 1
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import BLOCK, TWO_PI, walk_loop, wrap_angle
+from . import _kernels
+from ._kernels import TWO_PI, walk_loop, wrap_angle
 from .spatialcells import ConfigurationError, check_finite, check_seed, check_tick_count
 
 GRAVITY = 9.81
@@ -447,10 +448,11 @@ def walk_blocks(
     ticks: int,
     start: Pose | None = None,
     seed: int | None = None,
-    block: int = BLOCK,
+    block: int | None = None,
 ) -> Iterator[np.ndarray]:
     """The poses of a bounded random walk in consecutive blocks of at most
-    ``block`` ticks, each a (rows, 3) array of x, y, heading.
+    ``block`` ticks, each a (rows, 3) array of x, y, heading; ``block``
+    defaults to :data:`mazecells._kernels.BLOCK`, read on each call.
 
     Row 0 of the first block is the start pose (arena center, heading 0 by
     default); the blocks together are the rows of
@@ -464,6 +466,8 @@ def walk_blocks(
     ``walk_loop`` from the previous block's last pose.
     """
     check_tick_count(ticks, "ticks")
+    if block is None:
+        block = _kernels.BLOCK
     if not isinstance(block, (int, np.integer)) or block < 1:
         raise ConfigurationError(f"block must be a positive integer, got {block!r}")
     step = check_walk_step(walk, arena)

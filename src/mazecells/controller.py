@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import BLOCK, wrap_angle, walk_step
+from . import _kernels
+from ._kernels import wrap_angle, walk_step
 from .arena import (
     GRAVITY,
     Arena,
@@ -160,10 +161,12 @@ def _rest_vibration(g_ax, g_ay, g_az, noise_sigma: float, out: np.ndarray) -> No
     GRAVITY``, by numpy ufuncs in the order of operations of
     :func:`~mazecells.arena.vibration_magnitude`.  Each ufunc rounds
     correctly, as Python's float operations do, so the bits are the same.
-    The ticks go BLOCK at a time through one scratch array."""
-    scratch = np.empty(min(BLOCK, len(out)))
-    for lo in range(0, len(out), BLOCK):
-        hi = lo + BLOCK
+    The ticks go :data:`mazecells._kernels.BLOCK`, read on each call, at a
+    time through one scratch array."""
+    block = _kernels.BLOCK
+    scratch = np.empty(min(block, len(out)))
+    for lo in range(0, len(out), block):
+        hi = lo + block
         o = out[lo:hi]
         s = scratch[: len(o)]
         np.multiply(g_ax[lo:hi], noise_sigma, out=o)

@@ -12,7 +12,6 @@ checks the lattice decode lives with the tests (``tests/oracles.py``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,9 +23,7 @@ from ._kernels import (
     firing_normalized,
     firing_raw,
     nearest_batch,
-    rate_cap,
     rates_batch,
-    survival_thresholds,
 )
 
 # Lattice spacings outside this range (m) are rejected: at 1e200 m the
@@ -109,12 +106,13 @@ MAX_TICK_COUNT = 2**26
 
 def check_tick_count(ticks, name: str = "tick_count") -> int:
     """``ticks`` as an int in [1, MAX_TICK_COUNT]; anything else raises
-    ConfigurationError before any per-tick array is allocated."""
+    ConfigurationError before any per-tick array is allocated.  The message
+    for a run's or an episode's ``tick_count`` names the episode's memory
+    per tick, which sets the bound; a walk (``ticks``) holds one block of
+    poses whatever its length."""
     if not isinstance(ticks, (int, np.integer)) or not 0 < ticks <= MAX_TICK_COUNT:
-        raise ConfigurationError(
-            f"{name} must be an integer in [1, {MAX_TICK_COUNT}] "
-            f"(an episode needs about 128 B of memory per tick), got {ticks}"
-        )
+        why = " (an episode needs about 128 B of memory per tick)" if name == "tick_count" else ""
+        raise ConfigurationError(f"{name} must be an integer in [1, {MAX_TICK_COUNT}]{why}, got {ticks}")
     return int(ticks)
 
 
@@ -362,19 +360,8 @@ def place_activity_at(positions: np.ndarray, pc: PlaceCellParams, fp: FiringPara
     px, py, total = _xy_columns(positions, [g.spacing for g in pc.inputs])
     cells = [g.lattice_args + (g.spacing, fp.kappa, fp.zeta) for g in pc.inputs]
     out = np.empty(px.shape[0], dtype=np.int8)
-    ensemble_batch(px, py, cells, _cascade_thresholds(pc, fp), total, out)
+    ensemble_batch(px, py, cells, pc.threshold, total, out)
     return out
-
-
-@functools.lru_cache(maxsize=32)
-def _cascade_thresholds(pc: PlaceCellParams, fp: FiringParams) -> tuple[float, ...]:
-    """The survival thresholds of ``pc``'s cascade, computed once per run
-    rather than once per block of positions: up to 64 bisection steps per
-    input.  They depend only on the inputs' spacings, kappa, zeta and the
-    threshold, all positive, so params that compare equal give them the
-    same bits."""
-    caps = [rate_cap(g.spacing, fp.kappa, fp.zeta) for g in pc.inputs]
-    return tuple(survival_thresholds(caps, pc.threshold))
 
 
 def anchored_ensemble(spacings, anchor=(0.0, 0.0)) -> tuple[GridCellParams, ...]:

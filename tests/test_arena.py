@@ -463,13 +463,25 @@ def test_walk_blocks_share_one_buffer_and_check_before_the_first_block():
     first, second = next(blocks), next(blocks)
     assert first.shape == second.shape == (4, 3) and np.shares_memory(first, second)
     # the checks run on the call, not on the first next()
-    with pytest.raises(ConfigurationError, match="ticks must be an integer in"):
+    # a walk holds one block whatever its ticks, so the message names no
+    # per-tick memory
+    with pytest.raises(ConfigurationError, match=r"^ticks must be an integer in \[1, \d+\], got 0$"):
         walk_blocks(Arena(radius=1.3), WalkParams(), 0, seed=0)
     with pytest.raises(ConfigurationError, match="start pose"):
         walk_blocks(Arena(radius=1.3), WalkParams(), 10, Pose(1.3, 0.0, 0.0), seed=0)
     for block in (0, -5, 2.5):
         with pytest.raises(ConfigurationError, match="block must be a positive integer"):
             walk_blocks(Arena(radius=1.3), WalkParams(), 10, seed=0, block=block)
+
+
+def test_walk_blocks_read_the_block_size_on_each_call(monkeypatch):
+    # the default block is _kernels.BLOCK as it is when walk_blocks is
+    # called, so one binding sets it for every caller
+    from mazecells import _kernels
+
+    monkeypatch.setattr(_kernels, "BLOCK", 3)
+    blocks = [b.shape[0] for b in walk_blocks(Arena(radius=1.3), WalkParams(), 10, seed=0)]
+    assert blocks == [3, 3, 3, 1]
 
 
 @given(seed=st.integers(0, 10_000), ticks=st.integers(2, 300))

@@ -40,7 +40,7 @@ from unittest import mock
 
 import pytest
 
-from mazecells import _kernels, analysis, arena, artifacts, cli, controller
+from mazecells import _kernels, analysis, artifacts
 from mazecells.cli import ENV_JOBS, main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -170,21 +170,21 @@ def test_sweep_trees_match_golden_under_every_start_method(tmp_path, method):
     assert made.call_count == len(SEEDS)
 
 
-# Sets of (walk block, _kernels.SCAN_BLOCK, artifacts.ROWS_PER_PIECE,
-# analysis.ROTATE_LAGS, controller.BLOCK): the ticks per walk block of a
-# ratemap run, the points per sub-block of the corner scan, the rows per
-# written trajectory piece, the lags per slice of gridness's rotations and
-# the ticks per block of the episode's rest readings.
+# Sets of (_kernels.BLOCK, _kernels.SCAN_BLOCK, artifacts.ROWS_PER_PIECE,
+# analysis.ROTATE_LAGS): the ticks per block of a ratemap run's walk and
+# of an episode's rest readings, the points per sub-block of the corner
+# scan, the rows per written trajectory piece and the lags per slice of
+# gridness's rotations.
 BLOCK_SIZES = {
-    # every size below its run and not a power of two
-    "small": (4097, 100, 7, 64, 333),
+    # every size below its runs and not a power of two
+    "small": (3001, 100, 7, 64),
     # a scan sub-block smaller than the place cascade's usual finish (a
-    # few hundred decodes) under a 16384-tick walk block
-    "scan37": (16384, 37, 4096, 4096, 16384),
-    # sizes one below powers of two, each still below its run
-    "odd": (16383, 4095, 4095, 1023, 8191),
-    # every size above its run, so each run is one block
-    "whole": (32769, 32769, 8193, 100000, 100000),
+    # few hundred decodes) under a 16384-tick block
+    "scan37": (16384, 37, 4096, 4096),
+    # sizes one below powers of two, each below most of its runs
+    "odd": (8191, 4095, 4095, 1023),
+    # every size above its runs, so each run is one block
+    "whole": (32769, 32769, 8193, 100000),
 }
 
 
@@ -212,12 +212,11 @@ def test_block_sizes_change_no_byte(tmp_path, monkeypatch, default_size_trees, s
     # a run's bytes do not depend on how its walk, decode, cascade, rest
     # readings, rotations and writers are split into blocks: every file,
     # the grid CSVs included, equals the default-size run's
-    walk, scan, rows, lags, rest = sizes
-    monkeypatch.setattr(cli, "walk_blocks", functools.partial(arena.walk_blocks, block=walk))
+    block, scan, rows, lags = sizes
+    monkeypatch.setattr(_kernels, "BLOCK", block)
     monkeypatch.setattr(_kernels, "SCAN_BLOCK", scan)
     monkeypatch.setattr(artifacts, "ROWS_PER_PIECE", rows)
     monkeypatch.setattr(analysis, "ROTATE_LAGS", lags)
-    monkeypatch.setattr(controller, "BLOCK", rest)
     assert every_tree(str(tmp_path)) == default_size_trees
 
 

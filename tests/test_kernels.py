@@ -14,8 +14,10 @@ distances across the seams of the ratemap
 block and of the corner scan's sub-blocks, on strided position views,
 and in a bounded amount of scratch memory.  The
 place-cell cascade is checked against a plain left-to-right sum bit for
-bit, and its premise, that no computed rate exceeds the cell's rate at
-distance 0 plus a slack, over the whole parameter range.  The
+bit; its drop bounds against the in-order sum of the remaining caps, for
+input counts well above a config's; and its premise, that no computed
+rate exceeds the cell's rate at distance 0 plus a slack, over the whole
+parameter range.  The
 FFT autocorrelogram is checked at every lag against a per-lag, two-pass,
 long-double masked Pearson oracle, including which lags are NaN, bit
 for bit against stacked transforms and the Pearson step evaluated over
@@ -42,6 +44,7 @@ from mazecells._kernels import (
     RATE_CAP_SLACK,
     SCAN_BLOCK,
     TWO_PI,
+    _drop_bounds,
     _fft_size,
     autocorr,
     ensemble_batch,
@@ -50,12 +53,12 @@ from mazecells._kernels import (
     nearest_batch,
     rate_cap,
     rates_batch,
-    survival_thresholds,
     walk_loop,
     walk_step,
     wrap_angle,
 )
 from mazecells.arena import MAX_HEADING_SIGMA, Pose, check_walk_step
+from mazecells.config import MAX_PLACE_COUNT
 from mazecells.spatialcells import (
     MAX_SPACING,
     MIN_SPACING,
@@ -511,25 +514,33 @@ def _sequential_bound(x, caps, threshold):
 
 
 @given(
-    caps=st.lists(st.floats(0.0, 1.0 + 2.0**-30), min_size=1, max_size=16),
-    frac=st.floats(0.0, 1.0, exclude_min=True),
-    probes=st.lists(st.floats(0.0, 16.0), max_size=20),
+    values=st.lists(st.floats(0.0, 1.0 + 2.0**-30), min_size=1, max_size=16),
+    count=st.one_of(st.integers(1, 16), st.integers(1, 4 * MAX_PLACE_COUNT)),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([5e-324, 2.0**-1022, 1.0])),
+    probes=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6),
 )
 @settings(max_examples=300, deadline=None)
-def test_survival_thresholds_match_the_sequential_cap_sum(caps, frac, probes):
-    threshold = frac * len(caps)
-    least = survival_thresholds(caps, threshold)
-    assert len(least) == len(caps) + 1 and least[-1] == threshold
-    for j, t in enumerate(least):
-        tail = caps[j:]
-        # the least survivor survives, its predecessor and 0.0 do not
-        # (unless the least survivor is 0.0 itself)
-        assert _sequential_bound(t, tail, threshold)
-        if t > 0.0:
-            assert not _sequential_bound(math.nextafter(t, -math.inf), tail, threshold)
-            assert not _sequential_bound(0.0, tail, threshold)
-        for x in probes:
-            assert (x >= t) == _sequential_bound(x, tail, threshold)
+def test_drop_bounds_drop_no_partial_that_can_reach_the_threshold(values, count, seed, frac, probes):
+    # a partial total below a stage's bound cannot reach the threshold even
+    # with every remaining input at its cap, added in order: caps anywhere
+    # in [0, the largest rate_cap], any input count the API accepts (a
+    # PlaceCellParams has no count bound, a config at most MAX_PLACE_COUNT)
+    # and thresholds down to subnormal.  The cap sum is nondecreasing in
+    # the partial, so the bound's predecessor is the strongest probe.
+    rng = np.random.default_rng(seed)
+    caps = [values[i] for i in rng.integers(len(values), size=count)]
+    threshold = frac * count
+    bounds = _drop_bounds(caps, threshold)
+    assert len(bounds) == count + 1 and bounds[-1] == threshold
+    stages = range(count + 1) if count <= 32 else {0, count, *rng.integers(count + 1, size=16).tolist()}
+    for j in stages:
+        b, tail = bounds[j], caps[j:]
+        if b <= 0.0:  # no partial total is below it
+            continue
+        below = [x for x in [p * b for p in probes] if x < b]
+        for x in [0.0, math.nextafter(b, -math.inf), *below]:
+            assert not _sequential_bound(x, tail, threshold)
 
 
 def _reference_activity(px, py, cells, threshold):
@@ -548,8 +559,7 @@ def _ensemble_cells(grids, fp):
 
 def _run_ensemble(px, py, cells, threshold):
     out = np.full(px.shape[0], 7, dtype=np.int8)
-    thresholds = survival_thresholds([rate_cap(*cell[6:]) for cell in cells], threshold)
-    ensemble_batch(px, py, cells, thresholds, np.full(px.shape[0], np.nan), out)
+    ensemble_batch(px, py, cells, threshold, np.full(px.shape[0], np.nan), out)
     return out
 
 

