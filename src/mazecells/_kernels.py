@@ -39,15 +39,18 @@ exceeds the input's rate at distance 0 by more than
 
 The autocorrelogram is the masked normalized cross-correlation of
 Padfield (IEEE TIP 2012), computed with ``numpy.fft`` one spectrum at a
-time; an overlap counts as constant, and its lag as NaN, when its
-variance term is at most :data:`DEGENERATE_RTOL` times ``n * sum(a**2)``
-of the whole centred map.
+time.  The terms that depend only on the visited mask are computed once
+per mask, in :func:`autocorr_mask`, and shared by every map with that mask.
+An overlap counts as constant, and its lag as NaN, when its variance term
+is at most :data:`DEGENERATE_RTOL` times ``n * sum(a**2)`` of the whole
+centred map.
 """
 
 from __future__ import annotations
 
 import math
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -407,9 +410,45 @@ def _fft_size(n: int) -> int:
         n += 1
 
 
-def autocorr(vals, visited, min_overlap, out):
+class AutocorrMask(NamedTuple):
+    """The terms of :func:`autocorr` that depend only on the visited mask,
+    built by :func:`autocorr_mask`."""
+
+    visited: np.ndarray  # (h, w) bool
+    count: int  # visited bins
+    shape: tuple[int, int]  # the padded FFT shape
+    rows: np.ndarray  # lag d at index d mod shape: the lags -(h-1)..h-1
+    cols: np.ndarray  # and -(w-1)..w-1
+    cm: np.ndarray  # conj(rfft2(mask)), the padded half-spectrum
+    n: np.ndarray  # the rounded overlap counts of the lags dy >= 0
+
+
+def _lags(spectrum, shape, rows, cols):
+    """The lags ``rows`` x ``cols`` of the cross-correlation whose spectrum
+    is ``spectrum``.  Rows, then columns: two 1-d gathers run faster than
+    one 2-d one."""
+    return np.fft.irfft2(spectrum, s=shape)[rows][:, cols]
+
+
+def autocorr_mask(visited) -> AutocorrMask:
+    """The terms of :func:`autocorr` that depend only on ``visited``: one
+    forward and one inverse transform, which every map with this mask
+    shares (every map of one ``analysis.Binning``)."""
+    visited = np.ascontiguousarray(visited, dtype=bool)
+    h, w = visited.shape
+    shape = (_fft_size(2 * h - 1), _fft_size(2 * w - 1))
+    rows = np.arange(-(h - 1), h) % shape[0]
+    cols = np.arange(-(w - 1), w) % shape[1]
+    fm = np.fft.rfft2(visited.astype(np.float64), s=shape)
+    cm = np.conj(fm)
+    n = np.rint(_lags(fm * cm, shape, rows[h - 1 :], cols))
+    return AutocorrMask(visited, int(visited.sum()), shape, rows, cols, cm, n)
+
+
+def autocorr(vals, mask, min_overlap, out):
     """Pearson correlation of the map with itself at every integer-bin lag.
 
+    ``mask`` is :func:`autocorr_mask` of the map's visited bins.
     ``out[h - 1 + dy, w - 1 + dx]`` correlates the bins p + (dy, dx) with
     the bins p over the p where both are visited.  The six overlap sums of
     each lag (count, two sums, two sums of squares, cross sum) come from
@@ -417,9 +456,13 @@ def autocorr(vals, visited, min_overlap, out):
     centred map ``a`` (mean of the visited bins subtracted, 0 where
     unvisited) and ``a**2``: the masked normalized cross-correlation of
     Padfield, "Masked Object Registration in the Fourier Domain", IEEE TIP
-    2012.  Three forward and four inverse real FFTs replace the O(h^2 w^2)
-    direct sum; the sums of the unshifted side are the lag-negated sums of
-    the shifted side.  They run one spectrum at a time, and each sum's lags
+    2012.  The mask's conjugate spectrum and the overlap counts depend on
+    the mask alone and come with ``mask`` (one forward and one inverse real
+    FFT, shared by every map with that mask); each map adds two forward and
+    three inverse real FFTs, which replace the O(h^2 w^2) direct sum.  The
+    sums of the unshifted side are the lag-negated sums of the shifted
+    side, so they need no transform of their own.  The transforms run one
+    spectrum at a time, and each sum's lags
     are gathered as soon as it is inverted, so no temporary outgrows one
     padded half-spectrum: a stack of them, over 1 MB for a 104 x 104 map,
     sits above glibc's mmap threshold and would be mapped and faulted in
@@ -439,37 +482,24 @@ def autocorr(vals, visited, min_overlap, out):
     kept; the mirrored lag gets the identical value so the symmetry under
     lag negation is exact by construction.
     """
+    visited, nv, shape, rows, cols, cm, n = mask
     h, w = vals.shape
-    nv = int(visited.sum())
     mean = float(vals[visited].mean()) if nv else 0.0
     a = np.where(visited, vals - mean, 0.0)
-    shape = (_fft_size(2 * h - 1), _fft_size(2 * w - 1))
-    # lag d sits at index d mod shape; gather the lags -(h-1)..h-1, -(w-1)..w-1
-    rows = np.arange(-(h - 1), h) % shape[0]
-    cols = np.arange(-(w - 1), w) % shape[1]
     # only the rows dy >= 0 (index h-1 on) are written from the sums; sa and
     # saa also give the unshifted side of lag d: the shifted side of -d.
-    # Rows, then columns: two 1-d gathers run faster than one 2-d one.
-    def lags(spectrum, kept_rows):
-        return np.fft.irfft2(spectrum, s=shape)[kept_rows][:, cols]
-
     # Each product keeps its operands in this order: above 256 KiB numpy
     # evaluates `fa * np.conj(fa)` in place in the conj temporary, and with
     # fused multiply-adds the other order rounds differently.
-    fm = np.fft.rfft2(visited.astype(np.float64), s=shape)
-    cm = np.conj(fm)
-    n = lags(fm * cm, rows[h - 1 :])
-    del fm
     fa = np.fft.rfft2(a, s=shape)
-    sa = lags(fa * cm, rows)
-    sab = lags(fa * np.conj(fa), rows[h - 1 :])
+    sa = _lags(fa * cm, shape, rows, cols)
+    sab = _lags(fa * np.conj(fa), shape, rows[h - 1 :], cols)
     del fa
     aa = a * a
-    saa = lags(np.fft.rfft2(aa, s=shape) * cm, rows)
-    del cm
+    saa = _lags(np.fft.rfft2(aa, s=shape) * cm, shape, rows, cols)
     sb = sa[h - 1 :: -1, ::-1]
     sbb = saa[h - 1 :: -1, ::-1]
-    n, sa, saa = np.rint(n), sa[h - 1 :], saa[h - 1 :]
+    sa, saa = sa[h - 1 :], saa[h - 1 :]
     va = n * saa - sa * sa
     vb = n * sbb - sb * sb
     floor = DEGENERATE_RTOL * n * float(aa.sum())

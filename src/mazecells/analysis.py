@@ -9,9 +9,11 @@ from FFT cross-correlations of the visited mask and the centred map (the
 masked normalized cross-correlation of Padfield, "Masked Object
 Registration in the Fourier Domain", IEEE TIP 2012; see
 ``_kernels.autocorr``), one spectrum at a time so that no temporary
-outgrows one padded half-spectrum.  A lag whose overlap is constant up to
-FFT roundoff (variance term at most ``_kernels.DEGENERATE_RTOL`` times
-``n * sum(a**2)`` of the whole centred map) is NaN.  The autocorrelogram
+outgrows one padded half-spectrum.  The mask's spectrum and the overlap
+counts depend on the visited bins alone: ``autocorr_mask`` computes them
+once, for every map of one ``Binning``.  A lag whose overlap is constant
+up to FFT roundoff (variance term at most ``_kernels.DEGENERATE_RTOL``
+times ``n * sum(a**2)`` of the whole centred map) is NaN.  The autocorrelogram
 is its own mirror under lag negation, so only the lags dy >= 0 are
 computed; the other half is copied, and ``artifacts.write_autocorr_csv``
 reuses the text of each row's mirror.  Gridness compares annulus
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import autocorr
+from ._kernels import AutocorrMask, autocorr, autocorr_mask
 from .spatialcells import ConfigurationError
 
 MIN_OVERLAP_BINS = 20
@@ -215,25 +217,27 @@ def rate_map(positions, values, bin_size: float, bounds) -> RateMap:
     return binning.mean_map()
 
 
-def spatial_autocorrelogram(rm: RateMap) -> Autocorrelogram:
+def spatial_autocorrelogram(rm: RateMap, mask: AutocorrMask | None = None) -> Autocorrelogram:
     """Pearson autocorrelation at every integer-bin lag.
 
     Lags with fewer than MIN_OVERLAP_BINS mutually visited bins, or with a
     degenerate (constant) overlap, carry NaN.  The zero lag is 1 whenever
-    the map has at least MIN_OVERLAP_BINS visited bins.
+    the map has at least MIN_OVERLAP_BINS visited bins.  ``mask``, if
+    given, is :func:`autocorr_mask` of ``rm.visited``, built once for every
+    map with these visited bins (every map of one :class:`Binning`); the
+    result has the same bits either way.
     """
     visited = rm.visited
-    if int(visited.sum()) < 2:
+    if mask is None:
+        mask = autocorr_mask(visited)
+    elif not np.array_equal(mask.visited, visited):
+        raise ValueError("mask holds the terms of other visited bins than the map's")
+    if mask.count < 2:
         raise AnalysisError("autocorrelogram needs at least 2 visited bins")
     ny, nx = rm.values.shape
     out = np.empty((2 * ny - 1, 2 * nx - 1), dtype=np.float64)
     # the kernel ignores whatever the unvisited bins hold (NaN here)
-    autocorr(
-        np.ascontiguousarray(rm.values),
-        np.ascontiguousarray(visited),
-        MIN_OVERLAP_BINS,
-        out,
-    )
+    autocorr(np.ascontiguousarray(rm.values), mask, MIN_OVERLAP_BINS, out)
     return Autocorrelogram(rm.bin_size, out)
 
 
@@ -272,12 +276,14 @@ def _rotated_slice(ac: Autocorrelogram, angle_deg: float, ii, jj) -> np.ndarray:
     fx = gx - x0
     fy = gy - y0
     ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= nx - 1) & (y0 + 1 <= ny - 1)
-    x0c = np.clip(x0, 0, nx - 2)
-    y0c = np.clip(y0, 0, ny - 2)
-    v00 = vals[y0c, x0c]
-    v01 = vals[y0c, x0c + 1]
-    v10 = vals[y0c + 1, x0c]
-    v11 = vals[y0c + 1, x0c + 1]
+    # the four source bins by one flat index k of the top-left bin into the
+    # raveled grid: k + 1 is the bin to its right, k + nx the one below
+    k = np.clip(y0, 0, ny - 2) * nx + np.clip(x0, 0, nx - 2)
+    flat = vals.ravel()
+    v00 = flat.take(k)
+    v01 = flat.take(k + 1)
+    v10 = flat.take(k + nx)
+    v11 = flat.take(k + nx + 1)
     interp = (
         v00 * (1 - fx) * (1 - fy)
         + v01 * fx * (1 - fy)

@@ -11,6 +11,7 @@ uses shortest round-trip repr, which keeps identical runs byte-identical.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 import tempfile
@@ -162,6 +163,11 @@ def write_autocorr_csv(path: str, ac: Autocorrelogram) -> None:
     atomic_write(path, (line + "\n" for line in lines))
 
 
+# The text of each PGM gray level, formatted once: a row of levels indexes
+# it, which takes about a seventh of the time of formatting each bin.
+_PGM_LEVELS = np.array([str(level) for level in range(256)], dtype=object)
+
+
 def write_pgm(path: str, values: np.ndarray) -> None:
     """8-bit ASCII portable graymap; NaN renders as 0, the rest scaled to 1..255."""
     v = np.asarray(values, dtype=np.float64)
@@ -173,9 +179,12 @@ def write_pgm(path: str, values: np.ndarray) -> None:
         span = hi - lo
         if span <= 0.0:
             out[finite] = 255
-        else:
+        elif 254.0 * span < math.inf:
             out[finite] = 1 + np.rint(254.0 * (v[finite] - lo) / span).astype(np.int64)
-    rows = (" ".join(map(str, memoryview(row))) + "\n" for row in out)
+        else:  # the scaled offsets would overflow: scale the halves instead
+            half = v[finite] * 0.5 - lo * 0.5
+            out[finite] = 1 + np.rint(254.0 * (half / (hi * 0.5 - lo * 0.5))).astype(np.int64)
+    rows = (" ".join(_PGM_LEVELS[row].tolist()) + "\n" for row in out)
     atomic_write(path, itertools.chain([f"P2\n{v.shape[1]} {v.shape[0]}\n255\n"], rows))
 
 

@@ -20,6 +20,7 @@ from . import artifacts
 from .analysis import (
     AnalysisError,
     Binning,
+    autocorr_mask,
     coverage,
     gridness,
     halfmax_area_bins,
@@ -88,9 +89,12 @@ def _run_ratemap(rc: RunConfig, out_dir: str, seed: int) -> dict:
     # map i of the binning: the grid maps in config order, then the place
     # map, which is written but not scored
     maps = [(f"grid{i + 1}", cell) for i, cell in enumerate(rc.grid_cells)] + [("place", None)]
+    # every map has the binning's visited bins, so the autocorrelogram's
+    # terms that depend only on them are computed once, for all maps
+    mask = autocorr_mask(binning.occupancy > 0)
     for i, (name, cell) in enumerate(maps):
         rm = binning.mean_map(i)
-        ac = spatial_autocorrelogram(rm)
+        ac = spatial_autocorrelogram(rm, mask)
         artifacts.write_ratemap_csv(os.path.join(out_dir, f"ratemap_{name}.csv"), rm)
         artifacts.write_pgm(os.path.join(out_dir, f"ratemap_{name}.pgm"), rm.values)
         artifacts.write_autocorr_csv(os.path.join(out_dir, f"autocorr_{name}.csv"), ac)

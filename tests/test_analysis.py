@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 from mazecells.analysis import (
     MAX_MAP_SIDE,
+    MIN_OVERLAP_BINS,
     AnalysisError,
     Autocorrelogram,
     Binning,
     _pearson,
+    autocorr_mask,
     connected_components,
     coverage,
     gridness,
@@ -308,6 +310,51 @@ def test_autocorr_needs_two_visited_bins():
     rm = rate_map(np.array([[0.01, 0.01]]), np.array([1.0]), 0.1, (0, 1, 0, 1))
     with pytest.raises(AnalysisError):
         spatial_autocorrelogram(rm)
+    with pytest.raises(AnalysisError):
+        spatial_autocorrelogram(rm, autocorr_mask(rm.visited))
+
+
+def _maps_of_one_binning(side, visits, seed):
+    """A Binning over side x side bins with ``visits`` bins visited, and its
+    three maps: noise, a binary place-style field and a constant."""
+    rng = np.random.default_rng(seed)
+    bin_size = 0.05
+    binning = Binning(bin_size, (0.0, side * bin_size, 0.0, side * bin_size), 3)
+    iy, ix = np.divmod(rng.choice(side * side, size=visits, replace=False), side)
+    pos = np.column_stack([(ix + 0.5) * bin_size, (iy + 0.5) * bin_size])
+    binning.add(pos, rng.normal(size=visits), (ix < side // 3).astype(np.float64), np.full(visits, 0.5))
+    return binning, [binning.mean_map(i) for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "side, visits",
+    [(52, 2000), (104, 8000), (208, 30000), (52, 2), (52, MIN_OVERLAP_BINS - 1)],
+)
+def test_shared_mask_terms_give_every_map_its_one_map_autocorrelogram(side, visits):
+    # a ratemap run builds the mask terms once, from its Binning, and hands
+    # them to every map: no map may change them for the next.  A 52 x 52
+    # map's padded half-spectra sit below numpy's 256 KiB temporary-elision
+    # threshold, those of 104 x 104 and 208 x 208 maps above it; with 2 or
+    # MIN_OVERLAP_BINS - 1 visited bins no lag has enough overlap.
+    binning, maps = _maps_of_one_binning(side, visits, side + visits)
+    mask = autocorr_mask(binning.occupancy > 0)
+    assert mask.count == visits
+    shared = [spatial_autocorrelogram(rm, mask).values for rm in maps]
+    for rm, got in zip(maps, shared):
+        want = spatial_autocorrelogram(rm).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    defined = int(np.isfinite(shared[0]).sum())
+    assert defined > 1 if visits >= MIN_OVERLAP_BINS else defined == 0
+
+
+def test_mask_terms_of_other_visited_bins_are_refused():
+    _, (rm, *_) = _maps_of_one_binning(20, 300, 5)
+    other = rm.visited.copy()
+    other[np.unravel_index(np.argmax(other), other.shape)] = False
+    with pytest.raises(ValueError, match="other visited bins"):
+        spatial_autocorrelogram(rm, autocorr_mask(other))
+    with pytest.raises(ValueError, match="other visited bins"):
+        spatial_autocorrelogram(rm, autocorr_mask(rm.visited[:, 1:]))
 
 
 def fine_rate_map():

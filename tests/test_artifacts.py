@@ -15,6 +15,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -336,3 +337,54 @@ def test_pgm_matches_per_value_scaling(tmp_path, layout):
     lines = ["P2", "7 9", "255"] + rows
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert {0, 1, 255} <= {level(v) for v in HOSTILE}
+
+
+def _pgm_by_str(values):
+    """The PGM of ``values`` with each bin's level formatted by ``str``, one
+    bin at a time."""
+    finite = [v for v in values.ravel().tolist() if math.isfinite(v)]
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 0.0)
+
+    def level(v):
+        if not math.isfinite(v):
+            return 0
+        return 255 if hi == lo else 1 + int(round(254.0 * (v - lo) / (hi - lo)))
+
+    rows = [" ".join(str(level(v)) for v in row) for row in values.tolist()]
+    return ("\n".join(["P2", f"{values.shape[1]} {values.shape[0]}", "255"] + rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", ["every level", "constant", "one bin", "one nan bin"])
+def test_pgm_levels_have_the_bytes_of_str(tmp_path, case):
+    rng = np.random.default_rng(11)
+    if case == "every level":
+        # levels 1..255 from 0..254, 0 from the NaN bins, in random places
+        values = np.concatenate([np.arange(255.0), np.full(65, math.nan)])
+        values = rng.permutation(values).reshape(16, 20)
+    elif case == "constant":
+        values = np.where(rng.uniform(size=(9, 7)) < 0.3, math.nan, 0.1 + 0.2)
+    elif case == "one bin":
+        values = np.array([[-2.5]])
+    else:
+        values = np.array([[math.nan]])
+    path = tmp_path / "map.pgm"
+    write_pgm(str(path), values)
+    want = _pgm_by_str(values)
+    assert path.read_bytes() == want
+    levels = {int(t) for t in want.split()[4:]}
+    assert levels == {"every level": set(range(256)), "constant": {0, 255}, "one bin": {255}, "one nan bin": {0}}[case]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[-1.7976931348623157e308, 1.7976931348623157e308, 0.0, 1e300], [0.0, 1e307, 5e306]],
+)
+def test_pgm_levels_stay_in_range_where_the_scaling_would_overflow(tmp_path, values):
+    # a span above about 7e305 overflows 254 * (v - lo); the levels are then
+    # scaled from the halves of the values
+    path = tmp_path / "map.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_pgm(str(path), np.array([values]))
+    levels = [int(t) for t in path.read_bytes().split()[4:]]
+    assert levels == [1, 255] + [128] * (len(values) - 2)

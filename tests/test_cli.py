@@ -339,14 +339,15 @@ def test_episode_seed_resolves_like_the_other_commands(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("ticks", [1, 2])
+@pytest.mark.parametrize("ticks", [1, 2, 3])
 def test_failed_ratemap_leaves_no_out_directory(tmp_path, capsys, ticks):
-    # one or two ticks visit too few bins for an autocorrelogram; the run
-    # fails before its first file, so --out must not be made either
+    # one to three ticks visit too few bins for an autocorrelogram; the run
+    # fails at its first map's, before its first file, so --out must not be
+    # made either
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path, f"[run]\ntick_count = {ticks}\n")
     assert main(["ratemap", "--config", cfg, "--out", str(out)]) == 2
-    assert "at least 2 visited bins" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: autocorrelogram needs at least 2 visited bins\n"
     assert not out.exists()
 
 

@@ -47,6 +47,7 @@ from mazecells._kernels import (
     _drop_bounds,
     _fft_size,
     autocorr,
+    autocorr_mask,
     ensemble_batch,
     firing_normalized,
     firing_raw,
@@ -760,7 +761,7 @@ def _autocorr_vs_oracle(vals, visited, min_overlap):
     """Kernel output and the oracle at every lag, as two arrays."""
     h, w = vals.shape
     got = np.empty((2 * h - 1, 2 * w - 1))
-    autocorr(np.where(visited, vals, 0.0), visited, min_overlap, got)
+    autocorr(np.where(visited, vals, 0.0), autocorr_mask(visited), min_overlap, got)
     want = np.array(
         [
             [_masked_pearson(vals, visited, dy, dx, min_overlap) for dx in range(1 - w, w)]
@@ -877,7 +878,7 @@ def _autocorr_full_grid(vals, visited, min_overlap):
 def _assert_autocorr_bits_equal_full_grid(vals, visited, min_overlap):
     h, w = vals.shape
     got = np.empty((2 * h - 1, 2 * w - 1))
-    autocorr(np.where(visited, vals, 0.0), visited, min_overlap, got)
+    autocorr(np.where(visited, vals, 0.0), autocorr_mask(visited), min_overlap, got)
     want = _autocorr_full_grid(np.where(visited, vals, 0.0), visited, min_overlap)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -945,9 +946,9 @@ def test_autocorr_ignores_what_unvisited_bins_hold(fill):
         h, w = shape
         want = np.empty((2 * h - 1, 2 * w - 1))
         got = np.empty_like(want)
-        autocorr(np.where(visited, vals, 0.0), visited, min_overlap, want)
+        autocorr(np.where(visited, vals, 0.0), autocorr_mask(visited), min_overlap, want)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            autocorr(np.where(visited, vals, other), visited, min_overlap, got)
+            autocorr(np.where(visited, vals, other), autocorr_mask(visited), min_overlap, got)
         assert np.isfinite(want).sum() > 1, shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
