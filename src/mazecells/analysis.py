@@ -250,48 +250,38 @@ def _rotated_samples(ac: Autocorrelogram, angle_deg: float, lags) -> np.ndarray:
     :data:`ROTATE_LAGS` at a time, so the temporaries of the interpolation
     do not grow with the annulus.
     """
-    ii, jj = lags
-    out = np.empty(ii.shape[0])
-    for lo in range(0, ii.shape[0], ROTATE_LAGS):
-        hi = lo + ROTATE_LAGS
-        out[lo:hi] = _rotated_slice(ac, angle_deg, ii[lo:hi], jj[lo:hi])
-    return out
-
-
-def _rotated_slice(ac: Autocorrelogram, angle_deg: float, ii, jj) -> np.ndarray:
-    """:func:`_rotated_samples` at the lags ``(ii, jj)`` of one slice."""
     vals = ac.values
     ny, nx = vals.shape
     cy, cx = ac.center
-    x = (jj - cx).astype(np.float64)
-    y = (ii - cy).astype(np.float64)
-    a = math.radians(angle_deg)
-    # sample the source at the back-rotated lag
-    sx = math.cos(a) * x + math.sin(a) * y
-    sy = -math.sin(a) * x + math.cos(a) * y
-    gx = sx + cx
-    gy = sy + cy
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
-    fx = gx - x0
-    fy = gy - y0
-    ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= nx - 1) & (y0 + 1 <= ny - 1)
-    # the four source bins by one flat index k of the top-left bin into the
-    # raveled grid: k + 1 is the bin to its right, k + nx the one below
-    k = np.clip(y0, 0, ny - 2) * nx + np.clip(x0, 0, nx - 2)
     flat = vals.ravel()
-    v00 = flat.take(k)
-    v01 = flat.take(k + 1)
-    v10 = flat.take(k + nx)
-    v11 = flat.take(k + nx + 1)
-    interp = (
-        v00 * (1 - fx) * (1 - fy)
-        + v01 * fx * (1 - fy)
-        + v10 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
-    good = ok & np.isfinite(v00) & np.isfinite(v01) & np.isfinite(v10) & np.isfinite(v11)
-    return np.where(good, interp, np.nan)
+    a = math.radians(angle_deg)
+    cos, sin = math.cos(a), math.sin(a)
+    rows, cols = lags
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], ROTATE_LAGS):
+        hi = lo + ROTATE_LAGS
+        x = (cols[lo:hi] - cx).astype(np.float64)
+        y = (rows[lo:hi] - cy).astype(np.float64)
+        # sample the source at the back-rotated lag
+        gx = cos * x + sin * y + cx
+        gy = -sin * x + cos * y + cy
+        x0 = np.floor(gx).astype(np.int64)
+        y0 = np.floor(gy).astype(np.int64)
+        fx = gx - x0
+        fy = gy - y0
+        ok = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= nx - 1) & (y0 + 1 <= ny - 1)
+        # the four source bins by one flat index k of the top-left bin into
+        # the raveled grid: k + 1 is the bin to its right, k + nx the one below
+        k = np.clip(y0, 0, ny - 2) * nx + np.clip(x0, 0, nx - 2)
+        v00 = flat.take(k)
+        v01 = flat.take(k + 1)
+        v10 = flat.take(k + nx)
+        v11 = flat.take(k + nx + 1)
+        interp = v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
+        interp = interp + v10 * (1 - fx) * fy + v11 * fx * fy
+        good = ok & np.isfinite(v00) & np.isfinite(v01) & np.isfinite(v10) & np.isfinite(v11)
+        out[lo:hi] = np.where(good, interp, np.nan)
+    return out
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -353,39 +343,46 @@ def coverage(positions, bin_size: float, radius: float) -> float:
     return binning.disc_coverage(radius)
 
 
-def nearest_peak_angles(ac: Autocorrelogram) -> np.ndarray:
-    """Angles (degrees, sorted) of the six nearest autocorrelogram peaks,
-    one per vertex of a hexagonal lattice's inner ring.
+def _lattice_peaks(ac: Autocorrelogram) -> tuple[np.ndarray, np.ndarray]:
+    """Distances (m) and angles (degrees) of the six nearest autocorrelogram
+    peaks, nearest first.
 
-    A peak is a defined bin at a nonzero lag, strictly greater than its
-    defined neighbors and with positive correlation.
+    A peak is a defined bin at a nonzero lag, with positive correlation,
+    at least 5 defined neighbors and strictly greater than each of them.
+    The neighbor maximum is a running one over the 8 shifted views of the
+    grid, so no stack of them is built.  Peaks at equal distance keep
+    row-major order.
     """
-    count = 6
     vals = ac.values
     ny, nx = vals.shape
     cy, cx = ac.center
-    peaks = []
-    for i in range(1, ny - 1):
-        for j in range(1, nx - 1):
-            v = vals[i, j]
-            if not np.isfinite(v) or v <= 0.0:
-                continue
-            lx = (j - cx) * ac.bin_size
-            ly = (i - cy) * ac.bin_size
-            d = math.hypot(lx, ly)
-            if d == 0.0:
-                continue
-            neigh = np.delete(vals[i - 1 : i + 2, j - 1 : j + 2].ravel(), 4)
-            neigh = neigh[np.isfinite(neigh)]
-            if neigh.size < 5:
-                continue
-            if v > neigh.max():
-                peaks.append((d, math.degrees(math.atan2(ly, lx))))
-    if len(peaks) < count:
-        raise AnalysisError(f"found only {len(peaks)} peaks, need {count}")
-    peaks.sort(key=lambda p: p[0])
-    angles = sorted(a for _, a in peaks[:count])
-    return np.asarray(angles, dtype=np.float64)
+    inner = vals[1:-1, 1:-1]
+    top = np.full(inner.shape, -np.inf)
+    defined = np.zeros(inner.shape, dtype=np.uint8)
+    for di, dj in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
+        view = vals[di : ny - 2 + di, dj : nx - 2 + dj]
+        finite = np.isfinite(view)
+        np.maximum(top, view, out=top, where=finite)
+        defined += finite
+    peak = np.isfinite(inner) & (inner > 0.0) & (defined >= 5) & (inner > top)
+    dists, angles = [], []
+    for i, j in zip(*(k.tolist() for k in np.nonzero(peak))):
+        lx = (j + 1 - cx) * ac.bin_size
+        ly = (i + 1 - cy) * ac.bin_size
+        d = math.hypot(lx, ly)
+        if d != 0.0:  # the zero lag
+            dists.append(d)
+            angles.append(math.degrees(math.atan2(ly, lx)))
+    if len(dists) < 6:
+        raise AnalysisError(f"found only {len(dists)} peaks, need 6")
+    order = np.argsort(dists, kind="stable")[:6]
+    return np.asarray(dists)[order], np.asarray(angles)[order]
+
+
+def nearest_peak_angles(ac: Autocorrelogram) -> np.ndarray:
+    """Sorted angles (degrees) of the six nearest autocorrelogram peaks, one
+    per vertex of a hexagonal lattice's inner ring."""
+    return np.sort(_lattice_peaks(ac)[1])
 
 
 def peak_to_mean(rm: RateMap) -> float:

@@ -1,6 +1,7 @@
-"""Exhaustive nearest-node scans: the oracle of the 4-corner lattice decode.
+"""Slow, plain references that the package's kernels are checked against.
 
-Both scans return what ``_kernels.nearest_batch`` returns, (cx, cy, d, m,
+Exhaustive nearest-node scans are the oracle of the 4-corner lattice
+decode.  Both scans return what ``_kernels.nearest_batch`` returns, (cx, cy, d, m,
 n) per point, over the nodes m * b1 + n * b2 + off with |m|, |n| <=
 ``max_index``, and neither uses a basis inverse or a floor: only each
 node's distance to each point, so they stay independent of the decode
@@ -12,12 +13,16 @@ keeps the lexicographically smallest index, as the decode's does.
 visits, for each small box of points, only the nodes that can win there,
 and returns the same bits (see :data:`PRUNE_SLACK`).  Inputs must be
 finite.
+
+:func:`nearest_peaks_loop`, a Python loop over every lag bin, is the
+oracle of ``analysis._lattice_peaks``.
 """
 
 import math
 
 import numpy as np
 
+from mazecells.analysis import AnalysisError
 from mazecells.spatialcells import lattice_basis, phase_offset
 
 # Points per box of pruned_scan: a box holds too few points to pay its
@@ -126,3 +131,40 @@ def scan_grid(points, g, max_index):
     out = [np.empty(k), np.empty(k), np.empty(k), np.empty(k, np.int64), np.empty(k, np.int64)]
     full_scan(pts[:, 0], pts[:, 1], b[0, 0], b[1, 0], b[0, 1], b[1, 1], off.x, off.y, max_index, *out)
     return out
+
+
+def nearest_peaks_loop(ac):
+    """(distance, angle) of the six nearest autocorrelogram peaks, nearest
+    first: a defined bin at a nonzero lag, strictly greater than its
+    defined neighbors (at least 5 of them) and with positive correlation."""
+    count = 6
+    vals = ac.values
+    ny, nx = vals.shape
+    cy, cx = ac.center
+    peaks = []
+    for i in range(1, ny - 1):
+        for j in range(1, nx - 1):
+            v = vals[i, j]
+            if not np.isfinite(v) or v <= 0.0:
+                continue
+            lx = (j - cx) * ac.bin_size
+            ly = (i - cy) * ac.bin_size
+            d = math.hypot(lx, ly)
+            if d == 0.0:
+                continue
+            neigh = np.delete(vals[i - 1 : i + 2, j - 1 : j + 2].ravel(), 4)
+            neigh = neigh[np.isfinite(neigh)]
+            if neigh.size < 5:
+                continue
+            if v > neigh.max():
+                peaks.append((d, math.degrees(math.atan2(ly, lx))))
+    if len(peaks) < count:
+        raise AnalysisError(f"found only {len(peaks)} peaks, need {count}")
+    peaks.sort(key=lambda p: p[0])
+    return peaks[:count]
+
+
+def nearest_peak_angles_loop(ac):
+    """Sorted angles of :func:`nearest_peaks_loop`, as ``nearest_peak_angles``
+    returns them."""
+    return np.asarray(sorted(a for _, a in nearest_peaks_loop(ac)), dtype=np.float64)

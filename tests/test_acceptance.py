@@ -3,7 +3,9 @@
 Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them); the asserted thresholds are the contract, the prints are the
 operator-facing record.  These are intentionally end-to-end: they go
-through the public API or the command line, not through internals.
+through the public API or the command line.  Criterion 1 also reads the
+peak distances of ``analysis._lattice_peaks``, and criterion 2 checks the
+internal decode against its oracle.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from mazecells import (
     change_frame_inverse,
     coverage,
     default_ini,
+    default_sections,
     episode_config,
     gridness,
     halfmax_area_bins,
@@ -45,6 +48,7 @@ from mazecells import (
     walk_trajectory,
 )
 from mazecells._kernels import nearest_batch
+from mazecells.analysis import _lattice_peaks
 from mazecells.cli import main
 
 from oracles import pruned_scan
@@ -70,23 +74,40 @@ def _max_consecutive(flags: np.ndarray) -> int:
     return best
 
 
+# (spacing m, orientation degrees) of the lattices criterion 1 recovers
+CRITERION_1_LATTICES = ((1.0, 45.0), (0.5, 10.0), (0.35, 57.0))
+
+
 def test_criterion_1_hexagonal_rate_map():
+    # Each lattice's six nearest autocorrelogram peaks give it back: their
+    # mean distance lies within one bin of the spacing (measured: off by at
+    # most 0.015 m, against 0.05 m) and each angle within 5 degrees of the
+    # orientation mod 60 (measured: at most 3.13 degrees).
     t0 = time.perf_counter()
-    cell = GridCellParams(1.0, math.pi / 4.0, 0.5, 0.0)
     fp = FiringParams(kappa=5.0, zeta=0.3)
+    bin_size = 0.05
     pos = _default_walk_positions(100_000)
-    rm = rate_map(pos, rates_at(pos, cell, fp), 0.05, BOUNDS)
-    ac = spatial_autocorrelogram(rm)
-    score = gridness(ac, 0.5 * cell.spacing, 1.5 * cell.spacing)
-    angles = nearest_peak_angles(ac)
+    spacing_errs, angle_errs = [], []
+    for spacing, orientation in CRITERION_1_LATTICES:
+        cell = GridCellParams(spacing, math.radians(orientation), 0.5, 0.0)
+        rm = rate_map(pos, rates_at(pos, cell, fp), bin_size, BOUNDS)
+        ac = spatial_autocorrelogram(rm)
+        dists, peak_angles = _lattice_peaks(ac)
+        spacing_errs.append(abs(float(dists.mean()) - spacing))
+        angle_errs.append(float(np.max(np.abs((peak_angles - orientation + 30.0) % 60.0 - 30.0))))
+        if len(spacing_errs) == 1:
+            score = gridness(ac, 0.5 * cell.spacing, 1.5 * cell.spacing)
+            angles = nearest_peak_angles(ac)
     gaps = np.append(np.diff(angles), 360.0 - (angles[-1] - angles[0]))
-    cov = coverage(pos, 0.05, 1.3)
+    cov = coverage(pos, bin_size, 1.3)
     elapsed = time.perf_counter() - t0
 
     ok = (
         score > 0.4
         and angles.shape == (6,)
         and bool(np.all(np.abs(gaps - 60.0) <= 10.0))
+        and max(spacing_errs) <= bin_size
+        and max(angle_errs) <= 5.0
         and cov > 0.9
         and elapsed < 60.0
     )
@@ -95,6 +116,8 @@ def test_criterion_1_hexagonal_rate_map():
         "hexagonal firing on the default walk",
         ok,
         f"gridness {score:.3f} > 0.4, peak gaps {np.round(gaps, 1).tolist()} deg, "
+        f"spacing errors {np.round(spacing_errs, 4).tolist()} m <= {bin_size}, "
+        f"orientation errors {np.round(angle_errs, 2).tolist()} deg <= 5, "
         f"coverage {cov:.3f}, {elapsed:.1f}s < 60s",
     )
 
@@ -357,17 +380,27 @@ def test_criterion_9_place_field_locality():
     active = visited & (rm.values > 0.0)
     frac_active = active.sum() / visited.sum()
     component = largest_component_fraction(active) if active.any() else 0.0
+    # the active bin centres' centroid lies within one bin of the anchor
+    # (measured: (0.35, 0.20) against (0.35, 0.2))
+    place = default_sections()["place"]
+    iy, ix = np.nonzero(active)
+    cx = rm.origin_x + (ix.mean() + 0.5) * rm.bin_size if active.any() else math.inf
+    cy = rm.origin_y + (iy.mean() + 0.5) * rm.bin_size if active.any() else math.inf
+    offset = math.hypot(cx - place["anchor_x"], cy - place["anchor_y"])
 
     ok = (
         active_samples.sum() > 0
         and frac_active < 0.15
         and component >= 0.8
+        and offset <= rc.bin_size
     )
     _report(
         9,
-        "place field is small and compact",
+        "place field is small and compact, at its anchor",
         ok,
         f"{int(active_samples.sum())} active samples, active bins "
         f"{int(active.sum())}/{int(visited.sum())} = {frac_active:.4f} < 0.15, "
-        f"largest component {component:.2f} >= 0.8",
+        f"largest component {component:.2f} >= 0.8, centroid ({cx:.3f}, {cy:.3f}) "
+        f"{offset:.4f} m <= {rc.bin_size} m from the anchor "
+        f"({place['anchor_x']}, {place['anchor_y']})",
     )

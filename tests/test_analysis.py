@@ -4,7 +4,9 @@ The autocorrelogram is cross-checked against a direct numpy Pearson
 computation on masked overlaps; gridness against synthetic fields with
 known symmetry (hexagonal > 0, radially symmetric <= 0, noise ~ 0), and
 bit for bit against resampling every lag of the grid at each rotation.
-Both keep their traced peak memory per map bin under a pinned bound.
+The vectorized peak finder is checked bit for bit against a loop over
+every lag bin (``oracles.nearest_peaks_loop``).  All keep their traced
+peak memory per map bin under a pinned bound.
 """
 
 import math
@@ -22,6 +24,7 @@ from mazecells.analysis import (
     AnalysisError,
     Autocorrelogram,
     Binning,
+    _lattice_peaks,
     _pearson,
     autocorr_mask,
     connected_components,
@@ -34,7 +37,10 @@ from mazecells.analysis import (
     rate_map,
     spatial_autocorrelogram,
 )
+from mazecells.arena import Arena, Pose, WalkParams, walk_trajectory
 from mazecells.spatialcells import ConfigurationError, GridCellParams, FiringParams, rates_at
+
+from oracles import nearest_peak_angles_loop, nearest_peaks_loop
 
 
 def grid_positions(extent=1.3, step=0.02):
@@ -544,6 +550,87 @@ def test_nearest_peak_angles_needs_enough_peaks():
     rm = rate_map(pos, vals, 0.05, (-1.0, 1.0, -1.0, 1.0))
     with pytest.raises(AnalysisError):
         nearest_peak_angles(spatial_autocorrelogram(rm))
+
+
+def _result_or_message(f, ac):
+    try:
+        return f(ac)
+    except AnalysisError as exc:
+        return str(exc)
+
+
+def _assert_peaks_match_loop(ac) -> bool:
+    """Assert that the peak finder gives the loop's peaks or message, bit
+    for bit; return whether it found six peaks."""
+    want = _result_or_message(nearest_peaks_loop, ac)
+    got = _result_or_message(_lattice_peaks, ac)
+    if isinstance(want, str):
+        assert got == want
+        assert _result_or_message(nearest_peak_angles, ac) == want
+        return False
+    dists, angles = got
+    assert dists.tobytes() == np.array([d for d, _ in want]).tobytes()
+    assert angles.tobytes() == np.array([a for _, a in want]).tobytes()
+    got_sorted = nearest_peak_angles(ac)
+    assert got_sorted.dtype == np.float64 and got_sorted.shape == (6,)
+    assert got_sorted.tobytes() == nearest_peak_angles_loop(ac).tobytes()
+    return True
+
+
+@pytest.mark.parametrize("bin_size", [0.1, 0.05, 0.025])
+def test_lattice_peaks_match_the_loop_on_walk_maps(bin_size):
+    # random lattices on walks of 500 to 40k ticks: the short walks leave
+    # most bins unvisited, most lags NaN and some maps short of six peaks
+    rng = np.random.default_rng(int(bin_size * 1000))
+    found = []
+    for ticks in (500, 2_000, 10_000, 40_000):
+        cell = GridCellParams(
+            rng.uniform(0.3, 1.2), rng.uniform(0.0, math.pi / 3.0), rng.uniform(0.0, 6.3), rng.uniform(0.0, 6.3)
+        )
+        pos = walk_trajectory(Arena(radius=1.3), WalkParams(), ticks, Pose(0.0, 0.0, 0.0), seed=ticks)[:, :2]
+        rm = rate_map(pos, rates_at(pos, cell, FiringParams(5.0, 0.3)), bin_size, (-1.3, 1.3, -1.3, 1.3))
+        found.append(_assert_peaks_match_loop(spatial_autocorrelogram(rm)))
+    assert found[-1]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 3), (3, 9), (9, 3)])
+def test_lattice_peaks_on_tiny_grids_match_the_loop(shape):
+    _assert_peaks_match_loop(Autocorrelogram(0.1, np.random.default_rng(3).normal(size=shape)))
+
+
+def test_lattice_peaks_on_noise_and_ties_match_the_loop():
+    # many peaks at equal distances (their order is row-major), equal
+    # neighbors (no peak: a peak is strictly greater) and zeros above all
+    # their neighbors (no peak: a peak is positive)
+    rng = np.random.default_rng(8)
+    grids = (rng.normal(size=(41, 41)), rng.integers(-1, 3, size=(31, 37)), rng.integers(-3, 1, size=(41, 41)))
+    found = [_assert_peaks_match_loop(Autocorrelogram(0.05, vals.astype(np.float64))) for vals in grids]
+    assert found == [True, True, False]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lattice_peaks_with_non_finite_lags_match_the_loop(bad):
+    # a non-finite bin is no peak and no neighbor, and a bin with fewer
+    # than 5 defined neighbors is no peak
+    rng = np.random.default_rng(11)
+    found = []
+    for frac in (0.05, 0.3, 0.6, 0.9):
+        vals = rng.normal(size=(35, 35))
+        vals[rng.uniform(size=vals.shape) < frac] = bad
+        found.append(_assert_peaks_match_loop(Autocorrelogram(0.05, vals)))
+    ac = spatial_autocorrelogram(hex_rate_map())
+    ac.values[rng.uniform(size=ac.values.shape) < 0.1] = bad
+    found.append(_assert_peaks_match_loop(ac))
+    assert found[0] and not found[-2]
+
+
+def test_lattice_peaks_peak_memory_per_map_bin():
+    # a running neighbor maximum over 8 views of the lag grid: about 15 B
+    # per lag, 53-70 B per map bin, where stacking the views would take
+    # 256 B per map bin
+    rm = fine_rate_map()
+    ac = spatial_autocorrelogram(rm)
+    assert _traced_peak(_lattice_peaks, ac) < 100 * rm.values.size
 
 
 # ---------------------------------------------------------------------------
